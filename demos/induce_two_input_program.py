@@ -58,7 +58,7 @@ def search(config: sg.TrainConfig, restarts_on: bool = True):
     thetas = sg.init_thetas(sketch, config)
     streams = sg.hole_streams(config.seed, sketch.hole_count)
     optimizer = make_optimizer(config)
-    best_loss, best_program, best_thetas, best_it = math.inf, None, None, 0
+    best_loss, best_thetas, best_it = math.inf, None, 0
     records, restarts = [], []
     low, stale = math.inf, 0
     for it in range(1, config.iterations + 1):
@@ -67,7 +67,6 @@ def search(config: sg.TrainConfig, restarts_on: bool = True):
         )
         if record.argmax_loss < best_loss:
             best_loss = record.argmax_loss
-            best_program = sg.argmax_program(sketch, thetas)
             best_thetas = [t.copy() for t in thetas]
             best_it = it
         records.append(record)
@@ -85,7 +84,7 @@ def search(config: sg.TrainConfig, restarts_on: bool = True):
     print(f"restarts after iterations {restarts}" if restarts else "no restarts")
     print(f"best argmax MSE {best_loss:.4f}, at iteration {best_it}:")
     print(f"{best_it:>6} | {describe(best_thetas)} | {best_loss:.4f}")
-    return best_loss, best_program, best_thetas, records
+    return best_loss, sg.argmax_program(sketch, best_thetas), best_thetas, records
 
 
 hyper = dict(learning_rate=0.0995, iterations=20_000, population=50, sigma=0.5, seed=0)

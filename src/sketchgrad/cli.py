@@ -131,6 +131,8 @@ def _cmd_enumerate(args) -> int:
         reals = [float(v) for v in args.reals.split(",")] if args.reals else []
     except ValueError:
         raise _Failure("CONFIG", f"--reals must be comma-separated numbers, got {args.reals!r}")
+    if spec.arity != sketch.arity:
+        raise _Failure("SPEC", f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
     try:
         ranked = enumerate_discrete(sketch, reals, spec)
     except EnumerationError as exc:

@@ -13,6 +13,7 @@ printed update rule; the Gaussian mean uses the fixed-sigma closed form
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,8 @@ class GaussianTheta:
     def __post_init__(self):
         self.mu = float(self.mu)
         self.sigma = float(self.sigma)
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ThetaError(f"mu and sigma must be finite, got {self.mu} and {self.sigma}")
         if not self.sigma > 0.0:
             raise ThetaError(f"sigma must be positive, got {self.sigma}")
 

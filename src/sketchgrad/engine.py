@@ -1,11 +1,12 @@
 """The training loop: sample programs, score them, step the distributions.
 
 One iteration samples a population of hole assignments from the current
-per-hole distributions, instantiates and scores each candidate against the
-specification, standardizes the negated losses into fitness, estimates a
+per-hole distributions, scores every candidate against the specification in
+one vectorized pass, standardizes the negated losses into fitness, estimates a
 gradient per hole and takes an ascent step.  The argmax program (most
 probable token per categorical hole, mean per real hole) is evaluated every
-iteration and the best one seen is kept.
+iteration and the best one seen is kept.  `enumerate_discrete` scores the
+whole discrete space with the same vectorized scorer.
 
 Because the best program is kept, a search that has settled can be
 restarted at no cost: when the argmax loss has not improved by
@@ -17,7 +18,6 @@ and the search cannot leave the basin it is in; a restart is the way out.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +46,10 @@ RESTART_PATIENCE = 2000
 RESTART_MIN_GAIN = 0.01
 RESTART_LOGIT_STD = 1.0
 
+# enumerate_discrete scores this many candidate x spec-row cells per call to
+# the vectorized scorer, which bounds its intermediates at any space size.
+ENUMERATE_CHUNK_CELLS = 1 << 16
+
 
 class ConfigError(ValueError):
     """Invalid training configuration."""
@@ -60,9 +64,7 @@ class TrainConfig:
     """Hyperparameters for one training run.
 
     `sigma` is the fixed standard deviation of every real hole's search
-    distribution; `penalty` replaces non-finite candidate losses; `parallel`
-    switches between vectorized population evaluation and a per-candidate
-    loop (both produce bit-identical results).
+    distribution; `penalty` replaces non-finite candidate losses.
     """
 
     learning_rate: float
@@ -85,9 +87,11 @@ class TrainConfig:
     # out multiplicative candidates, which traps a large fraction of runs in
     # a dead-branch basin.
     mu_init: float = 1.0
-    parallel: bool = True
 
     def __post_init__(self):
+        for name in ("learning_rate", "sigma", "adam_beta1", "adam_beta2", "adam_eps", "penalty", "mu_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.iterations < 1:
@@ -104,10 +108,8 @@ class TrainConfig:
             raise ConfigError("adam betas must lie in [0, 1)")
         if not self.adam_eps > 0:
             raise ConfigError("adam_eps must be positive")
-        if not (self.penalty > 0 and math.isfinite(self.penalty)):
-            raise ConfigError(f"penalty must be positive and finite, got {self.penalty}")
-        if not math.isfinite(self.mu_init):
-            raise ConfigError("mu_init must be finite")
+        if not self.penalty > 0:
+            raise ConfigError(f"penalty must be positive, got {self.penalty}")
 
 
 @dataclass(frozen=True)
@@ -129,23 +131,12 @@ class TrainResult:
     records: list[TrainRecord] = field(default_factory=list)
 
 
+@dataclass
 class Population:
     """Per-hole draws and concrete values for one iteration's candidates."""
 
-    def __init__(self, real_mask: tuple[bool, ...], draws: list[np.ndarray], values: list[np.ndarray]):
-        self.real_mask = real_mask  # True where the hole is a real hole
-        self.draws = draws  # int indices for categorical holes, standard-normal eps for real holes
-        self.values = values  # indices again, or mu + sigma * eps
-        self.size = len(values[0]) if values else 0
-
-    def assignment(self, i: int) -> Assignment:
-        vals = []
-        for is_real, col in zip(self.real_mask, self.values):
-            vals.append(float(col[i]) if is_real else int(col[i]))
-        return Assignment(tuple(vals))
-
-    def assignments(self) -> list[Assignment]:
-        return [self.assignment(i) for i in range(self.size)]
+    draws: list[np.ndarray]  # int indices for categorical holes, standard-normal eps for real holes
+    values: list[np.ndarray]  # indices again, or mu + sigma * eps
 
 
 def init_thetas(sketch: Sketch, config: TrainConfig) -> list:
@@ -179,8 +170,8 @@ def restart_thetas(thetas: list, config: TrainConfig, rng) -> list:
 def hole_streams(seed: int, n_holes: int) -> list[np.random.Generator]:
     """One independent random stream per hole, derived from the master seed.
 
-    Sampling happens before the (possibly parallel) evaluation phase, so the
-    draws cannot depend on evaluation order.
+    Sampling happens before the evaluation phase, so the draws cannot depend
+    on evaluation order.
     """
     root = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(max(n_holes, 1))]
@@ -201,29 +192,16 @@ def sample_population(thetas: list, n: int, rng) -> Population:
     streams = _streams_for(rng, len(thetas))
     draws: list[np.ndarray] = []
     values: list[np.ndarray] = []
-    real_mask = []
     for theta, stream in zip(thetas, streams):
         if isinstance(theta, GaussianTheta):
             eps = stream.standard_normal(n)
             draws.append(eps)
             values.append(theta.mu + theta.sigma * eps)
-            real_mask.append(True)
         else:
             idx = sample_categorical_many(theta, n, stream)
             draws.append(idx)
             values.append(idx)
-            real_mask.append(False)
-    return Population(tuple(real_mask), draws, values)
-
-
-def _population_losses(sketch: Sketch, population: Population, spec: SpecSet, config: TrainConfig) -> np.ndarray:
-    if config.parallel:
-        return eval_population_losses(sketch, population.values, spec, config.penalty)
-    losses = np.empty(population.size, dtype=np.float64)
-    for i in range(population.size):
-        program = instantiate(sketch, population.assignment(i))
-        losses[i] = eval_spec_loss(program, spec, config.penalty)
-    return losses
+    return Population(draws, values)
 
 
 def estimate_gradients(thetas: list, population: Population, fitness: np.ndarray, score: str = SCORE_LOG_SOFTMAX) -> list:
@@ -319,7 +297,7 @@ def train_step(
     """One full iteration; returns the updated thetas and its record."""
     optimizer = optimizer or make_optimizer(config)
     population = sample_population(thetas, config.population, rng)
-    losses = _population_losses(sketch, population, spec, config)
+    losses = eval_population_losses(sketch, population.values, spec, config.penalty)
     fitness = standardize_fitness(losses)
     grads = estimate_gradients(thetas, population, fitness, config.categorical_score)
     new_thetas = optimizer.step(thetas, grads)
@@ -345,7 +323,6 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig) -> TrainResult:
     optimizer = make_optimizer(config)
     records: list[TrainRecord] = []
     best_loss = math.inf
-    best_program = None
     best_thetas = None
     low, stale = math.inf, 0  # argmax loss at the last gain, iterations since
     for it in range(1, config.iterations + 1):
@@ -354,7 +331,6 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig) -> TrainResult:
         )
         if record.argmax_loss < best_loss:
             best_loss = record.argmax_loss
-            best_program = argmax_program(sketch, thetas)
             best_thetas = [t.copy() for t in thetas]
         records.append(record)
         if record.argmax_loss < low * (1 - RESTART_MIN_GAIN):
@@ -370,7 +346,7 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig) -> TrainResult:
     return TrainResult(
         thetas=thetas,
         best_thetas=best_thetas,
-        best_program=best_program,
+        best_program=argmax_program(sketch, best_thetas),
         best_loss=best_loss,
         final_program=final_program,
         final_loss=final_loss,
@@ -393,25 +369,36 @@ def enumerate_discrete(
     the discrete space exceeds `cap`.
     """
     real_values = [float(v) for v in real_values]
-    real_holes = [h for h in sketch.holes if h.kind == KIND_REAL]
-    cat_holes = [h for h in sketch.holes if h.kind != KIND_REAL]
-    if len(real_values) != len(real_holes):
-        raise SketchError(f"sketch has {len(real_holes)} [Real] holes but {len(real_values)} values given")
-    space = 1
-    for hole in cat_holes:
-        space *= hole.arity
+    n_reals = sum(h.kind == KIND_REAL for h in sketch.holes)
+    if len(real_values) != n_reals:
+        raise SketchError(f"sketch has {n_reals} [Real] holes but {len(real_values)} values given")
+    shape = tuple(h.arity for h in sketch.holes if h.kind != KIND_REAL)
+    space = math.prod(shape)
     if space > cap:
         raise EnumerationError(f"{space} discrete programs exceed the cap of {cap}")
-    reals = dict(zip((h.index for h in real_holes), real_values))
-    ranked = []
-    for combo in itertools.product(*(range(h.arity) for h in cat_holes)):
-        cats = dict(zip((h.index for h in cat_holes), combo))
-        values = tuple(reals[h.index] if h.kind == KIND_REAL else cats[h.index] for h in sketch.holes)
-        assignment = Assignment(values)
-        loss = eval_spec_loss(instantiate(sketch, assignment), spec, penalty)
-        ranked.append((combo, assignment, loss))
-    ranked.sort(key=lambda item: (item[2], item[0]))
-    return [(assignment, loss) for _, assignment, loss in ranked]
+    # Flat index k is the k-th combination in lexicographic order of the
+    # category indices, so a stable sort on the loss breaks ties as documented.
+    losses = np.empty(space, dtype=np.float64)
+    chunk = max(1, ENUMERATE_CHUNK_CELLS // len(spec))
+    for start in range(0, space, chunk):
+        flat = np.arange(start, min(start + chunk, space))
+        reals = [np.full(flat.size, v) for v in real_values]
+        cats = np.unravel_index(flat, shape) if shape else ()
+        losses[start : start + flat.size] = eval_population_losses(
+            sketch, _in_hole_order(sketch, reals, cats), spec, penalty
+        )
+    order = np.argsort(losses, kind="stable")
+    reals = [[v] * space for v in real_values]
+    cats = [c.tolist() for c in np.unravel_index(order, shape)] if shape else ()
+    columns = _in_hole_order(sketch, reals, cats)
+    rows = zip(*columns) if columns else [()]
+    return [(Assignment(values), loss) for values, loss in zip(rows, losses[order].tolist())]
+
+
+def _in_hole_order(sketch: Sketch, real_columns, cat_columns) -> list:
+    """Interleave per-hole columns, given separately for real and categorical holes, into hole order."""
+    reals, cats = iter(real_columns), iter(cat_columns)
+    return [next(reals) if h.kind == KIND_REAL else next(cats) for h in sketch.holes]
 
 
 def loss_spikes(mean_losses, window: int = 101, factor: float = 3.0, start: int = 1000) -> list[int]:

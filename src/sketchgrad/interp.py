@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +60,20 @@ class SpecSet:
             outs.append(float(out))
         return cls(tuple(ins), tuple(outs))
 
+    @cached_property
     def input_array(self) -> np.ndarray:
-        return np.array(self.inputs, dtype=np.float64)
+        """The inputs as a read-only (rows, arity) float64 array, built once."""
+        return _read_only(np.array(self.inputs, dtype=np.float64))
 
+    @cached_property
     def output_array(self) -> np.ndarray:
-        return np.array(self.outputs, dtype=np.float64)
+        """The outputs as a read-only (rows,) float64 array, built once."""
+        return _read_only(np.array(self.outputs, dtype=np.float64))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _ieee_div(a: float, b: float) -> float:
@@ -169,13 +179,15 @@ def eval_population_losses(
     category indices for cond/op holes, float arrays of concrete values for
     real holes.  All arrays share one length n.  Returns losses, shape (n,).
     """
+    if spec.arity != sketch.arity:
+        raise SketchError(f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
     if sketch.hole_count != len(hole_values):
         raise SketchError(f"expected {sketch.hole_count} value arrays, got {len(hole_values)}")
     n = len(hole_values[0]) if hole_values else 1
     if any(len(arr) != n for arr in hole_values):
         raise SketchError("hole value arrays differ in length")
-    X = spec.input_array()
-    y = spec.output_array()
+    X = spec.input_array
+    y = spec.output_array
     cols = {name: X[:, k][None, :] for k, name in enumerate(sketch.params)}
     rows = len(spec)
 
@@ -214,16 +226,13 @@ def eval_population_losses(
             else:
                 mask = _CMPS_NP[g.cmp](lhs, rhs)
             preds = np.where(mask, chain(g.body), preds)
-        preds = np.broadcast_to(preds, (n, rows))
-        d = preds - y[None, :]
+        d = np.broadcast_to(preds, (n, rows)) - y
         sq = d * d
-        # Left-to-right accumulation, matching the scalar path exactly.
-        total = sq[:, 0].copy()
-        for k in range(1, rows):
-            total += sq[:, k]
-        losses = total / rows
-        ok = np.isfinite(preds).all(axis=1) & np.isfinite(losses)
-        return np.where(ok, losses, penalty)
+        # cumsum accumulates left to right, as the scalar path does (a
+        # pairwise sum would round differently).  A non-finite prediction
+        # makes its candidate's loss non-finite, so one check covers both.
+        losses = np.cumsum(sq, axis=1)[:, -1] / rows
+        return np.where(np.isfinite(losses), losses, penalty)
 
 
 _BINOPS_NP = {

@@ -78,7 +78,6 @@ def save_spec(spec: SpecSet, path) -> None:
 
 _REQUIRED_KEYS = ("learning_rate", "iterations")
 _INT_KEYS = ("iterations", "population", "seed")
-_BOOL_KEYS = ("parallel",)
 _STR_KEYS = ("optimizer", "categorical_score")
 
 
@@ -105,9 +104,6 @@ def load_config(path) -> TrainConfig:
         if key in _INT_KEYS:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
-        elif key in _BOOL_KEYS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{key} must be true or false, got {value!r}")
         elif key in _STR_KEYS:
             if not isinstance(value, str):
                 raise ConfigError(f"{key} must be a string, got {value!r}")

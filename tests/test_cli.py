@@ -189,6 +189,18 @@ def test_enumerate_real_count_mismatch(workdir):
     assert stderr.startswith("CONFIG:")
 
 
+def test_enumerate_spec_arity_mismatch(workdir, twovar_spec):
+    sg.save_spec(twovar_spec, workdir / "spec2.csv")
+    code, _, stderr = run_cli(
+        "enumerate",
+        "--sketch", str(workdir / "sketch.txt"),
+        "--spec", str(workdir / "spec2.csv"),
+        "--reals", "3.5,4.2,2.1",
+    )
+    assert code == 2
+    assert stderr.startswith("SPEC:")
+
+
 def test_gen_spec_roundtrip(workdir, onevar_spec):
     (workdir / "inputs.csv").write_text("in_0\n1.0\n2.0\n4.0\n5.0\n")
     out = workdir / "generated.csv"

@@ -190,6 +190,11 @@ def test_gaussian_theta_requires_positive_sigma():
         sg.GaussianTheta(0.0, 0.0)
     with pytest.raises(sg.ThetaError):
         sg.GaussianTheta(0.0, -1.0)
+    for mu, sigma in [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)]:
+        with pytest.raises(sg.ThetaError):
+            sg.GaussianTheta(mu, sigma)
+    with pytest.raises(sg.ThetaError):
+        thetas_from_doc([{"kind": "real", "mu": math.nan, "sigma": math.inf}])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import sketchgrad as sg
-from sketchgrad.engine import RESTART_PATIENCE, make_optimizer, restart_thetas
+from sketchgrad.engine import ENUMERATE_CHUNK_CELLS, RESTART_PATIENCE, make_optimizer, restart_thetas
 
 
 def _config(**kw):
@@ -29,6 +30,11 @@ def _config(**kw):
         dict(categorical_score="nope"),
         dict(adam_beta1=1.0),
         dict(penalty=math.inf),
+        dict(learning_rate=math.inf),
+        dict(learning_rate=math.nan),
+        dict(sigma=math.inf),
+        dict(adam_eps=math.inf),
+        dict(mu_init=math.nan),
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -43,7 +49,6 @@ def test_config_defaults():
     assert cfg.optimizer == "sgd"
     assert cfg.categorical_score == "log_softmax_grad"
     assert cfg.penalty == 1e12
-    assert cfg.parallel is True
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +74,11 @@ def test_init_thetas_match_hole_table(onevar_sketch):
 def test_sample_population_shapes(onevar_sketch):
     thetas = sg.init_thetas(onevar_sketch, _config())
     pop = sg.sample_population(thetas, 50, np.random.default_rng(0))
-    assert pop.size == 50
-    assignments = pop.assignments()
-    assert len(assignments) == 50
-    assert all(len(a.values) == 6 for a in assignments)
+    assert len(pop.values) == len(pop.draws) == 6
+    assert all(col.shape == (50,) for col in pop.values)
     # Categorical values are ints in range; real values floats.
-    for a in assignments:
-        assert a.values[0] in (0, 1, 2)
-        assert isinstance(a.values[1], float)
+    assert pop.values[0].dtype.kind == "i" and set(pop.values[0].tolist()) <= {0, 1, 2}
+    assert pop.values[1].dtype == np.float64
 
 
 def test_sample_population_seed_determinism(onevar_sketch):
@@ -90,10 +92,10 @@ def test_sample_population_seed_determinism(onevar_sketch):
 def test_sample_population_degenerate_distributions():
     thetas = [sg.CategoricalTheta([40.0, 0.0, 0.0]), sg.GaussianTheta(2.5, 1e-9)]
     pop = sg.sample_population(thetas, 2, np.random.default_rng(4))
-    a, b = pop.assignments()
-    assert a.values[0] == b.values[0] == 0
-    assert abs(a.values[1] - 2.5) < 1e-7
-    assert abs(b.values[1] - 2.5) < 1e-7
+    cats, reals = pop.values
+    assert cats.tolist() == [0, 0]
+    assert abs(reals[0] - 2.5) < 1e-7
+    assert abs(reals[1] - 2.5) < 1e-7
 
 
 def test_hole_streams_are_independent_of_each_other():
@@ -210,17 +212,6 @@ def test_train_is_bit_deterministic(onevar_sketch, onevar_spec):
             np.testing.assert_array_equal(a.logits, b.logits)
 
 
-def test_train_parallel_matches_sequential(onevar_sketch, onevar_spec):
-    r_par = sg.train(onevar_sketch, onevar_spec, _config(iterations=40, seed=3, parallel=True))
-    r_seq = sg.train(onevar_sketch, onevar_spec, _config(iterations=40, seed=3, parallel=False))
-    assert r_par.records == r_seq.records
-    for a, b in zip(r_par.thetas, r_seq.thetas):
-        if isinstance(a, sg.GaussianTheta):
-            assert a.mu == b.mu
-        else:
-            np.testing.assert_array_equal(a.logits, b.logits)
-
-
 def test_train_restarts_after_patience_without_gain():
     # Every candidate ties, so the argmax loss never improves and the logits
     # stay at zero until the restart after iteration 1 + RESTART_PATIENCE
@@ -330,6 +321,28 @@ def test_enumerate_tie_order_is_lexicographic():
     losses = [l for _, l in ranked]
     assert losses == [0.0, 0.0, 0.0]  # every branch returns x
     assert [a.values[0] for a, _ in ranked] == [0, 1, 2]
+
+
+def test_enumerate_ranking_crosses_chunks_and_matches_scalar_reference():
+    # Enough rows that each scorer call holds three programs, so the twelve
+    # programs span four chunks.  The guard never fires for `==` or `<`, so
+    # those eight programs tie at the else branch's loss across chunks.
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] 0.5 { return x [OP] 2.0; } return x * [Real]; }")
+    rows = ENUMERATE_CHUNK_CELLS // 3
+    spec = sg.SpecSet.from_pairs(((1.0 + k / 1e6,), 1.0 + k / 1e6 + 2.0) for k in range(rows))
+    reals = [3.0]
+    ranked = sg.enumerate_discrete(sketch, reals, spec)
+    reference = []
+    for combo in itertools.product(range(3), range(4)):
+        assignment = sg.Assignment((*combo, reals[0]))
+        reference.append((combo, assignment, sg.eval_spec_loss(sg.instantiate(sketch, assignment), spec)))
+    reference.sort(key=lambda item: (item[2], item[0]))
+    assert [(a.values, loss) for a, loss in ranked] == [(a.values, loss) for _, a, loss in reference]
+    assert ranked[0][0].values == (1, 0, 3.0) and ranked[0][1] == 0.0
+    assert [a.values[:2] for a, _ in ranked[1:9]] == [(0, 0), (0, 1), (0, 2), (0, 3), (2, 0), (2, 1), (2, 2), (2, 3)]
+    for assignment, loss in ranked:
+        c, o, r = assignment.values
+        assert type(c) is int and type(o) is int and r is reals[0] and type(loss) is float
 
 
 def test_discrete_only_training_matches_enumeration_oracle(onevar_spec):

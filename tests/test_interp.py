@@ -1,11 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sketchgrad as sg
 
 from conftest import ONEVAR_LEARNED, TWOVAR_LEARNED
+from test_sketch import sketch_texts
 
 
 def test_truth_program_above_threshold(onevar_truth):
@@ -160,3 +164,65 @@ def test_batch_losses_zero_hole_program(onevar_truth, onevar_spec):
     batch = sg.eval_population_losses(onevar_truth, [], onevar_spec)
     assert batch.shape == (1,)
     assert batch[0] == 0.0
+
+
+# Differential check over generated sketches: the vectorized scorer must equal
+# instantiate + eval_spec_loss bit for bit on every candidate.  Most values are
+# moderate, so most losses stay finite and sum many rows (where another
+# accumulation order would round differently); the rest make the edge cases
+# likely: zero and negative-zero reals (division blow-ups), values shared
+# between inputs, reals and literals (exact `==` ties), and constants whose
+# sums or squares overflow.
+
+_moderate = st.floats(-10.0, 10.0)
+_small = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0])
+_overflowing = st.sampled_from([1e200, -1e200, 1e308, -1e308, 1.7976931348623157e308])
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def _literals(sketch):
+    chains = [sketch.ret] + ([sketch.guard.body] if sketch.guard else [])
+    operands = [o for c in chains for o in c.operands]
+    if sketch.guard:
+        operands += [sketch.guard.lhs, sketch.guard.rhs]
+    return [o.value for o in operands if isinstance(o, sg.Lit)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_population_losses_match_scalar_path_on_generated_sketches(data):
+    sketch = sg.parse_sketch(data.draw(sketch_texts()))
+    literals = st.sampled_from(_literals(sketch) or [0.0])
+    inputs = st.one_of(_moderate, _moderate, _small, literals)
+    rows = data.draw(st.integers(1, 40))
+    spec = sg.SpecSet.from_pairs(
+        (tuple(data.draw(inputs) for _ in sketch.params), data.draw(_moderate)) for _ in range(rows)
+    )
+    ties = st.sampled_from([v for vec in spec.inputs for v in vec])
+    reals = st.one_of(_moderate, _moderate, _small, ties, literals, _overflowing, _finite)
+    n = data.draw(st.integers(1, 8))
+    columns = []
+    for hole in sketch.holes:
+        values = reals if hole.kind == "real" else st.integers(0, hole.arity - 1)
+        columns.append(data.draw(st.lists(values, min_size=n, max_size=n)))
+    arrays = [np.array(col, dtype=np.float64 if h.kind == "real" else np.int64) for h, col in zip(sketch.holes, columns)]
+    batch = sg.eval_population_losses(sketch, arrays, spec)
+    assert batch.shape == ((n,) if sketch.holes else (1,))
+    for i, loss in enumerate(batch.tolist()):
+        program = sg.instantiate(sketch, sg.Assignment(tuple(col[i] for col in columns)))
+        expected = sg.eval_spec_loss(program, spec)
+        assert struct.pack("<d", loss) == struct.pack("<d", expected), (i, loss, expected)
+
+
+def test_spec_arrays_are_built_once_and_read_only(onevar_spec):
+    assert onevar_spec.input_array is onevar_spec.input_array
+    assert onevar_spec.output_array is onevar_spec.output_array
+    assert onevar_spec.input_array.shape == (len(onevar_spec), 1)
+    with pytest.raises(ValueError):
+        onevar_spec.output_array[0] = 0.0
+
+
+def test_population_losses_reject_spec_arity_mismatch(onevar_sketch, twovar_spec):
+    values = _population_values(onevar_sketch, np.random.default_rng(0), 3)
+    with pytest.raises(sg.SketchError):
+        sg.eval_population_losses(onevar_sketch, values, twovar_spec)

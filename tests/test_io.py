@@ -94,7 +94,8 @@ def test_load_config_minimal(tmp_path):
         ('{"learning_rate": 0.1}', "missing required"),
         ('{"learning_rate": 0.1, "iterations": 10, "learningrate": 2}', "unknown config keys"),
         ('{"learning_rate": 0.1, "iterations": 10.5}', "integer"),
-        ('{"learning_rate": 0.1, "iterations": 10, "parallel": "yes"}', "true or false"),
+        ('{"learning_rate": 0.1, "iterations": 10, "optimizer": 1}', "string"),
+        ('{"learning_rate": 0.1, "iterations": 10, "parallel": true}', "unknown config keys"),
         ('{"learning_rate": "fast", "iterations": 10}', "number"),
         ("[1, 2]", "object"),
         ("{broken", "malformed"),
