@@ -1,7 +1,7 @@
 """Command-line interface: train, show, eval, enumerate, gen-spec.
 
 Exit codes: 0 success, 2 input validation, 3 runtime failure.  Error
-messages carry a category prefix (PARSE/SPEC/CONFIG/IO) so scripts can
+messages carry a category prefix (PARSE/SPEC/CONFIG/IO/TRAIN) so scripts can
 match on them.
 """
 
@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dists import ThetaError, load_thetas, save_thetas, softmax
+from .dists import ThetaError, load_thetas, save_thetas
 from .engine import (
     ConfigError,
     EnumerationError,
@@ -22,7 +22,7 @@ from .engine import (
 )
 from .interp import SpecError, SpecSet, eval_program, eval_spec_loss
 from .io import load_config, load_spec, save_spec, write_loss_csv
-from .sketch import SketchError, format_real, parse_sketch, print_program
+from .sketch import KIND_COND, KIND_REAL, SketchError, format_real, parse_sketch, print_program
 
 
 class _Failure(Exception):
@@ -86,6 +86,13 @@ def _cmd_train(args) -> int:
         (out / "program_best.txt").write_text(print_program(result.best_program), encoding="utf-8")
     except OSError as exc:
         raise _Failure("IO", f"cannot write results to {out}: {exc}", code=3)
+    if result.best_loss == config.penalty:  # the run diverged, or the sketch cannot fit the spec
+        raise _Failure(
+            "TRAIN",
+            f"no argmax program scored a finite loss in {config.iterations} iterations "
+            f"(best loss is the penalty, {format_real(config.penalty)}); results written to {out}",
+            code=3,
+        )
     print(f"best spec-MSE: {format_real(result.best_loss)}")
     print(f"final spec-MSE: {format_real(result.final_loss)}")
     return 0
@@ -101,12 +108,12 @@ def _cmd_show(args) -> int:
         raise _Failure("IO", str(exc))
     print(print_program(argmax_program(sketch, thetas)))
     for hole, theta in zip(sketch.holes, thetas):
-        if hole.domain is None:
+        if hole.kind == KIND_REAL:
             print(f"hole {hole.index} [Real]: mu={format_real(theta.mu)} sigma={format_real(theta.sigma)}")
         else:
-            probs = softmax(theta.logits)
-            pairs = " ".join(f"p({tok})={p:.6f}" for tok, p in zip(hole.domain, probs))
-            print(f"hole {hole.index} [{'COND' if len(hole.domain) == 3 else 'OP'}]: {pairs} sum={probs.sum():.3f}")
+            pairs = " ".join(f"p({tok})={p:.6f}" for tok, p in zip(hole.domain, theta.probs))
+            label = "COND" if hole.kind == KIND_COND else "OP"
+            print(f"hole {hole.index} [{label}]: {pairs} sum={theta.probs.sum():.3f}")
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,26 +37,34 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CategoricalTheta:
-    """Logits over a hole's token set."""
+    """Logits over a hole's token set.
+
+    A value: the logits are a read-only copy, so `probs` is computed once
+    per theta and shared by sampling and the gradient.
+    """
 
     logits: np.ndarray
 
     def __post_init__(self):
-        self.logits = np.array(self.logits, dtype=np.float64)
-        if self.logits.ndim != 1 or self.logits.size < 2:
+        logits = np.array(self.logits, dtype=np.float64)
+        if logits.ndim != 1 or logits.size < 2:
             raise ThetaError("logits must be a vector of at least two entries")
-        if not np.isfinite(self.logits).all():
+        if not np.isfinite(logits).all():
             raise ThetaError("logits must be finite")
+        logits.flags.writeable = False
+        object.__setattr__(self, "logits", logits)
 
     @property
     def arity(self) -> int:
         return self.logits.size
 
-    @property
+    @cached_property
     def probs(self) -> np.ndarray:
-        return softmax(self.logits)
+        probs = softmax(self.logits)
+        probs.flags.writeable = False
+        return probs
 
     def copy(self) -> "CategoricalTheta":
         return CategoricalTheta(self.logits.copy())

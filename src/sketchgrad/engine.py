@@ -4,9 +4,12 @@ One iteration samples a population of hole assignments from the current
 per-hole distributions, scores every candidate against the specification in
 one vectorized pass, standardizes the negated losses into fitness, estimates a
 gradient per hole and takes an ascent step.  The argmax program (most
-probable token per categorical hole, mean per real hole) is evaluated every
-iteration and the best one seen is kept.  `enumerate_discrete` scores the
-whole discrete space with the same vectorized scorer.
+probable token per categorical hole, mean per real hole) is scored every
+iteration by the same vectorized scorer, as a population of one, and the best
+one seen is kept; `train` instantiates a concrete program only for the best
+and the final thetas.  `enumerate_discrete` scores the whole discrete space
+with the same scorer too.  The scalar interpreter (`interp.eval_spec_loss`)
+is not on these paths: it is the reference they are tested against.
 
 Because the best program is kept, a search that has settled can be
 restarted at no cost: when the argmax loss has not improved by
@@ -32,7 +35,7 @@ from .dists import (
     sample_categorical_many,
     standardize_fitness,
 )
-from .interp import NONFINITE_PENALTY, SpecSet, eval_population_losses, eval_spec_loss
+from .interp import NONFINITE_PENALTY, SpecSet, eval_population_losses
 from .sketch import Assignment, KIND_REAL, Sketch, SketchError, instantiate
 
 OPTIMIZER_SGD = "sgd"
@@ -270,18 +273,23 @@ def make_optimizer(config: TrainConfig):
     return SgdOptimizer(config.learning_rate)
 
 
+def _argmax_values(thetas: list) -> list:
+    """The most probable value per hole: the highest-logit token index (ties
+    break to the lowest index) per categorical hole, the mean per real hole."""
+    return [theta.mu if isinstance(theta, GaussianTheta) else int(np.argmax(theta.logits)) for theta in thetas]
+
+
 def argmax_program(sketch: Sketch, thetas: list) -> Sketch:
-    """Most probable concrete program: highest-logit token (ties break to the
-    lowest index) per categorical hole, the mean per real hole."""
+    """Most probable concrete program, by the rule of `_argmax_values`."""
     if len(thetas) != sketch.hole_count:
         raise SketchError(f"{len(thetas)} thetas for {sketch.hole_count} holes")
-    values = []
-    for theta in thetas:
-        if isinstance(theta, GaussianTheta):
-            values.append(theta.mu)
-        else:
-            values.append(int(np.argmax(theta.logits)))
-    return instantiate(sketch, Assignment(tuple(values)))
+    return instantiate(sketch, Assignment(tuple(_argmax_values(thetas))))
+
+
+def _argmax_loss(sketch: Sketch, thetas: list, spec: SpecSet, penalty: float) -> float:
+    """Spec loss of the argmax program, scored as a population of one."""
+    values = [np.array([v]) for v in _argmax_values(thetas)]
+    return float(eval_population_losses(sketch, values, spec, penalty)[0])
 
 
 def train_step(
@@ -301,8 +309,7 @@ def train_step(
     fitness = standardize_fitness(losses)
     grads = estimate_gradients(thetas, population, fitness, config.categorical_score)
     new_thetas = optimizer.step(thetas, grads)
-    program = argmax_program(sketch, new_thetas)
-    argmax_loss = eval_spec_loss(program, spec, config.penalty)
+    argmax_loss = _argmax_loss(sketch, new_thetas, spec, config.penalty)
     record = TrainRecord(
         iteration=iteration,
         mean_population_loss=float(np.mean(losses)),
@@ -341,15 +348,13 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig) -> TrainResult:
                 thetas = restart_thetas(thetas, config, streams)
                 optimizer = make_optimizer(config)
                 low, stale = math.inf, 0
-    final_program = argmax_program(sketch, thetas)
-    final_loss = eval_spec_loss(final_program, spec, config.penalty)
     return TrainResult(
         thetas=thetas,
         best_thetas=best_thetas,
         best_program=argmax_program(sketch, best_thetas),
         best_loss=best_loss,
-        final_program=final_program,
-        final_loss=final_loss,
+        final_program=argmax_program(sketch, thetas),
+        final_loss=_argmax_loss(sketch, thetas, spec, config.penalty),
         records=records,
     )
 

@@ -205,12 +205,8 @@ def eval_population_losses(
         for op, nxt in zip(c.ops, c.operands[1:]):
             rhs = operand(nxt)
             if isinstance(op, OpHole):
-                idx = hole_values[op.index][:, None]  # (n, 1) int
-                acc = np.where(
-                    idx == 0,
-                    acc + rhs,
-                    np.where(idx == 1, acc - rhs, np.where(idx == 2, acc * rhs, acc / rhs)),
-                )
+                idx = hole_values[op.index][:, None]  # (n, 1) int, into OP_TOKENS
+                acc = np.choose(idx, (acc + rhs, acc - rhs, acc * rhs, acc / rhs))
             else:
                 acc = _BINOPS_NP[op](acc, rhs)
         return acc
@@ -221,17 +217,17 @@ def eval_population_losses(
             g = sketch.guard
             lhs, rhs = operand(g.lhs), operand(g.rhs)
             if isinstance(g.cmp, CondHole):
-                cidx = hole_values[g.cmp.index][:, None]
-                mask = np.where(cidx == 0, lhs == rhs, np.where(cidx == 1, lhs > rhs, lhs < rhs))
+                cidx = hole_values[g.cmp.index][:, None]  # into COND_TOKENS
+                mask = np.choose(cidx, (lhs == rhs, lhs > rhs, lhs < rhs))
             else:
                 mask = _CMPS_NP[g.cmp](lhs, rhs)
             preds = np.where(mask, chain(g.body), preds)
-        d = np.broadcast_to(preds, (n, rows)) - y
+        d = np.subtract(preds, y, out=np.empty((n, rows)))
         sq = d * d
         # cumsum accumulates left to right, as the scalar path does (a
         # pairwise sum would round differently).  A non-finite prediction
         # makes its candidate's loss non-finite, so one check covers both.
-        losses = np.cumsum(sq, axis=1)[:, -1] / rows
+        losses = sq.cumsum(axis=1)[:, -1] / rows
         return np.where(np.isfinite(losses), losses, penalty)
 
 

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 
-from .dists import load_thetas, save_thetas  # re-exported for convenience
 from .engine import ConfigError, TrainConfig, TrainRecord
 from .interp import SpecError, SpecSet
 from .sketch import format_real
@@ -23,8 +22,6 @@ __all__ = [
     "save_spec",
     "load_config",
     "write_loss_csv",
-    "save_thetas",
-    "load_thetas",
     "SpecError",
     "ConfigError",
 ]

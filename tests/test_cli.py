@@ -104,6 +104,26 @@ def test_bad_config_exits_2_with_config_prefix(workdir):
     assert stderr.startswith("CONFIG:")
 
 
+@pytest.mark.parametrize("learning_rate", [1e300, 1e308])
+def test_diverged_train_exits_3_with_train_prefix(workdir, learning_rate):
+    # At these step sizes every argmax program scores the penalty: the run
+    # must not report the penalty as its best spec-MSE and exit 0.
+    (workdir / "diverge.json").write_text(json.dumps({"learning_rate": learning_rate, "iterations": 200}))
+    out = workdir / "run"
+    code, stdout, stderr = run_cli(
+        "train",
+        "--sketch", str(workdir / "sketch.txt"),
+        "--spec", str(workdir / "spec.csv"),
+        "--config", str(workdir / "diverge.json"),
+        "--out", str(out),
+    )
+    assert code == 3
+    assert stderr.startswith("TRAIN:")
+    assert stdout == ""
+    for name in ("loss.csv", "theta_final.json", "theta_best.json", "program_final.txt", "program_best.txt"):
+        assert (out / name).exists()
+
+
 def test_eval_ground_truth(workdir):
     code, stdout, _ = run_cli(
         "eval", "--program", str(workdir / "truth.txt"), "--spec", str(workdir / "spec.csv")

@@ -1,10 +1,12 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import sketchgrad as sg
+from sketchgrad import dists
 from sketchgrad.engine import ENUMERATE_CHUNK_CELLS, RESTART_PATIENCE, make_optimizer, restart_thetas
 
 
@@ -193,6 +195,72 @@ def test_train_step_invariant_to_constant_loss_shift(onevar_sketch, onevar_spec)
     grads_b = sg.estimate_gradients(thetas, pop, fit_b)
     for ga, gb in zip(grads_a, grads_b):
         np.testing.assert_allclose(ga, gb, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the loop's argmax score against the scalar reference
+
+def _pin_to_reference(sketch, spec, cfg, thetas):
+    """Drive train_step as train does and check every record's argmax loss
+    against the scalar interpreter bit for bit; returns those losses."""
+    streams = sg.hole_streams(cfg.seed, sketch.hole_count)
+    optimizer = make_optimizer(cfg)
+    losses = []
+    for it in range(1, cfg.iterations + 1):
+        thetas, record = sg.train_step(sketch, spec, thetas, cfg, streams, optimizer=optimizer, iteration=it)
+        expected = sg.eval_spec_loss(sg.argmax_program(sketch, thetas), spec, cfg.penalty)
+        assert struct.pack("<d", record.argmax_loss) == struct.pack("<d", expected), (it, record, expected)
+        losses.append(record.argmax_loss)
+    return losses
+
+
+def test_train_step_argmax_loss_matches_scalar_reference_at_every_step(
+    onevar_sketch, onevar_spec, twovar_sketch, twovar_spec
+):
+    for sketch, spec, lr in ((onevar_sketch, onevar_spec, 0.1), (twovar_sketch, twovar_spec, 0.0995)):
+        cfg = _config(learning_rate=lr, iterations=200, seed=3)
+        _pin_to_reference(sketch, spec, cfg, sg.init_thetas(sketch, cfg))
+
+
+def test_train_step_argmax_loss_matches_scalar_reference_on_the_penalty_path():
+    # `(x [OP] [Real]) / 0.0` is infinite or NaN on every row.  The second
+    # operator hole starts on `/`, so the argmax program divides by zero until
+    # the search moves it off.  A penalty other than the default checks that
+    # the configured one reaches the scorer.
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { return x [OP] [Real] [OP] 0.0; }")
+    spec = sg.SpecSet.from_pairs([((1.0,), 2.0), ((2.0,), 4.0), ((3.0,), 6.0)])
+    cfg = _config(iterations=200, seed=5, penalty=1e6)
+    thetas = [sg.CategoricalTheta(np.zeros(4)), sg.GaussianTheta(1.0, 0.5), sg.CategoricalTheta([0.0, 0.0, 0.0, 2.0])]
+    losses = _pin_to_reference(sketch, spec, cfg, thetas)
+    assert losses[0] == cfg.penalty and min(losses) < cfg.penalty
+
+
+def test_categorical_theta_is_a_value():
+    source = np.array([0.5, -1.0, 2.0])
+    theta = sg.CategoricalTheta(source)
+    assert theta.probs is theta.probs
+    np.testing.assert_array_equal(theta.probs, sg.softmax(source))
+    with pytest.raises(ValueError):
+        theta.logits[0] = 1.0
+    with pytest.raises(ValueError):
+        theta.probs[0] = 1.0
+    source[0] = 9.0  # the caller's array stays its own
+    assert theta.logits[0] == 0.5
+
+
+def test_train_step_computes_softmax_once_per_categorical_hole(monkeypatch, onevar_sketch, onevar_spec):
+    calls = []
+    softmax = dists.softmax
+    monkeypatch.setattr(dists, "softmax", lambda logits: calls.append(1) or softmax(logits))
+    cfg = _config()
+    thetas = sg.init_thetas(onevar_sketch, cfg)
+    streams = sg.hole_streams(cfg.seed, onevar_sketch.hole_count)
+    optimizer = make_optimizer(cfg)
+    categorical = sum(h.kind != "real" for h in onevar_sketch.holes)
+    for it in range(1, 6):
+        calls.clear()
+        thetas, _ = sg.train_step(onevar_sketch, onevar_spec, thetas, cfg, streams, optimizer=optimizer, iteration=it)
+        assert len(calls) == categorical == 3
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,19 @@ def _literals(sketch):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_population_losses_match_scalar_path_on_generated_sketches(data):
-    sketch = sg.parse_sketch(data.draw(sketch_texts()))
+    _check_population_losses_match_scalar_path(data, sketch_texts())
+
+
+# Only about one generated sketch in eight has a [COND] hole, so the guard
+# logic gets a test of its own where every sketch has one.
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_population_losses_match_scalar_path_on_guarded_sketches(data):
+    _check_population_losses_match_scalar_path(data, sketch_texts(guard=st.just("[COND]")))
+
+
+def _check_population_losses_match_scalar_path(data, texts):
+    sketch = sg.parse_sketch(data.draw(texts))
     literals = st.sampled_from(_literals(sketch) or [0.0])
     inputs = st.one_of(_moderate, _moderate, _small, literals)
     rows = data.draw(st.integers(1, 40))

@@ -176,7 +176,10 @@ _float = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 @st.composite
-def sketch_texts(draw):
+def sketch_texts(draw, guard=None):
+    """Grammar-valid sketch text.  Half the sketches have a guard, comparing
+    with any of the four tokens; `guard`, a strategy for that token, gives
+    every sketch a guard drawn from it."""
     params = draw(st.lists(_ident, min_size=1, max_size=3, unique=True))
     name = draw(_ident)
 
@@ -196,8 +199,8 @@ def sketch_texts(draw):
         return " ".join(parts)
 
     lines = [f"fn {name}({', '.join(f'{p}: f32' for p in params)}) -> f32", "{"]
-    if draw(st.booleans()):
-        cmp = draw(st.sampled_from(["==", ">", "<", "[COND]"]))
+    if guard is not None or draw(st.booleans()):
+        cmp = draw(st.sampled_from(["==", ">", "<", "[COND]"]) if guard is None else guard)
         lines += [f"    if {operand()} {cmp} {operand()}", "    {", f"        return {chain()};", "    }", ""]
     lines += [f"    return {chain()};", "}"]
     return "\n".join(lines) + "\n"
