@@ -53,24 +53,10 @@ def _load_program(path):
     return program
 
 
-def _load_spec(path) -> SpecSet:
-    try:
-        return load_spec(path)
-    except SpecError as exc:
-        raise _Failure("SPEC", str(exc))
-
-
-def _load_config(path):
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        raise _Failure("CONFIG", str(exc))
-
-
 def _cmd_train(args) -> int:
     sketch = _load_sketch(args.sketch)
-    spec = _load_spec(args.spec)
-    config = _load_config(args.config)
+    spec = load_spec(args.spec)
+    config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if spec.arity != sketch.arity:
@@ -119,7 +105,7 @@ def _cmd_show(args) -> int:
 
 def _cmd_eval(args) -> int:
     program = _load_program(args.program)
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     if spec.arity != program.arity:
         raise _Failure("SPEC", f"spec arity {spec.arity} does not match program arity {program.arity}")
     for vec, target in zip(spec.inputs, spec.outputs):
@@ -133,7 +119,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     sketch = _load_sketch(args.sketch)
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     try:
         reals = [float(v) for v in args.reals.split(",")] if args.reals else []
     except ValueError:

@@ -66,27 +66,22 @@ class CategoricalTheta:
         probs.flags.writeable = False
         return probs
 
-    def copy(self) -> "CategoricalTheta":
-        return CategoricalTheta(self.logits.copy())
 
-
-@dataclass
+@dataclass(frozen=True)
 class GaussianTheta:
-    """Gaussian over a real hole: learned mean, fixed standard deviation."""
+    """Gaussian over a real hole: learned mean, fixed standard deviation.  A value, like `CategoricalTheta`."""
 
     mu: float
     sigma: float
 
     def __post_init__(self):
-        self.mu = float(self.mu)
-        self.sigma = float(self.sigma)
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ThetaError(f"mu and sigma must be finite, got {self.mu} and {self.sigma}")
-        if not self.sigma > 0.0:
-            raise ThetaError(f"sigma must be positive, got {self.sigma}")
-
-    def copy(self) -> "GaussianTheta":
-        return GaussianTheta(self.mu, self.sigma)
+        mu, sigma = float(self.mu), float(self.sigma)
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
+            raise ThetaError(f"mu and sigma must be finite, got {mu} and {sigma}")
+        if not sigma > 0.0:
+            raise ThetaError(f"sigma must be positive, got {sigma}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
 
 
 def sample_categorical_many(theta: CategoricalTheta, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,6 +117,11 @@ def _categorical_accumulator(probs: np.ndarray, indices: np.ndarray, fitness: np
     return (diag - w.sum() * probs) / n
 
 
+def _gaussian_accumulator(eps: np.ndarray, fitness: np.ndarray, sigma: float) -> float:
+    """The fixed-sigma mean gradient (1 / (n * sigma)) * sum(F_i * eps_i)."""
+    return float(np.dot(fitness, eps) / (fitness.size * sigma))
+
+
 def categorical_gradient(theta: CategoricalTheta, samples, score: str = SCORE_SOFTMAX) -> np.ndarray:
     """Accumulated per-logit gradient from (category index, fitness) samples.
 
@@ -151,7 +151,7 @@ def gaussian_gradient(theta: GaussianTheta, samples) -> float:
         raise ValueError("need at least one sample")
     eps = np.array([float(e) for e, _ in samples], dtype=np.float64)
     fitness = np.array([float(f) for _, f in samples], dtype=np.float64)
-    return float(np.dot(fitness, eps) / (len(samples) * theta.sigma))
+    return _gaussian_accumulator(eps, fitness, theta.sigma)
 
 
 def standardize_fitness(raw_losses) -> np.ndarray:

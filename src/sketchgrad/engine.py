@@ -32,6 +32,7 @@ from .dists import (
     CategoricalTheta,
     GaussianTheta,
     _categorical_accumulator,
+    _gaussian_accumulator,
     sample_categorical_many,
     standardize_fitness,
 )
@@ -125,13 +126,14 @@ class TrainRecord:
 
 @dataclass
 class TrainResult:
-    thetas: list
-    best_thetas: list
+    thetas: tuple
+    best_thetas: tuple
     best_program: Sketch
     best_loss: float
     final_program: Sketch
     final_loss: float
     records: list[TrainRecord] = field(default_factory=list)
+    restarts: list[int] = field(default_factory=list)  # iterations after which the distributions were redrawn
 
 
 @dataclass
@@ -217,7 +219,7 @@ def estimate_gradients(thetas: list, population: Population, fitness: np.ndarray
     grads = []
     for theta, draws in zip(thetas, population.draws):
         if isinstance(theta, GaussianTheta):
-            grads.append(float(np.dot(fitness, draws) / (fitness.size * theta.sigma)))
+            grads.append(_gaussian_accumulator(draws, fitness, theta.sigma))
         else:
             grads.append(_categorical_accumulator(theta.probs, draws, fitness, score))
     return grads
@@ -301,8 +303,8 @@ def train_step(
     optimizer=None,
     iteration: int = 1,
     prev_best: float = math.inf,
-) -> tuple[list, TrainRecord]:
-    """One full iteration; returns the updated thetas and its record."""
+) -> tuple[tuple, TrainRecord]:
+    """One full iteration; returns the updated thetas, as a tuple, and its record."""
     optimizer = optimizer or make_optimizer(config)
     population = sample_population(thetas, config.population, rng)
     losses = eval_population_losses(sketch, population.values, spec, config.penalty)
@@ -316,11 +318,15 @@ def train_step(
         argmax_loss=argmax_loss,
         best_so_far_loss=min(prev_best, argmax_loss),
     )
-    return new_thetas, record
+    return tuple(new_thetas), record
 
 
-def train(sketch: Sketch, spec: SpecSet, config: TrainConfig) -> TrainResult:
-    """Run the full loop; deterministic given (sketch, spec, config)."""
+def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> TrainResult:
+    """Run the full loop; deterministic given (sketch, spec, config).
+
+    `on_step(record, thetas)`, if given, sees each iteration's record and the stepped thetas
+    it scored, before the restart check; both are values, so it can watch the run, not change it.
+    """
     if spec.arity != sketch.arity:
         raise SketchError(f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
     if sketch.hole_count == 0:
@@ -329,6 +335,7 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig) -> TrainResult:
     streams = hole_streams(config.seed, sketch.hole_count)
     optimizer = make_optimizer(config)
     records: list[TrainRecord] = []
+    restarts: list[int] = []
     best_loss = math.inf
     best_thetas = None
     low, stale = math.inf, 0  # argmax loss at the last gain, iterations since
@@ -337,17 +344,19 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig) -> TrainResult:
             sketch, spec, thetas, config, streams, optimizer=optimizer, iteration=it, prev_best=best_loss
         )
         if record.argmax_loss < best_loss:
-            best_loss = record.argmax_loss
-            best_thetas = [t.copy() for t in thetas]
+            best_loss, best_thetas = record.argmax_loss, thetas
         records.append(record)
+        if on_step is not None:
+            on_step(record, thetas)
         if record.argmax_loss < low * (1 - RESTART_MIN_GAIN):
             low, stale = record.argmax_loss, 0
         else:
             stale += 1
             if stale == RESTART_PATIENCE:
-                thetas = restart_thetas(thetas, config, streams)
+                thetas = tuple(restart_thetas(thetas, config, streams))
                 optimizer = make_optimizer(config)
                 low, stale = math.inf, 0
+                restarts.append(it)
     return TrainResult(
         thetas=thetas,
         best_thetas=best_thetas,
@@ -356,6 +365,7 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig) -> TrainResult:
         final_program=argmax_program(sketch, thetas),
         final_loss=_argmax_loss(sketch, thetas, spec, config.penalty),
         records=records,
+        restarts=restarts,
     )
 
 

@@ -10,8 +10,10 @@ decimals.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import typing
 
 from .engine import ConfigError, TrainConfig, TrainRecord
 from .interp import SpecError, SpecSet
@@ -73,9 +75,12 @@ def save_spec(spec: SpecSet, path) -> None:
             writer.writerow([format_real(v) for v in vec] + [format_real(out)])
 
 
-_REQUIRED_KEYS = ("learning_rate", "iterations")
-_INT_KEYS = ("iterations", "population", "seed")
-_STR_KEYS = ("optimizer", "categorical_score")
+# TrainConfig is the one config schema: fields without a default are required; types come from the annotations.
+_FIELDS = dataclasses.fields(TrainConfig)
+_TYPES = typing.get_type_hints(TrainConfig)
+_REQUIRED_KEYS = tuple(f.name for f in _FIELDS if f.default is dataclasses.MISSING)
+_INT_KEYS = tuple(f.name for f in _FIELDS if _TYPES[f.name] is int)
+_STR_KEYS = tuple(f.name for f in _FIELDS if _TYPES[f.name] is str)
 
 
 def load_config(path) -> TrainConfig:
@@ -89,7 +94,7 @@ def load_config(path) -> TrainConfig:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    known = set(TrainConfig.__dataclass_fields__)
+    known = {f.name for f in _FIELDS}
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")

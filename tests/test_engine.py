@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import struct
@@ -235,7 +236,10 @@ def test_train_step_argmax_loss_matches_scalar_reference_on_the_penalty_path():
     assert losses[0] == cfg.penalty and min(losses) < cfg.penalty
 
 
-def test_categorical_theta_is_a_value():
+def test_thetas_are_values():
+    gaussian = sg.GaussianTheta(1.0, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gaussian.mu = 2.0
     source = np.array([0.5, -1.0, 2.0])
     theta = sg.CategoricalTheta(source)
     assert theta.probs is theta.probs
@@ -292,11 +296,36 @@ def test_train_restarts_after_patience_without_gain():
     assert (restarted.thetas[0].logits != 0).all()
     assert restarted.records[:-1] == kept.records
     assert restarted.best_loss == kept.best_loss
+    assert kept.restarts == []
+    assert restarted.restarts == [RESTART_PATIENCE + 1]
+
+
+def _theta_bits(thetas) -> list[bytes]:
+    return [
+        t.logits.tobytes() if isinstance(t, sg.CategoricalTheta) else struct.pack("<dd", t.mu, t.sigma) for t in thetas
+    ]
+
+
+def test_train_on_step_sees_every_step_and_changes_nothing(onevar_sketch, onevar_spec):
+    cfg = _config(iterations=60, seed=5)
+    seen = []
+    watched = sg.train(onevar_sketch, onevar_spec, cfg, on_step=lambda record, thetas: seen.append((record, thetas)))
+    plain = sg.train(onevar_sketch, onevar_spec, cfg)
+    assert [record for record, _ in seen] == watched.records == plain.records
+    assert [record.iteration for record, _ in seen] == list(range(1, cfg.iterations + 1))
+    for record, thetas in seen:
+        assert isinstance(thetas, tuple)
+        program = sg.argmax_program(onevar_sketch, thetas)
+        assert record.argmax_loss == sg.eval_spec_loss(program, onevar_spec, cfg.penalty)
+    assert _theta_bits(seen[-1][1]) == _theta_bits(watched.thetas) == _theta_bits(plain.thetas)
+    assert _theta_bits(watched.best_thetas) == _theta_bits(plain.best_thetas)
+    assert watched.best_loss == plain.best_loss
+    assert sg.print_program(watched.best_program) == sg.print_program(plain.best_program)
 
 
 def test_restart_thetas_redraws_from_the_hole_streams(onevar_sketch):
     cfg = _config(mu_init=1.5)
-    thetas = [t.copy() for t in sg.init_thetas(onevar_sketch, cfg)]
+    thetas = list(sg.init_thetas(onevar_sketch, cfg))
     thetas[1] = sg.GaussianTheta(7.0, 0.5)
     fresh = restart_thetas(thetas, cfg, sg.hole_streams(3, onevar_sketch.hole_count))
     again = restart_thetas(thetas, cfg, sg.hole_streams(3, onevar_sketch.hole_count))
