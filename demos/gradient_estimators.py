@@ -28,7 +28,7 @@ for logits in ([0.0, 0.0, 0.0], [1.0, 0.2, -0.4]):
 
     dp = lambda k, j: p[k] * ((k == j) - p[j])  # d softmax_k / d logit_j
 
-    got = sg.categorical_gradient(theta, samples)
+    got = sg.categorical_gradient(theta, samples, score="softmax_grad")
     want = np.array([sum(p[k] * fitness_table[k] * dp(k, j) for k in range(3)) for j in range(3)])
     print(f"  logits {logits}")
     print(f"    probability-gradient weighting: MC {np.round(got, 5)}  analytic {np.round(want, 5)}")

@@ -20,7 +20,6 @@ printed at a few checkpoints:
    elsewhere; the best program found so far is kept.
 """
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +50,9 @@ def describe(thetas) -> str:
     return " | ".join(cells)
 
 
-def checkpoint(record, thetas) -> None:
+def checkpoint(record, state) -> None:
     if record.iteration in CHECKPOINTS:
-        print(f"{record.iteration:>6} | {describe(thetas)} | {record.argmax_loss:.4f}")
+        print(f"{record.iteration:>6} | {describe(state.thetas(sketch))} | {record.argmax_loss:.4f}")
 
 
 def report(restarts, best_loss, best_it, best_thetas) -> None:
@@ -68,16 +67,14 @@ hyper = dict(learning_rate=0.0995, iterations=20_000, population=50, sigma=0.5, 
 print("\n1. printed update rule, no restarts:")
 print(HEADER)
 config = sg.TrainConfig(**hyper, categorical_score="softmax_grad")
-thetas = sg.init_thetas(sketch, config)
+state = best = sg.init_state(sketch, config)
 streams = sg.hole_streams(config.seed, sketch.hole_count)
-best_loss, best_thetas, best_it = math.inf, None, 0
-for it in range(1, config.iterations + 1):
-    # SGD keeps no state, so the fresh optimizer `train_step` makes on each call steps as one shared optimizer would.
-    thetas, record = sg.train_step(sketch, spec, thetas, config, streams, iteration=it, prev_best=best_loss)
-    checkpoint(record, thetas)
-    if record.argmax_loss < best_loss:
-        best_loss, best_thetas, best_it = record.argmax_loss, thetas, it
-report([], best_loss, best_it, best_thetas)
+for _ in range(config.iterations):
+    state, record = sg.train_step(sketch, spec, state, config, streams)
+    checkpoint(record, state)
+    if state.best_loss < best.best_loss:
+        best = state
+report([], best.best_loss, best.iteration, best.thetas(sketch))
 
 print("\n2. defaults (score-function weight, restarts):")
 print(HEADER)

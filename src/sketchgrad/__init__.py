@@ -14,26 +14,25 @@ from .dists import (
     categorical_gradient,
     gaussian_gradient,
     load_thetas,
-    sample_categorical,
     sample_categorical_many,
     save_thetas,
     softmax,
     standardize_fitness,
 )
 from .engine import (
-    AdamOptimizer,
     ConfigError,
+    DivergenceError,
     EnumerationError,
     Population,
-    SgdOptimizer,
     TrainConfig,
     TrainRecord,
     TrainResult,
+    TrainState,
     argmax_program,
     enumerate_discrete,
     estimate_gradients,
     hole_streams,
-    init_thetas,
+    init_state,
     loss_spikes,
     sample_population,
     train,

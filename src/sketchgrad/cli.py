@@ -15,6 +15,7 @@ from pathlib import Path
 from .dists import ThetaError, load_thetas, save_thetas
 from .engine import (
     ConfigError,
+    DivergenceError,
     EnumerationError,
     argmax_program,
     enumerate_discrete,
@@ -61,7 +62,10 @@ def _cmd_train(args) -> int:
         config = replace(config, seed=args.seed)
     if spec.arity != sketch.arity:
         raise _Failure("SPEC", f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
-    result = train(sketch, spec, config)
+    try:
+        result = train(sketch, spec, config)
+    except DivergenceError as exc:
+        raise _Failure("TRAIN", f"{exc}; no results written", code=3)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

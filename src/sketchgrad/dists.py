@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .sketch import KIND_REAL
+
 SCORE_SOFTMAX = "softmax_grad"
 SCORE_LOG_SOFTMAX = "log_softmax_grad"
 SCORE_KINDS = (SCORE_SOFTMAX, SCORE_LOG_SOFTMAX)
@@ -42,7 +44,7 @@ class CategoricalTheta:
     """Logits over a hole's token set.
 
     A value: the logits are a read-only copy, so `probs` is computed once
-    per theta and shared by sampling and the gradient.
+    per theta.
     """
 
     logits: np.ndarray
@@ -86,14 +88,13 @@ class GaussianTheta:
 
 def sample_categorical_many(theta: CategoricalTheta, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n category indices by inverse CDF; deterministic given the stream state."""
-    cum = np.cumsum(theta.probs)
+    return _categorical_draws(theta.probs, n, rng)
+
+
+def _categorical_draws(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    cum = np.cumsum(probs)
     u = rng.random(n)
-    return np.minimum(np.searchsorted(cum, u, side="right"), theta.arity - 1).astype(np.int64)
-
-
-def sample_categorical(theta: CategoricalTheta, rng: np.random.Generator) -> int:
-    """Draw one category index with probability softmax(logits)[i]."""
-    return int(sample_categorical_many(theta, 1, rng)[0])
+    return np.minimum(np.searchsorted(cum, u, side="right"), probs.size - 1).astype(np.int64)
 
 
 def _categorical_accumulator(probs: np.ndarray, indices: np.ndarray, fitness: np.ndarray, score: str) -> np.ndarray:
@@ -122,14 +123,14 @@ def _gaussian_accumulator(eps: np.ndarray, fitness: np.ndarray, sigma: float) ->
     return float(np.dot(fitness, eps) / (fitness.size * sigma))
 
 
-def categorical_gradient(theta: CategoricalTheta, samples, score: str = SCORE_SOFTMAX) -> np.ndarray:
+def categorical_gradient(theta: CategoricalTheta, samples, *, score: str) -> np.ndarray:
     """Accumulated per-logit gradient from (category index, fitness) samples.
 
-    The default weighting here follows the printed categorical update rule
-    (gradient of the softmax probability); `log_softmax_grad` selects the
-    REINFORCE-style score-function weighting, whose expectation is the
-    gradient of expected fitness and which training uses by default
-    (`TrainConfig.categorical_score`).
+    `score` names the per-sample weight: `softmax_grad` follows the printed
+    categorical update rule (gradient of the softmax probability), and
+    `log_softmax_grad` is the REINFORCE-style score-function weighting, whose
+    expectation is the gradient of expected fitness and which training uses
+    by default (`TrainConfig.categorical_score`).
     """
     samples = list(samples)
     if not samples:
@@ -231,17 +232,16 @@ def load_thetas(path, sketch=None) -> list:
 
 
 def check_thetas(thetas, sketch) -> None:
-    from .sketch import KIND_REAL
-
+    """Raise ThetaError unless there is one theta per hole, each of the hole's kind and arity."""
     if len(thetas) != sketch.hole_count:
-        raise ThetaError(f"document has {len(thetas)} entries but sketch has {sketch.hole_count} holes")
+        raise ThetaError(f"{len(thetas)} thetas for the sketch's {sketch.hole_count} holes")
     for hole, theta in zip(sketch.holes, thetas):
         if hole.kind == KIND_REAL:
             if not isinstance(theta, GaussianTheta):
-                raise ThetaError(f"hole {hole.index} is [Real] but document entry is categorical")
+                raise ThetaError(f"hole {hole.index} is [Real] but its theta is categorical")
         else:
             if not isinstance(theta, CategoricalTheta):
-                raise ThetaError(f"hole {hole.index} is categorical but document entry is real")
+                raise ThetaError(f"hole {hole.index} is categorical but its theta is real")
             if theta.arity != hole.arity:
                 raise ThetaError(
                     f"hole {hole.index}: {hole.arity} tokens but {theta.arity} logits"

@@ -3,18 +3,20 @@
 One iteration samples a population of hole assignments from the current
 per-hole distributions, scores every candidate against the specification in
 one vectorized pass, standardizes the negated losses into fitness, estimates a
-gradient per hole and takes an ascent step.  The argmax program (most
-probable token per categorical hole, mean per real hole) is scored every
-iteration by the same vectorized scorer, as a population of one, and the best
-one seen is kept; `train` instantiates a concrete program only for the best
-and the final thetas.  `enumerate_discrete` scores the whole discrete space
-with the same scorer too.  The scalar interpreter (`interp.eval_spec_loss`)
-is not on these paths: it is the reference they are tested against.
+gradient per hole and takes an ascent step: `train_step` maps one `TrainState`
+value of plain arrays to the next, and theta objects exist only at the edges.
+The argmax program (most probable token per categorical hole, mean per real
+hole) is scored every iteration by the same vectorized scorer, as a
+population of one, and the best one seen is kept; `train` instantiates a
+concrete program only for the best and the final state.  `enumerate_discrete`
+scores the whole discrete space with the same scorer too.  The scalar
+interpreter (`interp.eval_spec_loss`) is not on these paths: it is the
+reference they are tested against.
 
 Because the best program is kept, a search that has settled can be
 restarted at no cost: when the argmax loss has not improved by
 `RESTART_MIN_GAIN` for `RESTART_PATIENCE` iterations, the distributions are
-drawn afresh (see `restart_thetas`) and the search goes on from there.  Once
+drawn afresh (see `restart_state`) and the search goes on from there.  Once
 every categorical hole has committed, its score-function gradient vanishes
 and the search cannot leave the basin it is in; a restart is the way out.
 """
@@ -22,21 +24,23 @@ and the search cannot leave the basin it is in; a restart is the way out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import dists
 from .dists import (
     SCORE_KINDS,
     SCORE_LOG_SOFTMAX,
     CategoricalTheta,
     GaussianTheta,
     _categorical_accumulator,
+    _categorical_draws,
     _gaussian_accumulator,
-    sample_categorical_many,
+    check_thetas,
     standardize_fitness,
 )
-from .interp import NONFINITE_PENALTY, SpecSet, eval_population_losses
+from .interp import NONFINITE_PENALTY, SpecSet, _read_only, eval_population_losses
 from .sketch import Assignment, KIND_REAL, Sketch, SketchError, instantiate
 
 OPTIMIZER_SGD = "sgd"
@@ -61,6 +65,10 @@ class ConfigError(ValueError):
 
 class EnumerationError(ValueError):
     """Discrete search space too large to enumerate."""
+
+
+class DivergenceError(ArithmeticError):
+    """A training step left a non-finite parameter."""
 
 
 @dataclass
@@ -138,38 +146,60 @@ class TrainResult:
 
 @dataclass
 class Population:
-    """Per-hole draws and concrete values for one iteration's candidates."""
+    """One iteration's candidates, and the draws their gradients are estimated from."""
 
-    draws: list[np.ndarray]  # int indices for categorical holes, standard-normal eps for real holes
-    values: list[np.ndarray]  # indices again, or mu + sigma * eps
+    values: list[np.ndarray]  # in hole order: token indices, or mu + sigma * eps for a real hole
+    probs: list[np.ndarray]  # per categorical hole, the softmax its tokens were drawn from
+    eps: list[np.ndarray]  # per real hole, its standard-normal draws
 
 
-def init_thetas(sketch: Sketch, config: TrainConfig) -> list:
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value, so states compare by identity
+class TrainState:
+    """What one training step reads and writes, as a value of read-only arrays.  Parameters are held
+    per kind, in hole order: a logit vector per categorical hole; the real holes' means and fixed sigmas."""
+
+    logits: tuple
+    mus: np.ndarray
+    sigmas: np.ndarray
+    moments: tuple  # Adam's (m, v) for each logit vector, then for `mus`
+    step_count: int = 0  # optimizer steps since the last (re)start
+    iteration: int = 0
+    best_loss: float = math.inf  # best argmax loss so far, across restarts
+
+    @classmethod
+    def from_thetas(cls, sketch: Sketch, thetas) -> TrainState:
+        """A state at step 0 holding `thetas`, which must fit the sketch's holes (ThetaError)."""
+        check_thetas(thetas, sketch)
+        gaussians, categoricals = _by_kind(sketch, thetas)
+        mus, sigmas = [t.mu for t in gaussians], [t.sigma for t in gaussians]
+        return _fresh_state([t.logits for t in categoricals], mus, sigmas)
+
+    def thetas(self, sketch: Sketch) -> tuple:
+        """The distributions as theta values, in hole order."""
+        gaussians = [GaussianTheta(mu, sigma) for mu, sigma in zip(self.mus.tolist(), self.sigmas.tolist())]
+        return tuple(_in_hole_order(sketch, gaussians, map(CategoricalTheta, self.logits)))
+
+
+def _fresh_state(logits, mus, sigmas) -> TrainState:
+    *logits, mus, sigmas = (_read_only(np.array(p, dtype=np.float64)) for p in (*logits, mus, sigmas))
+    moments = tuple((_read_only(np.zeros_like(p)), _read_only(np.zeros_like(p))) for p in (*logits, mus))
+    return TrainState(tuple(logits), mus, sigmas, moments)
+
+
+def init_state(sketch: Sketch, config: TrainConfig) -> TrainState:
     """Uniform logits for categorical holes, N(mu_init, sigma) for real holes."""
-    thetas = []
-    for hole in sketch.holes:
-        if hole.kind == KIND_REAL:
-            thetas.append(GaussianTheta(config.mu_init, config.sigma))
-        else:
-            thetas.append(CategoricalTheta(np.zeros(hole.arity)))
-    return thetas
+    reals, categoricals = _by_kind(sketch, sketch.holes)
+    n = len(reals)
+    return _fresh_state([np.zeros(h.arity) for h in categoricals], [config.mu_init] * n, [config.sigma] * n)
 
 
-def restart_thetas(thetas: list, config: TrainConfig, rng) -> list:
-    """Fresh distributions for a restart: logits drawn from N(0, RESTART_LOGIT_STD)
-    for categorical holes, N(mu_init, sigma) again for real holes.
-
-    Uniform logits would send the search down the same mean path as the first
-    start, into the basin it is leaving; random logits start it elsewhere.
-    `rng` is one Generator or one per hole, as in `sample_population`.
-    """
-    out = []
-    for theta, stream in zip(thetas, _streams_for(rng, len(thetas))):
-        if isinstance(theta, GaussianTheta):
-            out.append(GaussianTheta(config.mu_init, config.sigma))
-        else:
-            out.append(CategoricalTheta(stream.normal(0.0, RESTART_LOGIT_STD, theta.arity)))
-    return out
+def restart_state(sketch: Sketch, state: TrainState, config: TrainConfig, streams) -> TrainState:
+    """`init_state`, but with logits drawn from N(0, RESTART_LOGIT_STD) on each categorical hole's stream,
+    and the iteration and best loss of `state`.  Uniform logits would send the search down the same
+    mean path as the first start, into the basin it is leaving; random logits start it elsewhere."""
+    _, categoricals = _by_kind(sketch, zip(sketch.holes, streams))
+    logits = tuple(_read_only(stream.normal(0.0, RESTART_LOGIT_STD, hole.arity)) for hole, stream in categoricals)
+    return replace(init_state(sketch, config), logits=logits, iteration=state.iteration, best_loss=state.best_loss)
 
 
 def hole_streams(seed: int, n_holes: int) -> list[np.random.Generator]:
@@ -182,188 +212,145 @@ def hole_streams(seed: int, n_holes: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(max(n_holes, 1))]
 
 
-def _streams_for(rng, n_holes: int) -> list:
-    if isinstance(rng, np.random.Generator):
-        return [rng] * n_holes
-    return list(rng)
+def sample_population(sketch: Sketch, state: TrainState, n: int, streams) -> Population:
+    """Draw n candidates, each hole from its own stream in `streams` (one per hole,
+    in hole order): category indices per categorical hole, mu + sigma*eps per real hole."""
+    real_streams, cat_streams = _by_kind(sketch, streams)
+    # Through the module, so that a patched or traced `dists.softmax` sees every call.
+    probs = [dists.softmax(logits) for logits in state.logits]
+    tokens = [_categorical_draws(p, n, stream) for p, stream in zip(probs, cat_streams)]
+    eps = [stream.standard_normal(n) for stream in real_streams]
+    reals = [mu + sigma * e for mu, sigma, e in zip(state.mus, state.sigmas, eps)]
+    return Population(_in_hole_order(sketch, reals, tokens), probs, eps)
 
 
-def sample_population(thetas: list, n: int, rng) -> Population:
-    """Draw n candidates: category indices per categorical hole, mu + sigma*eps per real hole.
-
-    `rng` is either one numpy Generator (shared by all holes, consumed in
-    hole order) or a sequence of per-hole Generators.
-    """
-    streams = _streams_for(rng, len(thetas))
-    draws: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    for theta, stream in zip(thetas, streams):
-        if isinstance(theta, GaussianTheta):
-            eps = stream.standard_normal(n)
-            draws.append(eps)
-            values.append(theta.mu + theta.sigma * eps)
-        else:
-            idx = sample_categorical_many(theta, n, stream)
-            draws.append(idx)
-            values.append(idx)
-    return Population(draws, values)
+def estimate_gradients(sketch: Sketch, state: TrainState, population: Population, fitness: np.ndarray, score: str):
+    """Gradients from one scored population, laid out as the optimizer steps
+    them: one vector per categorical hole, then one over the real holes' means."""
+    _, tokens = _by_kind(sketch, population.values)
+    categorical = [_categorical_accumulator(p, idx, fitness, score) for p, idx in zip(population.probs, tokens)]
+    # One dot product per real hole: a matrix-vector product may sum in another order.
+    real = [_gaussian_accumulator(eps, fitness, sigma) for eps, sigma in zip(population.eps, state.sigmas)]
+    return (*categorical, np.array(real, dtype=np.float64))
 
 
-def estimate_gradients(thetas: list, population: Population, fitness: np.ndarray, score: str = SCORE_LOG_SOFTMAX) -> list:
-    """Per-hole parameter gradients from one scored population.
-
-    Returns one float per Gaussian hole (d/d mu) and one vector per
-    categorical hole, in hole order.  Every hole's gradient is estimated
-    from the same population.
-    """
-    grads = []
-    for theta, draws in zip(thetas, population.draws):
-        if isinstance(theta, GaussianTheta):
-            grads.append(_gaussian_accumulator(draws, fitness, theta.sigma))
-        else:
-            grads.append(_categorical_accumulator(theta.probs, draws, fitness, score))
-    return grads
-
-
+@dataclass(frozen=True)
 class SgdOptimizer:
-    def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
+    """Gradient ascent, `param + learning_rate * grad`; a rule that keeps no state."""
 
-    def step(self, thetas: list, grads: list) -> list:
-        out = []
-        for theta, g in zip(thetas, grads):
-            if isinstance(theta, GaussianTheta):
-                out.append(GaussianTheta(theta.mu + self.learning_rate * g, theta.sigma))
-            else:
-                out.append(CategoricalTheta(theta.logits + self.learning_rate * g))
-        return out
+    learning_rate: float
+
+    def step(self, params: tuple, grads: tuple, moments: tuple, step_count: int) -> tuple[tuple, tuple]:
+        return tuple(p + self.learning_rate * g for p, g in zip(params, grads)), moments
 
 
+@dataclass(frozen=True)
 class AdamOptimizer:
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m: list | None = None
-        self.v: list | None = None
+    """Adam as ascent; the moments and the 1-based step count come in and go out with the parameters."""
 
-    def step(self, thetas: list, grads: list) -> list:
-        gs = [np.atleast_1d(np.asarray(g, dtype=np.float64)) for g in grads]
-        if self.m is None:
-            self.m = [np.zeros_like(g) for g in gs]
-            self.v = [np.zeros_like(g) for g in gs]
-        self.t += 1
-        out = []
-        for i, (theta, g) in enumerate(zip(thetas, gs)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            mhat = self.m[i] / (1 - self.beta1**self.t)
-            vhat = self.v[i] / (1 - self.beta2**self.t)
-            delta = self.learning_rate * mhat / (np.sqrt(vhat) + self.eps)
-            if isinstance(theta, GaussianTheta):
-                out.append(GaussianTheta(theta.mu + float(delta[0]), theta.sigma))
-            else:
-                out.append(CategoricalTheta(theta.logits + delta))
-        return out
+    learning_rate: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    def step(self, params: tuple, grads: tuple, moments: tuple, step_count: int) -> tuple[tuple, tuple]:
+        out, new_moments = [], []
+        for p, g, (m, v) in zip(params, grads, moments):
+            m = self.beta1 * m + (1 - self.beta1) * g
+            v = self.beta2 * v + (1 - self.beta2) * g * g
+            mhat = m / (1 - self.beta1**step_count)
+            vhat = v / (1 - self.beta2**step_count)
+            out.append(p + self.learning_rate * mhat / (np.sqrt(vhat) + self.eps))
+            new_moments.append((_read_only(m), _read_only(v)))
+        return tuple(out), tuple(new_moments)
 
 
 def make_optimizer(config: TrainConfig):
+    """The update rule `config.optimizer` names."""
     if config.optimizer == OPTIMIZER_ADAM:
         return AdamOptimizer(config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
     return SgdOptimizer(config.learning_rate)
 
 
-def _argmax_values(thetas: list) -> list:
-    """The most probable value per hole: the highest-logit token index (ties
-    break to the lowest index) per categorical hole, the mean per real hole."""
-    return [theta.mu if isinstance(theta, GaussianTheta) else int(np.argmax(theta.logits)) for theta in thetas]
+def _argmax_columns(sketch: Sketch, logits, mus: np.ndarray) -> list:
+    """The most probable value per hole, as one-candidate columns in hole order:
+    the highest-logit token index (ties break to the lowest index) per
+    categorical hole, the mean per real hole."""
+    return _in_hole_order(sketch, mus[:, None], [np.argmax(v, keepdims=True) for v in logits])
 
 
-def argmax_program(sketch: Sketch, thetas: list) -> Sketch:
-    """Most probable concrete program, by the rule of `_argmax_values`."""
-    if len(thetas) != sketch.hole_count:
-        raise SketchError(f"{len(thetas)} thetas for {sketch.hole_count} holes")
-    return instantiate(sketch, Assignment(tuple(_argmax_values(thetas))))
+def argmax_program(sketch: Sketch, thetas) -> Sketch:
+    """Most probable concrete program, by the rule of `_argmax_columns`; ThetaError unless the thetas fit the holes."""
+    state = TrainState.from_thetas(sketch, thetas)
+    columns = _argmax_columns(sketch, state.logits, state.mus)
+    return instantiate(sketch, Assignment(tuple(column.item() for column in columns)))
 
 
-def _argmax_loss(sketch: Sketch, thetas: list, spec: SpecSet, penalty: float) -> float:
+def _argmax_loss(sketch: Sketch, logits, mus: np.ndarray, spec: SpecSet, penalty: float) -> float:
     """Spec loss of the argmax program, scored as a population of one."""
-    values = [np.array([v]) for v in _argmax_values(thetas)]
-    return float(eval_population_losses(sketch, values, spec, penalty)[0])
+    return float(eval_population_losses(sketch, _argmax_columns(sketch, logits, mus), spec, penalty)[0])
 
 
-def train_step(
-    sketch: Sketch,
-    spec: SpecSet,
-    thetas: list,
-    config: TrainConfig,
-    rng,
-    optimizer=None,
-    iteration: int = 1,
-    prev_best: float = math.inf,
-) -> tuple[tuple, TrainRecord]:
-    """One full iteration; returns the updated thetas, as a tuple, and its record."""
-    optimizer = optimizer or make_optimizer(config)
-    population = sample_population(thetas, config.population, rng)
-    losses = eval_population_losses(sketch, population.values, spec, config.penalty)
-    fitness = standardize_fitness(losses)
-    grads = estimate_gradients(thetas, population, fitness, config.categorical_score)
-    new_thetas = optimizer.step(thetas, grads)
-    argmax_loss = _argmax_loss(sketch, new_thetas, spec, config.penalty)
-    record = TrainRecord(
-        iteration=iteration,
-        mean_population_loss=float(np.mean(losses)),
-        argmax_loss=argmax_loss,
-        best_so_far_loss=min(prev_best, argmax_loss),
-    )
-    return tuple(new_thetas), record
+def train_step(sketch: Sketch, spec: SpecSet, state: TrainState, config: TrainConfig, streams):
+    """One iteration: the state after `state`, and its record.  `streams` holds one Generator per hole
+    (see `hole_streams`).  Raises DivergenceError when the step leaves a non-finite parameter."""
+    # Overflow is not an error here: a logit gap past the float range gives a
+    # probability of 0, its limit, and a step past the range is caught below.
+    with np.errstate(over="ignore"):
+        population = sample_population(sketch, state, config.population, streams)
+        losses = eval_population_losses(sketch, population.values, spec, config.penalty)
+        fitness = standardize_fitness(losses)
+        grads = estimate_gradients(sketch, state, population, fitness, config.categorical_score)
+        step_count = state.step_count + 1
+        params, moments = make_optimizer(config).step((*state.logits, state.mus), grads, state.moments, step_count)
+    iteration = state.iteration + 1
+    if not np.isfinite(np.concatenate(params)).all():
+        raise DivergenceError(f"the run diverged: iteration {iteration} left a non-finite parameter")
+    *logits, mus = map(_read_only, params)
+    argmax_loss = _argmax_loss(sketch, logits, mus, spec, config.penalty)
+    best_loss = min(state.best_loss, argmax_loss)
+    record = TrainRecord(iteration, float(np.mean(losses)), argmax_loss, best_loss)
+    return TrainState(tuple(logits), mus, state.sigmas, moments, step_count, iteration, best_loss), record
 
 
 def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> TrainResult:
     """Run the full loop; deterministic given (sketch, spec, config).
 
-    `on_step(record, thetas)`, if given, sees each iteration's record and the stepped thetas
+    `on_step(record, state)`, if given, sees each iteration's record and the stepped state
     it scored, before the restart check; both are values, so it can watch the run, not change it.
     """
     if spec.arity != sketch.arity:
         raise SketchError(f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
     if sketch.hole_count == 0:
         raise SketchError("sketch has no holes; nothing to train")
-    thetas = init_thetas(sketch, config)
+    state = best = init_state(sketch, config)
     streams = hole_streams(config.seed, sketch.hole_count)
-    optimizer = make_optimizer(config)
     records: list[TrainRecord] = []
     restarts: list[int] = []
-    best_loss = math.inf
-    best_thetas = None
     low, stale = math.inf, 0  # argmax loss at the last gain, iterations since
-    for it in range(1, config.iterations + 1):
-        thetas, record = train_step(
-            sketch, spec, thetas, config, streams, optimizer=optimizer, iteration=it, prev_best=best_loss
-        )
-        if record.argmax_loss < best_loss:
-            best_loss, best_thetas = record.argmax_loss, thetas
+    for _ in range(config.iterations):
+        state, record = train_step(sketch, spec, state, config, streams)
+        if state.best_loss < best.best_loss:
+            best = state
         records.append(record)
         if on_step is not None:
-            on_step(record, thetas)
+            on_step(record, state)
         if record.argmax_loss < low * (1 - RESTART_MIN_GAIN):
             low, stale = record.argmax_loss, 0
         else:
             stale += 1
             if stale == RESTART_PATIENCE:
-                thetas = tuple(restart_thetas(thetas, config, streams))
-                optimizer = make_optimizer(config)
+                state = restart_state(sketch, state, config, streams)
                 low, stale = math.inf, 0
-                restarts.append(it)
+                restarts.append(state.iteration)
+    thetas, best_thetas = state.thetas(sketch), best.thetas(sketch)
     return TrainResult(
         thetas=thetas,
         best_thetas=best_thetas,
         best_program=argmax_program(sketch, best_thetas),
-        best_loss=best_loss,
+        best_loss=best.best_loss,
         final_program=argmax_program(sketch, thetas),
-        final_loss=_argmax_loss(sketch, thetas, spec, config.penalty),
+        final_loss=_argmax_loss(sketch, state.logits, state.mus, spec, config.penalty),
         records=records,
         restarts=restarts,
     )
@@ -414,6 +401,14 @@ def _in_hole_order(sketch: Sketch, real_columns, cat_columns) -> list:
     """Interleave per-hole columns, given separately for real and categorical holes, into hole order."""
     reals, cats = iter(real_columns), iter(cat_columns)
     return [next(reals) if h.kind == KIND_REAL else next(cats) for h in sketch.holes]
+
+
+def _by_kind(sketch: Sketch, per_hole) -> tuple[list, list]:
+    """The inverse of `_in_hole_order`: split per-hole items into the real holes' and the categorical holes'."""
+    reals, cats = [], []
+    for hole, item in zip(sketch.holes, per_hole):
+        (reals if hole.kind == KIND_REAL else cats).append(item)
+    return reals, cats
 
 
 def loss_spikes(mean_losses, window: int = 101, factor: float = 3.0, start: int = 1000) -> list[int]:

@@ -176,7 +176,7 @@ def test_criterion_4_categorical_gradient_oracle():
         idx = sg.sample_categorical_many(theta, 100_000, rng)
         samples = list(zip(idx.tolist(), fitness_table[idx].tolist()))
 
-        got = sg.categorical_gradient(theta, samples)
+        got = sg.categorical_gradient(theta, samples, score="softmax_grad")
         # Expectation of the accumulator: sum_k p_k F(k) dp_k/dtheta_j.
         want = np.array(
             [sum(p[k] * fitness_table[k] * p[k] * ((k == j) - p[j]) for k in range(3)) for j in range(3)]

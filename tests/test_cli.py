@@ -124,6 +124,23 @@ def test_diverged_train_exits_3_with_train_prefix(workdir, learning_rate):
         assert (out / name).exists()
 
 
+def test_diverging_adam_run_exits_3_with_train_prefix(workdir):
+    # Adam's first steps are about +-learning_rate, so the logits pass the
+    # float range within a few iterations; that is a diverged run, not a bad
+    # input document.
+    (workdir / "adam.json").write_text(json.dumps({"learning_rate": 1e308, "optimizer": "adam", "iterations": 200}))
+    code, stdout, stderr = run_cli(
+        "train",
+        "--sketch", str(workdir / "sketch.txt"),
+        "--spec", str(workdir / "spec.csv"),
+        "--config", str(workdir / "adam.json"),
+        "--out", str(workdir / "run"),
+    )
+    assert code == 3
+    assert stderr.startswith("TRAIN:") and "iteration" in stderr
+    assert stdout == ""
+
+
 def test_eval_ground_truth(workdir):
     code, stdout, _ = run_cli(
         "eval", "--program", str(workdir / "truth.txt"), "--spec", str(workdir / "spec.csv")

@@ -46,7 +46,7 @@ def test_softmax_is_a_distribution(logits):
 def test_sample_categorical_near_deterministic():
     theta = sg.CategoricalTheta([40.0, 0.0, 0.0])
     rng = np.random.default_rng(0)
-    draws = [sg.sample_categorical(theta, rng) for _ in range(1000)]
+    draws = sg.sample_categorical_many(theta, 1000, rng)
     assert set(draws) == {0}
 
 
@@ -62,19 +62,9 @@ def test_sample_categorical_seed_determinism():
     theta = sg.CategoricalTheta([0.5, -0.2, 1.0])
     r1 = np.random.default_rng(7)
     r2 = np.random.default_rng(7)
-    d1 = [sg.sample_categorical(theta, r1) for _ in range(50)]
-    d2 = [sg.sample_categorical(theta, r2) for _ in range(50)]
+    d1 = sg.sample_categorical_many(theta, 50, r1).tolist()
+    d2 = sg.sample_categorical_many(theta, 50, r2).tolist()
     assert d1 == d2
-
-
-def test_single_and_batch_sampling_share_the_stream():
-    theta = sg.CategoricalTheta([0.1, 0.9, -0.3])
-    batch = sg.sample_categorical_many(theta, 20, np.random.default_rng(3))
-    singles = []
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        singles.append(sg.sample_categorical(theta, rng))
-    assert singles == list(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +73,20 @@ def test_single_and_batch_sampling_share_the_stream():
 
 def test_categorical_gradient_hand_value():
     theta = sg.CategoricalTheta([0.0, 0.0])
-    grad = sg.categorical_gradient(theta, [(0, 1.0)])
+    grad = sg.categorical_gradient(theta, [(0, 1.0)], score="softmax_grad")
     np.testing.assert_allclose(grad, [0.25, -0.25], rtol=0, atol=0)
 
 
 def test_categorical_gradient_zero_fitness():
     theta = sg.CategoricalTheta([0.3, -0.6, 0.1])
-    grad = sg.categorical_gradient(theta, [(0, 0.0), (2, 0.0), (1, 0.0)])
+    grad = sg.categorical_gradient(theta, [(0, 0.0), (2, 0.0), (1, 0.0)], score="softmax_grad")
     assert (grad == 0).all()
 
 
 def test_categorical_gradient_symmetric_cancellation():
     # Uniform over 3, one sample per index, all fitness 1: terms cancel.
     theta = sg.CategoricalTheta([0.0, 0.0, 0.0])
-    grad = sg.categorical_gradient(theta, [(0, 1.0), (1, 1.0), (2, 1.0)])
+    grad = sg.categorical_gradient(theta, [(0, 1.0), (1, 1.0), (2, 1.0)], score="softmax_grad")
     np.testing.assert_allclose(grad, [0.0, 0.0, 0.0], rtol=0, atol=1e-16)
 
 
@@ -118,9 +108,9 @@ def test_categorical_gradient_shift_invariance():
 def test_categorical_gradient_rejects_empty_and_out_of_range():
     theta = sg.CategoricalTheta([0.0, 0.0])
     with pytest.raises(ValueError):
-        sg.categorical_gradient(theta, [])
+        sg.categorical_gradient(theta, [], score="softmax_grad")
     with pytest.raises(ValueError):
-        sg.categorical_gradient(theta, [(2, 1.0)])
+        sg.categorical_gradient(theta, [(2, 1.0)], score="softmax_grad")
 
 
 def _analytic_expected_accumulator(logits, fitness_table):
@@ -148,7 +138,7 @@ def test_categorical_gradient_monte_carlo_expectations():
         theta = sg.CategoricalTheta(logits)
         idx = sg.sample_categorical_many(theta, 100_000, rng)
         samples = list(zip(idx.tolist(), fitness_table[idx].tolist()))
-        got = sg.categorical_gradient(theta, samples)
+        got = sg.categorical_gradient(theta, samples, score="softmax_grad")
         want = _analytic_expected_accumulator(logits, fitness_table)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 0.02
         got_log = sg.categorical_gradient(theta, samples, score=SCORE_LOG_SOFTMAX)

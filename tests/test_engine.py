@@ -8,7 +8,7 @@ import pytest
 
 import sketchgrad as sg
 from sketchgrad import dists
-from sketchgrad.engine import ENUMERATE_CHUNK_CELLS, RESTART_PATIENCE, make_optimizer, restart_thetas
+from sketchgrad.engine import ENUMERATE_CHUNK_CELLS, RESTART_PATIENCE, make_optimizer, restart_state
 
 
 def _config(**kw):
@@ -59,7 +59,7 @@ def test_config_defaults():
 
 
 def test_init_thetas_match_hole_table(onevar_sketch):
-    thetas = sg.init_thetas(onevar_sketch, _config())
+    thetas = sg.init_state(onevar_sketch, _config()).thetas(onevar_sketch)
     kinds = [type(t).__name__ for t in thetas]
     assert kinds == [
         "CategoricalTheta",
@@ -75,9 +75,9 @@ def test_init_thetas_match_hole_table(onevar_sketch):
 
 
 def test_sample_population_shapes(onevar_sketch):
-    thetas = sg.init_thetas(onevar_sketch, _config())
-    pop = sg.sample_population(thetas, 50, np.random.default_rng(0))
-    assert len(pop.values) == len(pop.draws) == 6
+    state = sg.init_state(onevar_sketch, _config())
+    pop = sg.sample_population(onevar_sketch, state, 50, sg.hole_streams(0, onevar_sketch.hole_count))
+    assert len(pop.values) == 6
     assert all(col.shape == (50,) for col in pop.values)
     # Categorical values are ints in range; real values floats.
     assert pop.values[0].dtype.kind == "i" and set(pop.values[0].tolist()) <= {0, 1, 2}
@@ -85,16 +85,18 @@ def test_sample_population_shapes(onevar_sketch):
 
 
 def test_sample_population_seed_determinism(onevar_sketch):
-    thetas = sg.init_thetas(onevar_sketch, _config())
-    p1 = sg.sample_population(thetas, 20, np.random.default_rng(9))
-    p2 = sg.sample_population(thetas, 20, np.random.default_rng(9))
+    state = sg.init_state(onevar_sketch, _config())
+    p1 = sg.sample_population(onevar_sketch, state, 20, sg.hole_streams(9, onevar_sketch.hole_count))
+    p2 = sg.sample_population(onevar_sketch, state, 20, sg.hole_streams(9, onevar_sketch.hole_count))
     for a, b in zip(p1.values, p2.values):
         assert (a == b).all()
 
 
 def test_sample_population_degenerate_distributions():
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] [Real] { return 1.0; } return 2.0; }")
     thetas = [sg.CategoricalTheta([40.0, 0.0, 0.0]), sg.GaussianTheta(2.5, 1e-9)]
-    pop = sg.sample_population(thetas, 2, np.random.default_rng(4))
+    state = sg.TrainState.from_thetas(sketch, thetas)
+    pop = sg.sample_population(sketch, state, 2, sg.hole_streams(4, sketch.hole_count))
     cats, reals = pop.values
     assert cats.tolist() == [0, 0]
     assert abs(reals[0] - 2.5) < 1e-7
@@ -146,9 +148,9 @@ def test_train_step_equal_losses_leave_thetas_unchanged():
     sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] 100.0 { return 1.0; } return 1.0; }")
     spec = sg.SpecSet.from_pairs([((1.0,), 1.0), ((2.0,), 3.0)])
     cfg = _config()
-    thetas = sg.init_thetas(sketch, cfg)
-    new, record = sg.train_step(sketch, spec, thetas, cfg, np.random.default_rng(0))
-    assert (new[0].logits == thetas[0].logits).all()
+    state = sg.init_state(sketch, cfg)
+    new, record = sg.train_step(sketch, spec, state, cfg, sg.hole_streams(0, sketch.hole_count))
+    assert (new.logits[0] == state.logits[0]).all()
     assert record.argmax_loss == record.best_so_far_loss
 
 
@@ -158,9 +160,9 @@ def test_train_step_rewards_perfect_token():
     sketch = sg.parse_sketch("fn f(x: f32) -> f32 { return 10.0 [OP] x; }")
     spec = sg.SpecSet.from_pairs([((1.0,), 11.0), ((2.0,), 12.0), ((3.0,), 13.0)])
     cfg = _config()
-    thetas = sg.init_thetas(sketch, cfg)
-    new, _ = sg.train_step(sketch, spec, thetas, cfg, np.random.default_rng(1))
-    logits = new[0].logits
+    state = sg.init_state(sketch, cfg)
+    new, _ = sg.train_step(sketch, spec, state, cfg, sg.hole_streams(1, sketch.hole_count))
+    logits = new.logits[0]
     assert logits[0] > 0
     assert logits[0] > logits[1] and logits[0] > logits[2] and logits[0] > logits[3]
 
@@ -170,10 +172,11 @@ def test_train_step_sgd_linearity(onevar_sketch, onevar_spec):
     # away from the pure step for nonzero theta).
     cfg1 = _config(learning_rate=0.05, mu_init=0.0)
     cfg2 = _config(learning_rate=0.1, mu_init=0.0)
-    thetas = sg.init_thetas(onevar_sketch, cfg1)
-    out1, _ = sg.train_step(onevar_sketch, onevar_spec, thetas, cfg1, np.random.default_rng(3))
-    out2, _ = sg.train_step(onevar_sketch, onevar_spec, thetas, cfg2, np.random.default_rng(3))
-    for base, a, b in zip(thetas, out1, out2):
+    state = sg.init_state(onevar_sketch, cfg1)
+    out1, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg1, sg.hole_streams(3, onevar_sketch.hole_count))
+    out2, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg2, sg.hole_streams(3, onevar_sketch.hole_count))
+    thetas = state.thetas(onevar_sketch)
+    for base, a, b in zip(thetas, out1.thetas(onevar_sketch), out2.thetas(onevar_sketch)):
         if isinstance(base, sg.GaussianTheta):
             assert b.mu - base.mu == 2 * (a.mu - base.mu)
         else:
@@ -186,14 +189,14 @@ def test_train_step_invariant_to_constant_loss_shift(onevar_sketch, onevar_spec)
     sketch = sg.parse_sketch("fn f(x: f32) -> f32 { return [Real] [OP] x; }")
     spec_a = sg.SpecSet.from_pairs([((1.0,), 2.0), ((2.0,), 4.0)])
     cfg = _config()
-    thetas = sg.init_thetas(sketch, cfg)
-    pop = sg.sample_population(thetas, cfg.population, np.random.default_rng(5))
+    state = sg.init_state(sketch, cfg)
+    pop = sg.sample_population(sketch, state, cfg.population, sg.hole_streams(5, sketch.hole_count))
     losses = sg.eval_population_losses(sketch, pop.values, spec_a)
     fit_a = sg.standardize_fitness(losses)
     fit_b = sg.standardize_fitness(losses + 123.456)
     np.testing.assert_allclose(fit_a, fit_b, atol=1e-9)
-    grads_a = sg.estimate_gradients(thetas, pop, fit_a)
-    grads_b = sg.estimate_gradients(thetas, pop, fit_b)
+    grads_a = sg.estimate_gradients(sketch, state, pop, fit_a, cfg.categorical_score)
+    grads_b = sg.estimate_gradients(sketch, state, pop, fit_b, cfg.categorical_score)
     for ga, gb in zip(grads_a, grads_b):
         np.testing.assert_allclose(ga, gb, atol=1e-9)
 
@@ -201,15 +204,14 @@ def test_train_step_invariant_to_constant_loss_shift(onevar_sketch, onevar_spec)
 # ---------------------------------------------------------------------------
 # the loop's argmax score against the scalar reference
 
-def _pin_to_reference(sketch, spec, cfg, thetas):
+def _pin_to_reference(sketch, spec, cfg, state):
     """Drive train_step as train does and check every record's argmax loss
     against the scalar interpreter bit for bit; returns those losses."""
     streams = sg.hole_streams(cfg.seed, sketch.hole_count)
-    optimizer = make_optimizer(cfg)
     losses = []
     for it in range(1, cfg.iterations + 1):
-        thetas, record = sg.train_step(sketch, spec, thetas, cfg, streams, optimizer=optimizer, iteration=it)
-        expected = sg.eval_spec_loss(sg.argmax_program(sketch, thetas), spec, cfg.penalty)
+        state, record = sg.train_step(sketch, spec, state, cfg, streams)
+        expected = sg.eval_spec_loss(sg.argmax_program(sketch, state.thetas(sketch)), spec, cfg.penalty)
         assert struct.pack("<d", record.argmax_loss) == struct.pack("<d", expected), (it, record, expected)
         losses.append(record.argmax_loss)
     return losses
@@ -220,7 +222,7 @@ def test_train_step_argmax_loss_matches_scalar_reference_at_every_step(
 ):
     for sketch, spec, lr in ((onevar_sketch, onevar_spec, 0.1), (twovar_sketch, twovar_spec, 0.0995)):
         cfg = _config(learning_rate=lr, iterations=200, seed=3)
-        _pin_to_reference(sketch, spec, cfg, sg.init_thetas(sketch, cfg))
+        _pin_to_reference(sketch, spec, cfg, sg.init_state(sketch, cfg))
 
 
 def test_train_step_argmax_loss_matches_scalar_reference_on_the_penalty_path():
@@ -232,7 +234,7 @@ def test_train_step_argmax_loss_matches_scalar_reference_on_the_penalty_path():
     spec = sg.SpecSet.from_pairs([((1.0,), 2.0), ((2.0,), 4.0), ((3.0,), 6.0)])
     cfg = _config(iterations=200, seed=5, penalty=1e6)
     thetas = [sg.CategoricalTheta(np.zeros(4)), sg.GaussianTheta(1.0, 0.5), sg.CategoricalTheta([0.0, 0.0, 0.0, 2.0])]
-    losses = _pin_to_reference(sketch, spec, cfg, thetas)
+    losses = _pin_to_reference(sketch, spec, cfg, sg.TrainState.from_thetas(sketch, thetas))
     assert losses[0] == cfg.penalty and min(losses) < cfg.penalty
 
 
@@ -257,13 +259,12 @@ def test_train_step_computes_softmax_once_per_categorical_hole(monkeypatch, onev
     softmax = dists.softmax
     monkeypatch.setattr(dists, "softmax", lambda logits: calls.append(1) or softmax(logits))
     cfg = _config()
-    thetas = sg.init_thetas(onevar_sketch, cfg)
+    state = sg.init_state(onevar_sketch, cfg)
     streams = sg.hole_streams(cfg.seed, onevar_sketch.hole_count)
-    optimizer = make_optimizer(cfg)
     categorical = sum(h.kind != "real" for h in onevar_sketch.holes)
     for it in range(1, 6):
         calls.clear()
-        thetas, _ = sg.train_step(onevar_sketch, onevar_spec, thetas, cfg, streams, optimizer=optimizer, iteration=it)
+        state, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg, streams)
         assert len(calls) == categorical == 3
 
 
@@ -309,15 +310,16 @@ def _theta_bits(thetas) -> list[bytes]:
 def test_train_on_step_sees_every_step_and_changes_nothing(onevar_sketch, onevar_spec):
     cfg = _config(iterations=60, seed=5)
     seen = []
-    watched = sg.train(onevar_sketch, onevar_spec, cfg, on_step=lambda record, thetas: seen.append((record, thetas)))
+    watched = sg.train(onevar_sketch, onevar_spec, cfg, on_step=lambda record, state: seen.append((record, state)))
     plain = sg.train(onevar_sketch, onevar_spec, cfg)
     assert [record for record, _ in seen] == watched.records == plain.records
     assert [record.iteration for record, _ in seen] == list(range(1, cfg.iterations + 1))
-    for record, thetas in seen:
+    for record, state in seen:
+        thetas = state.thetas(onevar_sketch)
         assert isinstance(thetas, tuple)
         program = sg.argmax_program(onevar_sketch, thetas)
         assert record.argmax_loss == sg.eval_spec_loss(program, onevar_spec, cfg.penalty)
-    assert _theta_bits(seen[-1][1]) == _theta_bits(watched.thetas) == _theta_bits(plain.thetas)
+    assert _theta_bits(seen[-1][1].thetas(onevar_sketch)) == _theta_bits(watched.thetas) == _theta_bits(plain.thetas)
     assert _theta_bits(watched.best_thetas) == _theta_bits(plain.best_thetas)
     assert watched.best_loss == plain.best_loss
     assert sg.print_program(watched.best_program) == sg.print_program(plain.best_program)
@@ -325,10 +327,11 @@ def test_train_on_step_sees_every_step_and_changes_nothing(onevar_sketch, onevar
 
 def test_restart_thetas_redraws_from_the_hole_streams(onevar_sketch):
     cfg = _config(mu_init=1.5)
-    thetas = list(sg.init_thetas(onevar_sketch, cfg))
+    thetas = list(sg.init_state(onevar_sketch, cfg).thetas(onevar_sketch))
     thetas[1] = sg.GaussianTheta(7.0, 0.5)
-    fresh = restart_thetas(thetas, cfg, sg.hole_streams(3, onevar_sketch.hole_count))
-    again = restart_thetas(thetas, cfg, sg.hole_streams(3, onevar_sketch.hole_count))
+    state = sg.TrainState.from_thetas(onevar_sketch, thetas)
+    fresh = restart_state(onevar_sketch, state, cfg, sg.hole_streams(3, onevar_sketch.hole_count)).thetas(onevar_sketch)
+    again = restart_state(onevar_sketch, state, cfg, sg.hole_streams(3, onevar_sketch.hole_count)).thetas(onevar_sketch)
     for hole, a, b in zip(onevar_sketch.holes, fresh, again):
         if hole.kind == "real":
             assert (a.mu, a.sigma) == (b.mu, b.sigma) == (1.5, 0.5)
@@ -370,10 +373,62 @@ def test_train_with_adam_runs(onevar_sketch, onevar_spec):
 
 def test_adam_step_direction_is_ascent():
     opt = make_optimizer(sg.TrainConfig(learning_rate=0.1, iterations=1, optimizer="adam"))
-    thetas = [sg.GaussianTheta(0.0, 1.0), sg.CategoricalTheta([0.0, 0.0])]
-    out = opt.step(thetas, [1.0, np.array([0.5, -0.5])])
-    assert out[0].mu > 0
-    assert out[1].logits[0] > 0 > out[1].logits[1]
+    params = (np.zeros(1), np.zeros(2))  # a vector of means, then a logit vector
+    moments = tuple((np.zeros_like(p), np.zeros_like(p)) for p in params)
+    out, _ = opt.step(params, (np.array([1.0]), np.array([0.5, -0.5])), moments, 1)
+    assert out[0][0] > 0
+    assert out[1][0] > 0 > out[1][1]
+
+
+def test_hand_written_adam_loop_equals_train(onevar_sketch, onevar_spec):
+    # The state carries Adam's moments from step to step, so a loop over
+    # train_step needs nothing else to match train (no restart in 300 steps).
+    cfg = _config(iterations=300, seed=4, optimizer="adam")
+    state = sg.init_state(onevar_sketch, cfg)
+    streams = sg.hole_streams(cfg.seed, onevar_sketch.hole_count)
+    records = []
+    for _ in range(cfg.iterations):
+        state, record = sg.train_step(onevar_sketch, onevar_spec, state, cfg, streams)
+        records.append(record)
+    result = sg.train(onevar_sketch, onevar_spec, cfg)
+    assert cfg.iterations < RESTART_PATIENCE and result.restarts == []
+    assert records == result.records
+    assert _theta_bits(state.thetas(onevar_sketch)) == _theta_bits(result.thetas)
+    assert state.step_count == state.iteration == cfg.iterations
+
+
+def test_restart_resets_adam_moments_and_step_count(onevar_sketch, onevar_spec):
+    cfg = _config(optimizer="adam")
+    streams = sg.hole_streams(cfg.seed, onevar_sketch.hole_count)
+    state = sg.init_state(onevar_sketch, cfg)
+    for _ in range(3):
+        state, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg, streams)
+    assert state.step_count == 3 and all(m.any() for pair in state.moments for m in pair)
+    fresh = restart_state(onevar_sketch, state, cfg, streams)
+    assert fresh.step_count == 0
+    assert [m.shape for pair in fresh.moments for m in pair] == [m.shape for pair in state.moments for m in pair]
+    assert not any(m.any() for pair in fresh.moments for m in pair)
+    assert (fresh.iteration, fresh.best_loss) == (state.iteration, state.best_loss)
+    # In train, the first step after a restart is Adam's first step again.
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] 100.0 { return 1.0; } return 1.0; }")
+    spec = sg.SpecSet.from_pairs([((1.0,), 1.0), ((2.0,), 3.0)])
+    counts = []
+    watch = lambda record, state: counts.append(state.step_count)
+    sg.train(sketch, spec, _config(iterations=RESTART_PATIENCE + 2, optimizer="adam"), on_step=watch)
+    assert counts[-3:] == [RESTART_PATIENCE, RESTART_PATIENCE + 1, 1]
+
+
+def test_train_builds_theta_objects_only_for_its_result(monkeypatch, onevar_sketch, onevar_spec):
+    built = []
+    for cls in (sg.CategoricalTheta, sg.GaussianTheta):
+        counted = lambda self, post_init=cls.__post_init__: built.append(type(self)) or post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for iterations in (5, 200):
+        built.clear()
+        result = sg.train(onevar_sketch, onevar_spec, _config(iterations=iterations))
+        # One tuple each for `thetas` and `best_thetas`: 3 categorical and 3 real holes.
+        assert built.count(sg.CategoricalTheta) == built.count(sg.GaussianTheta) == 6
+        assert len(result.thetas) == len(result.best_thetas) == 6
 
 
 # ---------------------------------------------------------------------------
