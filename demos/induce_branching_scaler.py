@@ -25,7 +25,7 @@ print(f"hole kinds: {sketch.hole_kinds}\n")
 inputs = [(1.0,), (2.0,), (4.0,), (5.0,)]
 spec = sg.SpecSet.from_pairs((x, sg.eval_program(truth, x)) for x in inputs)
 print("specification (input -> output):")
-for x, y in zip(spec.inputs, spec.outputs):
+for x, y in zip(spec.inputs.tolist(), spec.outputs.tolist()):
     print(f"  {x[0]:4.1f} -> {y}")
 
 config = sg.TrainConfig(learning_rate=0.1, iterations=10_000, population=50, sigma=0.5, seed=0)

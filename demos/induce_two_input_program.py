@@ -35,8 +35,8 @@ truth = sg.parse_sketch((DATA / "twovar_truth.prog").read_text())
 inputs = [(5.8, 2.5), (5.0, 6.2), (7.4, 6.1), (5.5, 9.4)]
 spec = sg.SpecSet.from_pairs((x, sg.eval_program(truth, x)) for x in inputs)
 print("specification (inputs -> output):")
-for x, y in zip(spec.inputs, spec.outputs):
-    print(f"  {x} -> {y}")
+for x, y in zip(spec.inputs.tolist(), spec.outputs.tolist()):
+    print(f"  {tuple(x)} -> {y}")
 
 
 def describe(thetas) -> str:
@@ -86,8 +86,8 @@ print("\ninduced program (best iterate):\n")
 print(sg.print_program(result.best_program))
 
 print("its outputs vs the spec:")
-for x, y in zip(spec.inputs, spec.outputs):
-    print(f"  {x}: predicted {sg.eval_program(result.best_program, x):10.4f}   target {y:10.4f}")
+for x, y in zip(spec.inputs.tolist(), spec.outputs.tolist()):
+    print(f"  {tuple(x)}: predicted {sg.eval_program(result.best_program, x):10.4f}   target {y:10.4f}")
 
 means = [rec.mean_population_loss for rec in result.records]
 spikes = sg.loss_spikes(means, window=101, factor=3.0, start=1000)

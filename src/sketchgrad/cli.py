@@ -55,6 +55,8 @@ def _load_program(path):
 
 
 def _cmd_train(args) -> int:
+    if args.log_every < 1:
+        raise _Failure("CONFIG", f"--log-every must be at least 1, got {args.log_every}")
     sketch = _load_sketch(args.sketch)
     spec = load_spec(args.spec)
     config = load_config(args.config)
@@ -112,7 +114,7 @@ def _cmd_eval(args) -> int:
     spec = load_spec(args.spec)
     if spec.arity != program.arity:
         raise _Failure("SPEC", f"spec arity {spec.arity} does not match program arity {program.arity}")
-    for vec, target in zip(spec.inputs, spec.outputs):
+    for vec, target in zip(spec.inputs.tolist(), spec.outputs.tolist()):
         pred = eval_program(program, vec)
         err = (pred - target) ** 2
         ins = ", ".join(format_real(v) for v in vec)
@@ -122,6 +124,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.top is not None and args.top < 1:
+        raise _Failure("CONFIG", f"--top must be at least 1, got {args.top}")
     sketch = _load_sketch(args.sketch)
     spec = load_spec(args.spec)
     try:
@@ -132,9 +136,7 @@ def _cmd_enumerate(args) -> int:
         raise _Failure("SPEC", f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
     try:
         ranked = enumerate_discrete(sketch, reals, spec)
-    except EnumerationError as exc:
-        raise _Failure("CONFIG", str(exc))
-    except SketchError as exc:
+    except (EnumerationError, SketchError) as exc:
         raise _Failure("CONFIG", str(exc))
     top = ranked if args.top is None else ranked[: args.top]
     cat_holes = [h for h in sketch.holes if h.domain is not None]
@@ -147,24 +149,18 @@ def _cmd_enumerate(args) -> int:
 def _cmd_gen_spec(args) -> int:
     program = _load_program(args.program)
     text = _read_text(args.inputs, "SPEC")
-    rows = [line.strip() for line in text.splitlines() if line.strip()]
-    if rows and not _numeric_row(rows[0]):
-        rows = rows[1:]  # header line
-    if not rows:
+    inputs = [_numbers(line) for line in text.splitlines() if line.strip()]
+    if inputs and inputs[0] is None:
+        inputs = inputs[1:]  # header line
+    if not inputs:
         raise _Failure("SPEC", f"{args.inputs} contains no input rows")
-    pairs = []
-    for r, line in enumerate(rows, start=1):
-        cells = [c.strip() for c in line.split(",")]
-        try:
-            vec = tuple(float(c) for c in cells)
-        except ValueError:
+    for r, vec in enumerate(inputs, start=1):
+        if vec is None:
             raise _Failure("SPEC", f"{args.inputs} row {r}: non-numeric cell")
         if len(vec) != program.arity:
             raise _Failure("SPEC", f"{args.inputs} row {r}: expected {program.arity} inputs, got {len(vec)}")
-        out = eval_program(program, vec)
-        pairs.append((vec, out))
     try:
-        spec = SpecSet.from_pairs(pairs)
+        spec = SpecSet(inputs, [eval_program(program, vec) for vec in inputs])
     except SpecError as exc:
         raise _Failure("SPEC", f"program output is not a valid spec: {exc}")
     try:
@@ -175,12 +171,11 @@ def _cmd_gen_spec(args) -> int:
     return 0
 
 
-def _numeric_row(line: str) -> bool:
+def _numbers(line: str) -> list[float] | None:
     try:
-        [float(c) for c in line.split(",")]
-        return True
+        return [float(c) for c in line.split(",")]
     except ValueError:
-        return False
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -110,6 +110,8 @@ class TrainConfig:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         if self.population < 2:
             raise ConfigError(f"population must be at least 2, got {self.population}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.optimizer not in OPTIMIZERS:
@@ -319,8 +321,6 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     `on_step(record, state)`, if given, sees each iteration's record and the stepped state
     it scored, before the restart check; both are values, so it can watch the run, not change it.
     """
-    if spec.arity != sketch.arity:
-        raise SketchError(f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
     if sketch.hole_count == 0:
         raise SketchError("sketch has no holes; nothing to train")
     state = best = init_state(sketch, config)

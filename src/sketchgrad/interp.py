@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,52 +22,58 @@ class SpecError(ValueError):
     """Invalid specification data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpecSet:
-    """The training data: input vectors and the output each must produce."""
+    """The training data: input vectors and the output each must produce, held as read-only float64
+    arrays `inputs` (rows, arity) and `outputs` (rows,), copied from the array-likes given.  Code that
+    wants Python floats reads rows with `.tolist()`."""
 
-    inputs: tuple[tuple[float, ...], ...]
-    outputs: tuple[float, ...]
+    inputs: np.ndarray
+    outputs: np.ndarray
 
     def __post_init__(self):
-        if not self.inputs:
+        try:
+            inputs, outputs = np.array(self.inputs, dtype=np.float64), np.array(self.outputs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(_ragged_row(self.inputs) or f"not a table of numbers: {exc}") from None
+        if inputs.shape[:1] == (0,):
             raise SpecError("specification is empty")
-        if len(self.inputs) != len(self.outputs):
+        if inputs.ndim != 2 or not inputs.shape[1] or outputs.ndim != 1:
+            raise SpecError(f"expected shapes (rows, arity >= 1) and (rows,), got {inputs.shape} and {outputs.shape}")
+        if len(inputs) != len(outputs):
             raise SpecError("inputs and outputs differ in length")
-        arity = len(self.inputs[0])
-        if arity < 1:
-            raise SpecError("input vectors must have at least one entry")
-        for i, (vec, out) in enumerate(zip(self.inputs, self.outputs)):
-            if len(vec) != arity:
-                raise SpecError(f"row {i}: expected {arity} inputs, got {len(vec)}")
-            if not all(math.isfinite(v) for v in vec) or not math.isfinite(out):
-                raise SpecError(f"row {i}: non-finite value")
+        bad = np.flatnonzero(~(np.isfinite(inputs).all(axis=1) & np.isfinite(outputs)))
+        if bad.size:
+            raise SpecError(f"row {bad[0]}: non-finite value")
+        object.__setattr__(self, "inputs", _read_only(inputs))
+        object.__setattr__(self, "outputs", _read_only(outputs))
+
+    def __eq__(self, other):
+        same = isinstance(other, SpecSet) and np.array_equal(self.inputs, other.inputs)
+        return same and np.array_equal(self.outputs, other.outputs)
 
     @property
     def arity(self) -> int:
-        return len(self.inputs[0])
+        return self.inputs.shape[1]
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return len(self.outputs)
 
     @classmethod
     def from_pairs(cls, pairs) -> "SpecSet":
         """Build from an iterable of (input_vector, output) pairs."""
-        ins, outs = [], []
-        for vec, out in pairs:
-            ins.append(tuple(float(v) for v in vec))
-            outs.append(float(out))
-        return cls(tuple(ins), tuple(outs))
+        pairs = list(pairs)
+        return cls([vec for vec, _ in pairs], [out for _, out in pairs])
 
-    @cached_property
-    def input_array(self) -> np.ndarray:
-        """The inputs as a read-only (rows, arity) float64 array, built once."""
-        return _read_only(np.array(self.inputs, dtype=np.float64))
 
-    @cached_property
-    def output_array(self) -> np.ndarray:
-        """The outputs as a read-only (rows,) float64 array, built once."""
-        return _read_only(np.array(self.outputs, dtype=np.float64))
+def _ragged_row(inputs) -> str | None:
+    """The message for the first row whose length differs from row 0's, if there is one."""
+    try:
+        lengths = [len(vec) for vec in inputs]
+    except TypeError:
+        return None
+    bad = [(i, n) for i, n in enumerate(lengths) if n != lengths[0]]
+    return f"row {bad[0][0]}: expected {lengths[0]} inputs, got {bad[0][1]}" if bad else None
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -139,11 +144,11 @@ def eval_spec_loss(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PE
     the whole candidate scores `penalty` so that fitness standardization
     stays well defined.
     """
-    preds = [eval_program(program, vec) for vec in spec.inputs]
+    preds = [eval_program(program, vec) for vec in spec.inputs.tolist()]
     if not all(math.isfinite(p) for p in preds):
         return penalty
     total = 0.0
-    for pred, out in zip(preds, spec.outputs):
+    for pred, out in zip(preds, spec.outputs.tolist()):
         d = pred - out
         total += d * d
     loss = total / len(preds)
@@ -186,9 +191,7 @@ def eval_population_losses(
     n = len(hole_values[0]) if hole_values else 1
     if any(len(arr) != n for arr in hole_values):
         raise SketchError("hole value arrays differ in length")
-    X = spec.input_array
-    y = spec.output_array
-    cols = {name: X[:, k][None, :] for k, name in enumerate(sketch.params)}
+    cols = {name: spec.inputs[:, k][None, :] for k, name in enumerate(sketch.params)}
     rows = len(spec)
 
     def operand(node):
@@ -222,7 +225,7 @@ def eval_population_losses(
             else:
                 mask = _CMPS_NP[g.cmp](lhs, rhs)
             preds = np.where(mask, chain(g.body), preds)
-        d = np.subtract(preds, y, out=np.empty((n, rows)))
+        d = np.subtract(preds, spec.outputs, out=np.empty((n, rows)))
         sq = d * d
         # cumsum accumulates left to right, as the scalar path does (a
         # pairwise sum would round differently).  A non-finite prediction

@@ -14,6 +14,9 @@ import dataclasses
 import json
 import math
 import typing
+from array import array
+
+import numpy as np
 
 from .engine import ConfigError, TrainConfig, TrainRecord
 from .interp import SpecError, SpecSet
@@ -29,49 +32,46 @@ __all__ = [
 ]
 
 
-def _parse_cell(text: str, where: str) -> float:
+def _parse_cell(text: str, row: int, column: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise SpecError(f"{where}: {text!r} is not a number") from None
+        raise SpecError(f"row {row}, column {column}: {text.strip()!r} is not a number") from None
     if not math.isfinite(value):
-        raise SpecError(f"{where}: non-finite value {text!r}")
+        raise SpecError(f"row {row}, column {column}: non-finite value {text.strip()!r}")
     return value
 
 
 def load_spec(path) -> SpecSet:
-    """Read and validate a specification CSV; arity comes from the header."""
+    """Read and validate a specification CSV; arity comes from the header.
+    Errors name a row by its line in the file, so blank lines do not shift them."""
+    values = array("d")  # every cell, row after row, as raw doubles
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            header = [cell.strip() for cell in next(filter(None, reader), [])]
+            if not header:
+                raise SpecError(f"spec file {path} is empty")
+            arity = len(header) - 1
+            if arity < 1 or header != [f"in_{k}" for k in range(arity)] + ["out"]:
+                raise SpecError(f"bad header {header!r}: expected in_0,...,in_{{k-1}},out with k >= 1")
+            for row in filter(None, reader):
+                if len(row) != arity + 1:
+                    raise SpecError(f"row {reader.line_num}: expected {arity + 1} columns, got {len(row)}")
+                values.extend(_parse_cell(cell, reader.line_num, c) for c, cell in enumerate(row))
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
-    if not rows:
-        raise SpecError(f"spec file {path} is empty")
-    header = [cell.strip() for cell in rows[0]]
-    arity = len(header) - 1
-    if arity < 1 or header != [f"in_{k}" for k in range(arity)] + ["out"]:
-        raise SpecError(
-            f"bad header {header!r}: expected in_0,...,in_{{k-1}},out with k >= 1"
-        )
-    if len(rows) == 1:
+    if not values:
         raise SpecError("spec file has a header but no rows")
-    inputs, outputs = [], []
-    for r, row in enumerate(rows[1:], start=2):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != arity + 1:
-            raise SpecError(f"row {r}: expected {arity + 1} columns, got {len(cells)}")
-        values = [_parse_cell(cell, f"row {r}, column {c}") for c, cell in enumerate(cells)]
-        inputs.append(tuple(values[:-1]))
-        outputs.append(values[-1])
-    return SpecSet(tuple(inputs), tuple(outputs))
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, arity + 1)
+    return SpecSet(table[:, :-1], table[:, -1])
 
 
 def save_spec(spec: SpecSet, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"in_{k}" for k in range(spec.arity)] + ["out"])
-        for vec, out in zip(spec.inputs, spec.outputs):
+        for vec, out in zip(spec.inputs.tolist(), spec.outputs.tolist()):
             writer.writerow([format_real(v) for v in vec] + [format_real(out)])
 
 

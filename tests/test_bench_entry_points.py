@@ -1,23 +1,43 @@
-"""The benchmark worker reads sketchgrad names at import time and wraps them
-in spans; a rename in `src/` must fail here, not in every benchmark run."""
+"""The benchmark worker reads sketchgrad names at import time, wraps them in
+spans and checks the outputs of the calls it times; a change in `src/` that
+breaks any of that must fail here, not in every benchmark run."""
 
+import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from sketchgrad import engine
 
 ROOT = Path(__file__).resolve().parents[1]
+# No bytecode is written, so that bench/ is left as it is.
+ENV = dict(os.environ, PYTHONPATH=f"{ROOT / 'bench'}{os.pathsep}{ROOT / 'src'}", PYTHONDONTWRITEBYTECODE="1")
+WORKLOADS = runpy.run_path(str(ROOT / "bench" / "workloads.py"))  # run from source, also without bytecode
 
 
 def test_bench_worker_imports():
-    path = os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ as it is
     proc = subprocess.run(
-        [sys.executable, "-c", "import worker"], cwd=ROOT, env=env, capture_output=True, text=True, timeout=30
+        [sys.executable, "-c", "import worker"], cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=30
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", WORKLOADS["WORKLOADS"])
+def test_bench_worker_runs_a_smoke_job(workload):
+    (job,) = WORKLOADS["plan"](workload, 1, 1, smoke=True)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py")],
+        input=json.dumps({**job, "trace": False, "src": str(ROOT / "src")}),
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ready, report = proc.stdout.splitlines()
+    assert ready == "READY"
+    assert json.loads(report)["errors"] == []
 
 
 def test_traced_engine_names_exist():

@@ -104,6 +104,23 @@ def test_bad_config_exits_2_with_config_prefix(workdir):
     assert stderr.startswith("CONFIG:")
 
 
+@pytest.mark.parametrize("flag, value", [("--log-every", "0"), ("--seed", "-1")])
+def test_bad_train_flag_exits_2_before_training(workdir, flag, value):
+    out = workdir / "run"
+    code, stdout, stderr = run_cli(
+        "train",
+        "--sketch", str(workdir / "sketch.txt"),
+        "--spec", str(workdir / "spec.csv"),
+        "--config", str(workdir / "config.json"),
+        "--out", str(out),
+        flag, value,
+    )
+    assert code == 2
+    assert stderr.startswith("CONFIG:") and stderr.count("\n") == 1, stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("learning_rate", [1e300, 1e308])
 def test_diverged_train_exits_3_with_train_prefix(workdir, learning_rate):
     # At these step sizes every argmax program scores the penalty: the run
@@ -213,6 +230,20 @@ def test_enumerate_top(workdir):
     )
     assert code == 0
     assert len(stdout.splitlines()) == 1
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_enumerate_rejects_top_below_one(workdir, top):
+    code, stdout, stderr = run_cli(
+        "enumerate",
+        "--sketch", str(workdir / "sketch.txt"),
+        "--spec", str(workdir / "spec.csv"),
+        "--reals", "3.5,4.2,2.1",
+        "--top", top,
+    )
+    assert code == 2
+    assert stderr.startswith("CONFIG:") and "--top" in stderr
+    assert stdout == ""
 
 
 def test_enumerate_real_count_mismatch(workdir):

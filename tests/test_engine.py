@@ -38,6 +38,7 @@ def _config(**kw):
         dict(sigma=math.inf),
         dict(adam_eps=math.inf),
         dict(mu_init=math.nan),
+        dict(seed=-1),
     ],
 )
 def test_config_rejects_bad_values(kw):

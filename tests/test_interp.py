@@ -226,12 +226,24 @@ def _check_population_losses_match_scalar_path(data, texts):
         assert struct.pack("<d", loss) == struct.pack("<d", expected), (i, loss, expected)
 
 
-def test_spec_arrays_are_built_once_and_read_only(onevar_spec):
-    assert onevar_spec.input_array is onevar_spec.input_array
-    assert onevar_spec.output_array is onevar_spec.output_array
-    assert onevar_spec.input_array.shape == (len(onevar_spec), 1)
-    with pytest.raises(ValueError):
-        onevar_spec.output_array[0] = 0.0
+def test_spec_holds_two_read_only_float64_arrays(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("in_0,in_1,out\n1,2,3\n4,5,6\n7,8,9\n", encoding="utf-8")
+    rows = [((1, 2), 3), ((4, 5), 6), ((7, 8), 9)]
+    for spec in (
+        sg.load_spec(path),
+        sg.SpecSet.from_pairs(rows),
+        sg.SpecSet([vec for vec, _ in rows], [out for _, out in rows]),
+        sg.SpecSet(np.array([vec for vec, _ in rows]), np.array([out for _, out in rows])),
+    ):
+        assert spec.inputs.dtype == spec.outputs.dtype == np.float64
+        assert spec.inputs.shape == (3, 2) and spec.outputs.shape == (3,)
+        assert spec.inputs.tolist() == [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]]
+        for arr in (spec.inputs, spec.outputs):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    with pytest.raises(sg.SpecError):
+        sg.SpecSet([1.0, 2.0], [3.0, 4.0])
 
 
 def test_population_losses_reject_spec_arity_mismatch(onevar_sketch, twovar_spec):

@@ -20,8 +20,8 @@ def test_load_spec_onevar(tmp_path):
     path = _write(tmp_path, "in_0,out\n1.0,2.1\n2.0,4.2\n4.0,16.8\n5.0,21.0\n")
     spec = load_spec(path)
     assert spec.arity == 1
-    assert spec.inputs == ((1.0,), (2.0,), (4.0,), (5.0,))
-    assert spec.outputs == (2.1, 4.2, 16.8, 21.0)
+    assert spec.inputs.tolist() == [[1.0], [2.0], [4.0], [5.0]]
+    assert spec.outputs.tolist() == [2.1, 4.2, 16.8, 21.0]
 
 
 def test_load_spec_twovar(tmp_path):
@@ -31,8 +31,8 @@ def test_load_spec_twovar(tmp_path):
     )
     spec = load_spec(path)
     assert spec.arity == 2
-    assert spec.inputs[0] == (5.8, 2.5)
-    assert spec.outputs[1] == -4.677419
+    assert spec.inputs.tolist()[0] == [5.8, 2.5]
+    assert spec.outputs.tolist()[1] == -4.677419
 
 
 @pytest.mark.parametrize(
@@ -46,6 +46,7 @@ def test_load_spec_twovar(tmp_path):
         ("x,out\n1.0,2.0\n", "header"),
         ("out\n1.0\n", "header"),
         ("in_0,in_1,out\n1.0,2.0\n", "row 2"),
+        ("in_0,out\n1,2\n\n3,x\n", "row 4, column 1"),
     ],
 )
 def test_load_spec_rejects_bad_files(tmp_path, text, fragment):
