@@ -22,7 +22,7 @@ from .engine import (
     train,
 )
 from .interp import SpecError, SpecSet, eval_program, eval_spec_loss
-from .io import load_config, load_spec, save_spec, write_loss_csv
+from .io import load_config, load_spec, read_table, save_spec, write_loss_csv
 from .sketch import KIND_COND, KIND_REAL, SketchError, format_real, parse_sketch, print_program
 
 
@@ -41,10 +41,7 @@ def _read_text(path, category: str) -> str:
 
 
 def _load_sketch(path):
-    try:
-        return parse_sketch(_read_text(path, "PARSE"))
-    except SketchError as exc:
-        raise _Failure("PARSE", str(exc))
+    return parse_sketch(_read_text(path, "PARSE"))
 
 
 def _load_program(path):
@@ -96,8 +93,6 @@ def _cmd_show(args) -> int:
         thetas = load_thetas(args.theta, sketch)
     except OSError as exc:
         raise _Failure("IO", f"cannot read {args.theta}: {exc}")
-    except ThetaError as exc:
-        raise _Failure("IO", str(exc))
     print(print_program(argmax_program(sketch, thetas)))
     for hole, theta in zip(sketch.holes, thetas):
         if hole.kind == KIND_REAL:
@@ -148,17 +143,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_gen_spec(args) -> int:
     program = _load_program(args.program)
-    text = _read_text(args.inputs, "SPEC")
-    inputs = [_numbers(line) for line in text.splitlines() if line.strip()]
-    if inputs and inputs[0] is None:
-        inputs = inputs[1:]  # header line
-    if not inputs:
-        raise _Failure("SPEC", f"{args.inputs} contains no input rows")
-    for r, vec in enumerate(inputs, start=1):
-        if vec is None:
-            raise _Failure("SPEC", f"{args.inputs} row {r}: non-numeric cell")
-        if len(vec) != program.arity:
-            raise _Failure("SPEC", f"{args.inputs} row {r}: expected {program.arity} inputs, got {len(vec)}")
+    inputs = read_table(args.inputs, program.arity).tolist()
     try:
         spec = SpecSet(inputs, [eval_program(program, vec) for vec in inputs])
     except SpecError as exc:
@@ -169,13 +154,6 @@ def _cmd_gen_spec(args) -> int:
         raise _Failure("IO", f"cannot write {args.out}: {exc}", code=3)
     print(f"wrote {len(spec)} pairs to {args.out}")
     return 0
-
-
-def _numbers(line: str) -> list[float] | None:
-    try:
-        return [float(c) for c in line.split(",")]
-    except ValueError:
-        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import Chain, CondHole, Lit, OpHole, RealHole, Sketch, SketchError, Var
+from .sketch import COND_TOKENS, OP_TOKENS, Chain, CondHole, Lit, OpHole, RealHole, Sketch, SketchError, Var
 
 NONFINITE_PENALTY = 1e12
 
@@ -171,6 +171,13 @@ _CMPS_NP = {
     "<": np.less,
 }
 
+_BINOPS_NP = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+}
+
 
 def eval_population_losses(
     sketch: Sketch,
@@ -209,7 +216,7 @@ def eval_population_losses(
             rhs = operand(nxt)
             if isinstance(op, OpHole):
                 idx = hole_values[op.index][:, None]  # (n, 1) int, into OP_TOKENS
-                acc = np.choose(idx, (acc + rhs, acc - rhs, acc * rhs, acc / rhs))
+                acc = np.choose(idx, [_BINOPS_NP[tok](acc, rhs) for tok in OP_TOKENS])
             else:
                 acc = _BINOPS_NP[op](acc, rhs)
         return acc
@@ -221,7 +228,7 @@ def eval_population_losses(
             lhs, rhs = operand(g.lhs), operand(g.rhs)
             if isinstance(g.cmp, CondHole):
                 cidx = hole_values[g.cmp.index][:, None]  # into COND_TOKENS
-                mask = np.choose(cidx, (lhs == rhs, lhs > rhs, lhs < rhs))
+                mask = np.choose(cidx, [_CMPS_NP[tok](lhs, rhs) for tok in COND_TOKENS])
             else:
                 mask = _CMPS_NP[g.cmp](lhs, rhs)
             preds = np.where(mask, chain(g.body), preds)
@@ -232,11 +239,3 @@ def eval_population_losses(
         # makes its candidate's loss non-finite, so one check covers both.
         losses = sq.cumsum(axis=1)[:, -1] / rows
         return np.where(np.isfinite(losses), losses, penalty)
-
-
-_BINOPS_NP = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-}

@@ -1,10 +1,10 @@
 """File formats: specification CSV, training-config JSON, loss-log CSV.
 
 Spec files are CSV with header ``in_0,...,in_{k-1},out`` and one row per
-input-output pair.  Config files are flat JSON objects whose keys match
-TrainConfig fields; unknown keys are rejected so a typo cannot silently fall
-back to a default.  All floats are written with shortest round-trip
-decimals.
+input-output pair; the inputs files that `gen-spec` reads drop the ``out``
+column.  Config files are flat JSON objects whose keys match TrainConfig
+fields; unknown keys are rejected so a typo cannot silently fall back to a
+default.  All floats are written with shortest round-trip decimals.
 """
 
 from __future__ import annotations
@@ -43,28 +43,39 @@ def _parse_cell(text: str, row: int, column: int) -> float:
 
 
 def load_spec(path) -> SpecSet:
-    """Read and validate a specification CSV; arity comes from the header.
-    Errors name a row by its line in the file, so blank lines do not shift them."""
+    """Read and validate a specification CSV; arity comes from the header."""
+    table = read_table(path)
+    return SpecSet(table[:, :-1], table[:, -1])
+
+
+def read_table(path, arity: int | None = None) -> np.ndarray:
+    """Every data row of a CSV of finite numbers, as one (rows, columns) float64 array.
+
+    With no `arity` it is a spec file, whose header ``in_0,...,in_{k-1},out`` gives k; with one it is an
+    inputs file, whose header must be ``in_0,...,in_{arity-1}``.  Blank lines are skipped, and errors name a
+    row by its line in the file, so blank lines do not shift them."""
+    what = "spec file" if arity is None else "inputs file"
     values = array("d")  # every cell, row after row, as raw doubles
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = [cell.strip() for cell in next(filter(None, reader), [])]
             if not header:
-                raise SpecError(f"spec file {path} is empty")
-            arity = len(header) - 1
-            if arity < 1 or header != [f"in_{k}" for k in range(arity)] + ["out"]:
-                raise SpecError(f"bad header {header!r}: expected in_0,...,in_{{k-1}},out with k >= 1")
+                raise SpecError(f"{what} {path} is empty")
+            k = len(header) - 1 if arity is None else arity
+            expected = [f"in_{j}" for j in range(k)] + (["out"] if arity is None else [])
+            if k < 1 or header != expected:
+                hint = "in_0,...,in_{k-1},out with k >= 1" if arity is None else ",".join(expected)
+                raise SpecError(f"bad header {header!r}: expected {hint}")
             for row in filter(None, reader):
-                if len(row) != arity + 1:
-                    raise SpecError(f"row {reader.line_num}: expected {arity + 1} columns, got {len(row)}")
+                if len(row) != len(header):
+                    raise SpecError(f"row {reader.line_num}: expected {len(header)} columns, got {len(row)}")
                 values.extend(_parse_cell(cell, reader.line_num, c) for c, cell in enumerate(row))
     except OSError as exc:
-        raise SpecError(f"cannot read spec file {path}: {exc}") from exc
+        raise SpecError(f"cannot read {what} {path}: {exc}") from exc
     if not values:
-        raise SpecError("spec file has a header but no rows")
-    table = np.frombuffer(values, dtype=np.float64).reshape(-1, arity + 1)
-    return SpecSet(table[:, :-1], table[:, -1])
+        raise SpecError(f"{what} has a header but no rows")
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, len(header))
 
 
 def save_spec(spec: SpecSet, path) -> None:

@@ -9,6 +9,7 @@ evaluable program.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 COND_TOKENS = ("==", ">", "<")
@@ -157,87 +158,44 @@ class _Token:
     col: int
 
 
-_PUNCT_TWO = ("->", "==")
-_PUNCT_ONE = "(){},:;><+-*/"
 _HOLE_TOKENS = ("[COND]", "[OP]", "[Real]")
+
+# One alternative per token class, tried in order.  `\d` is a Unicode decimal digit, which `float` accepts;
+# `\w` is exactly `str.isalnum()` plus `_`.  A `[` with no `]` anywhere after it is unterminated.
+_TOKEN_RE = re.compile(
+    r"""(?P<newline>\n)
+      | (?P<skip>[ \t\r]+ | //[^\n]*)
+      | (?P<punct>-> | == | [(){},:;><+\-*/])
+      | (?P<hole>\[[^\]]*\])
+      | (?P<unterminated>\[)
+      | (?P<float>(?:\d+(?:\.\d*)? | \.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<ident>\w+)
+      | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, col = 1, 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if text.startswith(_PUNCT_TWO[0], i) or text.startswith(_PUNCT_TWO[1], i):
-            tok = text[i : i + 2]
-            toks.append(_Token("punct", tok, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c == "[":
-            end = text.find("]", i)
-            if end < 0:
-                raise SketchSyntaxError("unterminated '[' token", start_line, start_col)
-            tok = text[i : end + 1]
-            if tok not in _HOLE_TOKENS:
-                raise SketchSyntaxError(
-                    f"unknown hole token {tok!r} (expected one of {', '.join(_HOLE_TOKENS)})",
-                    start_line,
-                    start_col,
-                )
-            toks.append(_Token("hole", tok, start_line, start_col))
-            col += end + 1 - i
-            i = end + 1
-            continue
-        if c in _PUNCT_ONE:
-            toks.append(_Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tok = text[i:j]
-            toks.append(_Token("float", tok, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise SketchSyntaxError(f"unexpected character {c!r}", start_line, start_col)
+        if kind == "ident" and not (tok[0].isalpha() or tok[0] == "_"):
+            kind, tok = "bad", tok[0]  # a numeral that is not a decimal digit, such as `²` or `½`
+        if kind == "bad":
+            raise SketchSyntaxError(f"unexpected character {tok!r}", line, col)
+        if kind == "unterminated":
+            raise SketchSyntaxError("unterminated '[' token", line, col)
+        if kind == "hole" and tok not in _HOLE_TOKENS:
+            raise SketchSyntaxError(
+                f"unknown hole token {tok!r} (expected one of {', '.join(_HOLE_TOKENS)})", line, col
+            )
+        if kind != "skip":
+            toks.append(_Token(kind, tok, line, col))
+        col += len(tok)
     toks.append(_Token("eof", "", line, col))
     return toks
 

@@ -91,6 +91,16 @@ def test_bad_sketch_exits_2_with_parse_prefix(workdir):
     assert stderr.startswith("PARSE:")
 
 
+def test_non_decimal_digit_in_sketch_exits_2_with_parse_prefix(workdir):
+    (workdir / "bad.txt").write_text("fn f(x: f32) -> f32 { return x + ²; }", encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        "enumerate", "--sketch", str(workdir / "bad.txt"), "--spec", str(workdir / "spec.csv")
+    )
+    assert code == 2
+    assert stderr.startswith("PARSE: line 1, col 34: unexpected character")
+    assert stdout == ""
+
+
 def test_bad_config_exits_2_with_config_prefix(workdir):
     (workdir / "bad.json").write_text('{"learning_rate": -1, "iterations": 5}')
     code, _, stderr = run_cli(
@@ -294,6 +304,44 @@ def test_gen_spec_empty_inputs(workdir):
     )
     assert code == 2
     assert stderr.startswith("SPEC:")
+
+
+def test_gen_spec_reads_quoted_cells_and_skips_blank_lines(workdir, onevar_spec):
+    (workdir / "inputs.csv").write_text('in_0\n"1.0"\n\n2.0\n4.0\n\n"5.0"\n')
+    out = workdir / "generated.csv"
+    code, stdout, _ = run_cli(
+        "gen-spec",
+        "--program", str(workdir / "truth.txt"),
+        "--inputs", str(workdir / "inputs.csv"),
+        "--out", str(out),
+    )
+    assert code == 0
+    assert sg.load_spec(out) == onevar_spec
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A malformed first row is not a header, so it is not dropped.
+        ("1.0,abc\n2.0\n", "bad header ['1.0', 'abc']: expected in_0"),
+        # Rows are named by their line in the file.
+        ("in_0\n1.0\n\n2.0\nabc\n", "row 5, column 0: 'abc' is not a number"),
+        ("in_0\n1.0\n\n2.0,3.0\n", "row 4: expected 1 columns, got 2"),
+        ("in_0\n1.0\ninf\n", "row 3, column 0: non-finite value 'inf'"),
+        ("in_0,in_1\n1.0,2.0\n", "bad header ['in_0', 'in_1']: expected in_0"),
+    ],
+)
+def test_gen_spec_rejects_bad_inputs(workdir, text, message):
+    (workdir / "inputs.csv").write_text(text)
+    code, stdout, stderr = run_cli(
+        "gen-spec",
+        "--program", str(workdir / "truth.txt"),
+        "--inputs", str(workdir / "inputs.csv"),
+        "--out", str(workdir / "g.csv"),
+    )
+    assert code == 2
+    assert stderr == f"SPEC: {message}\n"
+    assert stdout == "" and not (workdir / "g.csv").exists()
 
 
 def test_main_callable_directly(workdir, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchgrad as sg
-from sketchgrad.sketch import KIND_COND, KIND_OP, KIND_REAL
+from sketchgrad.sketch import KIND_COND, KIND_OP, KIND_REAL, _tokenize
 
 from conftest import ONEVAR_LEARNED, ONEVAR_SKETCH, ONEVAR_TRUTH, TWOVAR_SKETCH
 
@@ -62,6 +62,10 @@ def test_comments_and_whitespace():
         ("fn f(x: f32) -> f32 { return x; } trailing", "trailing"),
         ("fn f(x: f32) -> f32 { return [Foo]; }", "unknown hole token"),
         ("fn if(x: f32) -> f32 { return x; }", "reserved"),
+        ("fn f(x: f32) -> f32 { return x + ²; }", "unexpected character '²'"),
+        ("fn f(x: f32) -> f32 { return [Real; }", "unterminated"),
+        ("fn f(x: f32) -> f32 { return .; }", "unexpected character '.'"),
+        ("fn f(½: f32) -> f32 { return 1.0; }", "unexpected character '½'"),
     ],
 )
 def test_syntax_errors(text, fragment):
@@ -76,6 +80,14 @@ def test_syntax_error_carries_line_and_column():
     assert err.value.line == 2
     assert err.value.col == 12
     assert "line 2" in str(err.value)
+
+
+def test_end_of_input_column_after_trailing_comment():
+    text = "fn f(x: f32) -> f32 { return x; // no closing brace"
+    with pytest.raises(sg.SketchSyntaxError) as err:
+        sg.parse_sketch(text)
+    assert (err.value.line, err.value.col) == (1, len(text) + 1)
+    assert "end of input" in str(err.value)
 
 
 def test_instantiate_onevar_truth_pattern(onevar_sketch, onevar_truth):
@@ -213,3 +225,34 @@ def test_roundtrip_property(text):
     printed = sg.print_program(s)
     assert sg.parse_sketch(printed) == s
     assert sg.print_program(sg.parse_sketch(printed)) == printed
+
+
+# Between two tokens: at least one whitespace character (so no two tokens merge, and no `//` swallows a
+# `/`), then any mix of whitespace and `//` comments.
+_separator = st.builds(
+    lambda first, rest: first + "".join(rest),
+    st.sampled_from(" \t\r\n"),
+    st.lists(
+        st.one_of(
+            st.sampled_from(" \t\r\n"),
+            st.text(st.characters(exclude_characters="\n", exclude_categories=["Cs"]), max_size=6).map(
+                lambda body: f"//{body}\n"
+            ),
+        ),
+        max_size=3,
+    ),
+)
+
+
+@given(sketch_texts(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_token_positions_point_at_their_text(text, data):
+    tokens = [tok.text for tok in _tokenize(text)[:-1]]
+    spaced = "".join(data.draw(_separator) + tok for tok in tokens) + data.draw(_separator)
+    toks = _tokenize(spaced)
+    lines = spaced.split("\n")
+    assert [tok.text for tok in toks[:-1]] == tokens
+    for tok in toks[:-1]:
+        assert lines[tok.line - 1][tok.col - 1 :].startswith(tok.text)
+    assert (toks[-1].line, toks[-1].col) == (len(lines), len(lines[-1]) + 1)
+    assert sg.parse_sketch(spaced) == sg.parse_sketch(text)
