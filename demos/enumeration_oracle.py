@@ -23,12 +23,10 @@ reals = [3.5, 4.2, 2.1]
 ranked = sg.enumerate_discrete(sketch, reals, spec)
 print(f"{len(ranked)} discrete programs with reals pinned to {reals}\n")
 
-cond_tokens = ("==", ">", "<")
-op_tokens = ("+", "-", "*", "/")
 print("rank   loss          cond  op1  op2")
 for rank, (assignment, loss) in enumerate(ranked[:10], start=1):
     c, o1, o2 = assignment.values[0], assignment.values[3], assignment.values[4]
-    print(f"{rank:4d}   {loss:<12.6g}  {cond_tokens[c]:>4}  {op_tokens[o1]:>3}  {op_tokens[o2]:>3}")
+    print(f"{rank:4d}   {loss:<12.6g}  {sg.CondHole.tokens[c]:>4}  {sg.OpHole.tokens[o1]:>3}  {sg.OpHole.tokens[o2]:>3}")
 
 best_assignment, best_loss = ranked[0]
 print("\nrank-1 program (loss", best_loss, "):\n")

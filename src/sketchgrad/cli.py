@@ -8,6 +8,7 @@ match on them.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from .engine import (
 )
 from .interp import SpecError, SpecSet, eval_program, eval_spec_loss
 from .io import load_config, load_spec, read_table, save_spec, write_loss_csv
-from .sketch import KIND_COND, KIND_REAL, SketchError, format_real, parse_sketch, print_program
+from .sketch import SketchError, format_real, parse_sketch, print_program
 
 
 class _Failure(Exception):
@@ -95,12 +96,11 @@ def _cmd_show(args) -> int:
         raise _Failure("IO", f"cannot read {args.theta}: {exc}")
     print(print_program(argmax_program(sketch, thetas)))
     for hole, theta in zip(sketch.holes, thetas):
-        if hole.kind == KIND_REAL:
-            print(f"hole {hole.index} [Real]: mu={format_real(theta.mu)} sigma={format_real(theta.sigma)}")
+        if hole.domain is None:
+            print(f"hole {hole.index} {hole.token}: mu={format_real(theta.mu)} sigma={format_real(theta.sigma)}")
         else:
             pairs = " ".join(f"p({tok})={p:.6f}" for tok, p in zip(hole.domain, theta.probs))
-            label = "COND" if hole.kind == KIND_COND else "OP"
-            print(f"hole {hole.index} [{label}]: {pairs} sum={theta.probs.sum():.3f}")
+            print(f"hole {hole.index} {hole.token}: {pairs} sum={theta.probs.sum():.3f}")
     return 0
 
 
@@ -143,11 +143,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_gen_spec(args) -> int:
     program = _load_program(args.program)
-    inputs = read_table(args.inputs, program.arity).tolist()
-    try:
-        spec = SpecSet(inputs, [eval_program(program, vec) for vec in inputs])
-    except SpecError as exc:
-        raise _Failure("SPEC", f"program output is not a valid spec: {exc}")
+    inputs, lines = read_table(args.inputs, program.arity)
+    outputs = [eval_program(program, vec) for vec in inputs.tolist()]
+    bad = [line for line, out in zip(lines, outputs) if not math.isfinite(out)]
+    if bad:
+        raise _Failure("SPEC", f"program output is not a valid spec: row {bad[0]}: non-finite value")
+    spec = SpecSet(inputs, outputs)
     try:
         save_spec(spec, args.out)
     except OSError as exc:

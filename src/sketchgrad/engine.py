@@ -24,9 +24,12 @@ and the search cannot leave the basin it is in; a restart is the way out.
 from __future__ import annotations
 
 import math
+import numbers
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dists
 from .dists import (
@@ -58,6 +61,12 @@ RESTART_LOGIT_STD = 1.0
 # the vectorized scorer, which bounds its intermediates at any space size.
 ENUMERATE_CHUNK_CELLS = 1 << 16
 
+# loss_spikes takes the medians of this many full windows per numpy call.
+SPIKE_CHUNK = 4096
+
+# What a TrainConfig field annotated with each type accepts, and how an error names it.
+_FIELD_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"), str: (str, "a string")}
+
 
 class ConfigError(ValueError):
     """Invalid training configuration."""
@@ -76,7 +85,9 @@ class TrainConfig:
     """Hyperparameters for one training run.
 
     `sigma` is the fixed standard deviation of every real hole's search
-    distribution; `penalty` replaces non-finite candidate losses.
+    distribution; `penalty` replaces non-finite candidate losses.  Each field
+    holds its annotated type: an integral number that is not a bool, a finite
+    real number (stored as a float) or a string; anything else is a ConfigError.
     """
 
     learning_rate: float
@@ -101,9 +112,17 @@ class TrainConfig:
     mu_init: float = 1.0
 
     def __post_init__(self):
-        for name in ("learning_rate", "sigma", "adam_beta1", "adam_beta2", "adam_eps", "penalty", "mu_init"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, kind in typing.get_type_hints(TrainConfig).items():
+            value = getattr(self, name)
+            accepts, what = _FIELD_KINDS[kind]
+            if isinstance(value, bool) or not isinstance(value, accepts):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            try:
+                setattr(self, name, kind(value))
+            except OverflowError:  # an integer past the float range
+                setattr(self, name, math.inf)
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.iterations < 1:
@@ -319,7 +338,8 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     """Run the full loop; deterministic given (sketch, spec, config).
 
     `on_step(record, state)`, if given, sees each iteration's record and the stepped state
-    it scored, before the restart check; both are values, so it can watch the run, not change it.
+    it scored; both are values, so it can watch the run, not change it.  A restart that is due
+    happens before the next step, so the run ends on its last trained state.
     """
     if sketch.hole_count == 0:
         raise SketchError("sketch has no holes; nothing to train")
@@ -329,6 +349,10 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     restarts: list[int] = []
     low, stale = math.inf, 0  # argmax loss at the last gain, iterations since
     for _ in range(config.iterations):
+        if stale == RESTART_PATIENCE:
+            state = restart_state(sketch, state, config, streams)
+            low, stale = math.inf, 0
+            restarts.append(state.iteration)
         state, record = train_step(sketch, spec, state, config, streams)
         if state.best_loss < best.best_loss:
             best = state
@@ -339,10 +363,6 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
             low, stale = record.argmax_loss, 0
         else:
             stale += 1
-            if stale == RESTART_PATIENCE:
-                state = restart_state(sketch, state, config, streams)
-                low, stale = math.inf, 0
-                restarts.append(state.iteration)
     thetas, best_thetas = state.thetas(sketch), best.thetas(sketch)
     return TrainResult(
         thetas=thetas,
@@ -350,7 +370,7 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
         best_program=argmax_program(sketch, best_thetas),
         best_loss=best.best_loss,
         final_program=argmax_program(sketch, thetas),
-        final_loss=_argmax_loss(sketch, state.logits, state.mus, spec, config.penalty),
+        final_loss=records[-1].argmax_loss,
         records=records,
         restarts=restarts,
     )
@@ -416,10 +436,11 @@ def loss_spikes(mean_losses, window: int = 101, factor: float = 3.0, start: int 
     exceeds `factor` times the local windowed median."""
     x = np.asarray(mean_losses, dtype=np.float64)
     half = window // 2
-    spikes = []
-    for t in range(start, x.size):
-        lo = max(0, t - half)
-        hi = min(x.size, t + half + 1)
-        if x[t] > factor * np.median(x[lo:hi]):
-            spikes.append(t + 1)
-    return spikes
+    median = np.empty(x.size)  # at t, of the window x[t - half : t + half + 1]
+    n_full = max(x.size - 2 * half, 0)  # the windows at t = half .. half + n_full - 1 are whole
+    for i in range(0, n_full, SPIKE_CHUNK):  # in chunks, as np.median copies the windows it is given
+        windows = sliding_window_view(x[i : i + SPIKE_CHUNK + 2 * half], 2 * half + 1)
+        median[half + i : half + i + len(windows)] = np.median(windows, axis=1)
+    for t in (*range(min(half, x.size)), *range(half + n_full, x.size)):  # windows cut short by an end
+        median[t] = np.median(x[max(0, t - half) : t + half + 1])
+    return (np.flatnonzero(x[start:] > factor * median[start:]) + start + 1).tolist()

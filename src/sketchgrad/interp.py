@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import COND_TOKENS, OP_TOKENS, Chain, CondHole, Lit, OpHole, RealHole, Sketch, SketchError, Var
+from .sketch import Chain, Lit, RealHole, Sketch, SketchError, Var
 
 NONFINITE_PENALTY = 1e12
 
@@ -165,13 +165,10 @@ def eval_spec_loss(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PE
 # eval_spec_loss on each instantiated candidate.
 
 
-_CMPS_NP = {
+_UFUNCS = {
     "==": np.equal,
     ">": np.greater,
     "<": np.less,
-}
-
-_BINOPS_NP = {
     "+": np.add,
     "-": np.subtract,
     "*": np.multiply,
@@ -210,28 +207,24 @@ def eval_population_losses(
             return hole_values[node.index][:, None]  # shape (n, 1)
         raise SketchError(f"not an operand: {node!r}")
 
+    def apply(slot, a, b):
+        """A comparison or operator slot applied to a and b; a hole picks, per candidate, the token it drew."""
+        if isinstance(slot, str):
+            return _UFUNCS[slot](a, b)
+        idx = hole_values[slot.index][:, None]  # (n, 1) int, into slot.tokens
+        return np.choose(idx, [_UFUNCS[tok](a, b) for tok in slot.tokens])
+
     def chain(c: Chain):
         acc = operand(c.operands[0])
         for op, nxt in zip(c.ops, c.operands[1:]):
-            rhs = operand(nxt)
-            if isinstance(op, OpHole):
-                idx = hole_values[op.index][:, None]  # (n, 1) int, into OP_TOKENS
-                acc = np.choose(idx, [_BINOPS_NP[tok](acc, rhs) for tok in OP_TOKENS])
-            else:
-                acc = _BINOPS_NP[op](acc, rhs)
+            acc = apply(op, acc, operand(nxt))
         return acc
 
     with np.errstate(all="ignore"):
         preds = chain(sketch.ret)
         if sketch.guard is not None:
             g = sketch.guard
-            lhs, rhs = operand(g.lhs), operand(g.rhs)
-            if isinstance(g.cmp, CondHole):
-                cidx = hole_values[g.cmp.index][:, None]  # into COND_TOKENS
-                mask = np.choose(cidx, [_CMPS_NP[tok](lhs, rhs) for tok in COND_TOKENS])
-            else:
-                mask = _CMPS_NP[g.cmp](lhs, rhs)
-            preds = np.where(mask, chain(g.body), preds)
+            preds = np.where(apply(g.cmp, operand(g.lhs), operand(g.rhs)), chain(g.body), preds)
         d = np.subtract(preds, spec.outputs, out=np.empty((n, rows)))
         sq = d * d
         # cumsum accumulates left to right, as the scalar path does (a

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import json
 import math
-import typing
 from array import array
 
 import numpy as np
@@ -44,18 +43,20 @@ def _parse_cell(text: str, row: int, column: int) -> float:
 
 def load_spec(path) -> SpecSet:
     """Read and validate a specification CSV; arity comes from the header."""
-    table = read_table(path)
+    table, _ = read_table(path)
     return SpecSet(table[:, :-1], table[:, -1])
 
 
-def read_table(path, arity: int | None = None) -> np.ndarray:
-    """Every data row of a CSV of finite numbers, as one (rows, columns) float64 array.
+def read_table(path, arity: int | None = None) -> tuple[np.ndarray, array]:
+    """Every data row of a CSV of finite numbers, as one (rows, columns) float64 array, and the file line
+    each row ends on.
 
     With no `arity` it is a spec file, whose header ``in_0,...,in_{k-1},out`` gives k; with one it is an
     inputs file, whose header must be ``in_0,...,in_{arity-1}``.  Blank lines are skipped, and errors name a
     row by its line in the file, so blank lines do not shift them."""
     what = "spec file" if arity is None else "inputs file"
     values = array("d")  # every cell, row after row, as raw doubles
+    lines = array("q")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -71,11 +72,12 @@ def read_table(path, arity: int | None = None) -> np.ndarray:
                 if len(row) != len(header):
                     raise SpecError(f"row {reader.line_num}: expected {len(header)} columns, got {len(row)}")
                 values.extend(_parse_cell(cell, reader.line_num, c) for c, cell in enumerate(row))
+                lines.append(reader.line_num)
     except OSError as exc:
         raise SpecError(f"cannot read {what} {path}: {exc}") from exc
     if not values:
         raise SpecError(f"{what} has a header but no rows")
-    return np.frombuffer(values, dtype=np.float64).reshape(-1, len(header))
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, len(header)), lines
 
 
 def save_spec(spec: SpecSet, path) -> None:
@@ -86,12 +88,9 @@ def save_spec(spec: SpecSet, path) -> None:
             writer.writerow([format_real(v) for v in vec] + [format_real(out)])
 
 
-# TrainConfig is the one config schema: fields without a default are required; types come from the annotations.
+# TrainConfig is the one config schema: fields without a default are required, and it checks the types.
 _FIELDS = dataclasses.fields(TrainConfig)
-_TYPES = typing.get_type_hints(TrainConfig)
 _REQUIRED_KEYS = tuple(f.name for f in _FIELDS if f.default is dataclasses.MISSING)
-_INT_KEYS = tuple(f.name for f in _FIELDS if _TYPES[f.name] is int)
-_STR_KEYS = tuple(f.name for f in _FIELDS if _TYPES[f.name] is str)
 
 
 def load_config(path) -> TrainConfig:
@@ -112,20 +111,7 @@ def load_config(path) -> TrainConfig:
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    kwargs = {}
-    for key, value in doc.items():
-        if key in _INT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        elif key in _STR_KEYS:
-            if not isinstance(value, str):
-                raise ConfigError(f"{key} must be a string, got {value!r}")
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
-            value = float(value)
-        kwargs[key] = value
-    return TrainConfig(**kwargs)
+    return TrainConfig(**doc)
 
 
 def write_loss_csv(records: list[TrainRecord], path, log_every: int = 10) -> None:

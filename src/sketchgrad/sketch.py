@@ -12,9 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-COND_TOKENS = ("==", ">", "<")
-OP_TOKENS = ("+", "-", "*", "/")
-
 KIND_COND = "cond"
 KIND_OP = "op"
 KIND_REAL = "real"
@@ -43,13 +40,14 @@ class HoleSpec:
     kind: str  # KIND_COND | KIND_OP | KIND_REAL
 
     @property
+    def token(self) -> str:
+        """The hole's source token: [COND], [OP] or [Real]."""
+        return _HOLE_NODES[self.kind].token
+
+    @property
     def domain(self) -> tuple[str, ...] | None:
         """Token set for categorical holes, None for real holes."""
-        if self.kind == KIND_COND:
-            return COND_TOKENS
-        if self.kind == KIND_OP:
-            return OP_TOKENS
-        return None
+        return _HOLE_NODES[self.kind].tokens
 
     @property
     def arity(self) -> int | None:
@@ -59,8 +57,11 @@ class HoleSpec:
 
 
 # ---------------------------------------------------------------------------
-# AST nodes.  Operands are Var | Lit | RealHole; comparison slots hold a
-# token string or a CondHole; operator slots hold a token string or an OpHole.
+# AST nodes.  Operands are Var | Lit | RealHole.  A slot (the comparison of a
+# guard, or an operator of a chain) holds a token string or a hole that stands
+# for one token of a fixed set: a CondHole or an OpHole.  Each hole class
+# declares its source token, its kind, its token set (None: a real, not a
+# token) and the slot it may fill, which parse errors name.
 
 
 @dataclass(frozen=True)
@@ -76,16 +77,22 @@ class Lit:
 @dataclass(frozen=True)
 class RealHole:
     index: int
+    token, kind, tokens, slot = "[Real]", KIND_REAL, None, "operand"
 
 
 @dataclass(frozen=True)
 class OpHole:
     index: int
+    token, kind, tokens, slot = "[OP]", KIND_OP, ("+", "-", "*", "/"), "operator"
 
 
 @dataclass(frozen=True)
 class CondHole:
     index: int
+    token, kind, tokens, slot = "[COND]", KIND_COND, ("==", ">", "<"), "comparison"
+
+
+_HOLE_NODES = {node.kind: node for node in (CondHole, OpHole, RealHole)}
 
 
 @dataclass(frozen=True)
@@ -158,7 +165,7 @@ class _Token:
     col: int
 
 
-_HOLE_TOKENS = ("[COND]", "[OP]", "[Real]")
+_HOLE_TOKENS = tuple(node.token for node in _HOLE_NODES.values())
 
 # One alternative per token class, tried in order.  `\d` is a Unicode decimal digit, which `float` accepts;
 # `\w` is exactly `str.isalnum()` plus `_`.  A `[` with no `]` anywhere after it is unterminated.
@@ -235,10 +242,14 @@ class _Parser:
             self.error(f"expected {what}, found {tok.text!r}")
         return self.next()
 
-    def new_hole(self, kind: str) -> int:
-        index = len(self.holes)
-        self.holes.append(HoleSpec(index, kind))
-        return index
+    def new_hole(self, hole_type):
+        """The hole token at the cursor, which must be `hole_type`'s, as the next hole in the table."""
+        tok = self.next()
+        if tok.text != hole_type.token:
+            article = "an" if hole_type.slot[0] in "aeiou" else "a"
+            self.error(f"{tok.text} cannot appear where {article} {hole_type.slot} is required", tok)
+        self.holes.append(HoleSpec(len(self.holes), hole_type.kind))
+        return hole_type(len(self.holes) - 1)
 
     def parse(self) -> Sketch:
         self.expect("fn")
@@ -279,7 +290,7 @@ class _Parser:
     def parse_guard(self) -> Guard:
         self.expect("if")
         lhs = self.parse_operand()
-        cmp = self.parse_cmp()
+        cmp = self.parse_slot(CondHole)
         rhs = self.parse_operand()
         self.expect("{")
         body = self.parse_return()
@@ -299,17 +310,14 @@ class _Parser:
             tok = self.peek()
             if tok.text in (";", "}") or tok.type == "eof":
                 break
-            ops.append(self.parse_op())
+            ops.append(self.parse_slot(OpHole))
             operands.append(self.parse_operand())
         return Chain(tuple(operands), tuple(ops))
 
     def parse_operand(self):
         tok = self.peek()
         if tok.type == "hole":
-            if tok.text != "[Real]":
-                self.error(f"{tok.text} cannot appear where an operand is required")
-            self.next()
-            return RealHole(self.new_hole(KIND_REAL))
+            return self.new_hole(RealHole)
         if tok.type == "float":
             self.next()
             return Lit(float(tok.text))
@@ -336,29 +344,16 @@ class _Parser:
             return Var(tok.text)
         self.error(f"expected operand, found {tok.text!r}" if tok.text else "expected operand, found end of input")
 
-    def parse_cmp(self):
+    def parse_slot(self, hole_type):
+        """A comparison or operator slot: a token of `hole_type.tokens`, or the `hole_type` hole's token."""
         tok = self.peek()
         if tok.type == "hole":
-            if tok.text != "[COND]":
-                self.error(f"{tok.text} cannot appear where a comparison is required")
-            self.next()
-            return CondHole(self.new_hole(KIND_COND))
-        if tok.text in COND_TOKENS:
+            return self.new_hole(hole_type)
+        if tok.text in hole_type.tokens:
             self.next()
             return tok.text
-        self.error(f"expected comparison ('==', '>', '<' or [COND]), found {tok.text!r}")
-
-    def parse_op(self):
-        tok = self.peek()
-        if tok.type == "hole":
-            if tok.text != "[OP]":
-                self.error(f"{tok.text} cannot appear where an operator is required")
-            self.next()
-            return OpHole(self.new_hole(KIND_OP))
-        if tok.text in OP_TOKENS:
-            self.next()
-            return tok.text
-        self.error(f"expected operator ('+', '-', '*', '/' or [OP]), found {tok.text!r}")
+        choices = ", ".join(map(repr, hole_type.tokens))
+        self.error(f"expected {hole_type.slot} ({choices} or {hole_type.token}), found {tok.text!r}")
 
 
 def parse_sketch(text: str) -> Sketch:
@@ -386,22 +381,19 @@ def _operand_str(node) -> str:
     if isinstance(node, Lit):
         return format_real(node.value)
     if isinstance(node, RealHole):
-        return "[Real]"
+        return node.token
     raise SketchError(f"not an operand: {node!r}")
 
 
-def _cmp_str(cmp) -> str:
-    return "[COND]" if isinstance(cmp, CondHole) else cmp
-
-
-def _op_str(op) -> str:
-    return "[OP]" if isinstance(op, OpHole) else op
+def _slot_str(slot) -> str:
+    """A comparison or operator slot: its token, or its hole's."""
+    return slot if isinstance(slot, str) else slot.token
 
 
 def _chain_str(chain: Chain) -> str:
     parts = [_operand_str(chain.operands[0])]
     for op, operand in zip(chain.ops, chain.operands[1:]):
-        parts.append(_op_str(op))
+        parts.append(_slot_str(op))
         parts.append(_operand_str(operand))
     return " ".join(parts)
 
@@ -416,7 +408,7 @@ def print_program(sketch: Sketch) -> str:
     lines = [f"fn {sketch.name}({params}) -> f32", "{"]
     if sketch.guard is not None:
         g = sketch.guard
-        lines.append(f"    if {_operand_str(g.lhs)} {_cmp_str(g.cmp)} {_operand_str(g.rhs)}")
+        lines.append(f"    if {_operand_str(g.lhs)} {_slot_str(g.cmp)} {_operand_str(g.rhs)}")
         lines.append("    {")
         lines.append(f"        return {_chain_str(g.body)};")
         lines.append("    }")
@@ -430,11 +422,12 @@ def print_program(sketch: Sketch) -> str:
 # Instantiation
 
 
-def _check_value(hole: HoleSpec, value) -> object:
+def _filled(hole: HoleSpec, value) -> object:
+    """What fills `hole` for `value`: a literal for a real hole, the token at a category index otherwise."""
     if hole.kind == KIND_REAL:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SketchError(f"hole {hole.index} is [Real] but got {value!r}")
-        return float(value)
+            raise SketchError(f"hole {hole.index} is {hole.token} but got {value!r}")
+        return Lit(float(value))
     if isinstance(value, bool) or not isinstance(value, int):
         raise SketchError(f"hole {hole.index} is categorical but got {value!r}")
     domain = hole.domain
@@ -454,21 +447,14 @@ def instantiate(sketch: Sketch, assignment: Assignment) -> Sketch:
         raise SketchError(
             f"assignment has {len(assignment.values)} values but sketch has {sketch.hole_count} holes"
         )
-    fill = {h.index: _check_value(h, v) for h, v in zip(sketch.holes, assignment.values)}
+    fill = {h.index: _filled(h, v) for h, v in zip(sketch.holes, assignment.values)}
 
-    def sub_operand(node):
-        if isinstance(node, RealHole):
-            return Lit(fill[node.index])
-        return node
+    def sub(node):  # an operand or a slot
+        return fill[node.index] if isinstance(node, (RealHole, OpHole, CondHole)) else node
 
     def sub_chain(chain: Chain) -> Chain:
-        operands = tuple(sub_operand(o) for o in chain.operands)
-        ops = tuple(fill[o.index] if isinstance(o, OpHole) else o for o in chain.ops)
-        return Chain(operands, ops)
+        return Chain(tuple(map(sub, chain.operands)), tuple(map(sub, chain.ops)))
 
-    guard = None
-    if sketch.guard is not None:
-        g = sketch.guard
-        cmp = fill[g.cmp.index] if isinstance(g.cmp, CondHole) else g.cmp
-        guard = Guard(sub_operand(g.lhs), cmp, sub_operand(g.rhs), sub_chain(g.body))
+    g = sketch.guard
+    guard = None if g is None else Guard(sub(g.lhs), sub(g.cmp), sub(g.rhs), sub_chain(g.body))
     return Sketch(sketch.name, sketch.params, guard, sub_chain(sketch.ret), ())

@@ -114,6 +114,39 @@ def test_bad_config_exits_2_with_config_prefix(workdir):
     assert stderr.startswith("CONFIG:")
 
 
+def test_config_number_past_the_float_range_exits_2_with_config_prefix(workdir):
+    (workdir / "huge.json").write_text('{"learning_rate": 1%s, "iterations": 5}' % ("0" * 400))
+    code, stdout, stderr = run_cli(
+        "train",
+        "--sketch", str(workdir / "sketch.txt"),
+        "--spec", str(workdir / "spec.csv"),
+        "--config", str(workdir / "huge.json"),
+        "--out", str(workdir / "out"),
+    )
+    assert code == 2
+    assert stderr.startswith("CONFIG: learning_rate must be finite, got 1000")
+    assert stdout == "" and not (workdir / "out").exists()
+
+
+def test_train_reports_the_last_trained_step(workdir):
+    # The restart patience of this run runs out on its final iteration.
+    (workdir / "long.json").write_text(json.dumps({"learning_rate": 0.1, "iterations": 4158}))
+    out = workdir / "run"
+    code, stdout, stderr = run_cli(
+        "train",
+        "--sketch", str(workdir / "sketch.txt"),
+        "--spec", str(workdir / "spec.csv"),
+        "--config", str(workdir / "long.json"),
+        "--out", str(out),
+        "--seed", "0",
+    )
+    assert code == 0, stderr
+    assert stdout.splitlines()[-1] == "final spec-MSE: 0.028556710022490994"
+    assert (out / "loss.csv").read_text().splitlines()[-1].split(",")[2] == "0.028556710022490994"
+    program = sg.parse_sketch((out / "program_final.txt").read_text())
+    assert sg.eval_spec_loss(program, sg.load_spec(workdir / "spec.csv")) == 0.028556710022490994
+
+
 @pytest.mark.parametrize("flag, value", [("--log-every", "0"), ("--seed", "-1")])
 def test_bad_train_flag_exits_2_before_training(workdir, flag, value):
     out = workdir / "run"
@@ -341,6 +374,20 @@ def test_gen_spec_rejects_bad_inputs(workdir, text, message):
     )
     assert code == 2
     assert stderr == f"SPEC: {message}\n"
+    assert stdout == "" and not (workdir / "g.csv").exists()
+
+
+def test_gen_spec_names_the_file_line_of_a_non_finite_output(workdir):
+    (workdir / "recip.txt").write_text("fn f(x: f32) -> f32 { return 1.0 / x; }")
+    (workdir / "inputs.csv").write_text("in_0\n1.0\n\n0.0\n")
+    code, stdout, stderr = run_cli(
+        "gen-spec",
+        "--program", str(workdir / "recip.txt"),
+        "--inputs", str(workdir / "inputs.csv"),
+        "--out", str(workdir / "g.csv"),
+    )
+    assert code == 2
+    assert stderr == "SPEC: program output is not a valid spec: row 4: non-finite value\n"
     assert stdout == "" and not (workdir / "g.csv").exists()
 
 

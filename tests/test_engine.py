@@ -46,6 +46,31 @@ def test_config_rejects_bad_values(kw):
         _config(**kw)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(iterations=1e4), "iterations must be an integer, got 10000.0"),
+        (dict(iterations=True), "iterations must be an integer, got True"),
+        (dict(seed=np.bool_(True)), "seed must be an integer, got np.True_"),
+        (dict(learning_rate="0.1"), "learning_rate must be a number, got '0.1'"),
+        (dict(sigma=False), "sigma must be a number, got False"),
+        (dict(learning_rate=10**400), "learning_rate must be finite, got 1000"),
+        (dict(optimizer=None), "optimizer must be a string, got None"),
+    ],
+)
+def test_config_rejects_wrong_types(kw, message):
+    with pytest.raises(sg.ConfigError) as err:
+        _config(**kw)
+    assert str(err.value).startswith(message)
+
+
+def test_config_takes_numpy_scalars_as_python_numbers():
+    cfg = _config(learning_rate=np.float32(0.5), iterations=np.int64(3), population=np.uint8(4), sigma=np.int32(1))
+    assert (cfg.learning_rate, cfg.iterations, cfg.population, cfg.sigma) == (0.5, 3, 4, 1.0)
+    assert [type(v) for v in (cfg.learning_rate, cfg.iterations, cfg.population, cfg.sigma)] == [float, int, int, float]
+    assert cfg == _config(learning_rate=0.5, iterations=3, population=4, sigma=1)
+
+
 def test_config_defaults():
     cfg = sg.TrainConfig(learning_rate=0.1, iterations=10_000)
     assert cfg.population == 50
@@ -289,12 +314,12 @@ def test_train_is_bit_deterministic(onevar_sketch, onevar_spec):
 def test_train_restarts_after_patience_without_gain():
     # Every candidate ties, so the argmax loss never improves and the logits
     # stay at zero until the restart after iteration 1 + RESTART_PATIENCE
-    # redraws them.
+    # redraws them, before the next step.
     sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] 100.0 { return 1.0; } return 1.0; }")
     spec = sg.SpecSet.from_pairs([((1.0,), 1.0), ((2.0,), 3.0)])
-    kept = sg.train(sketch, spec, _config(iterations=RESTART_PATIENCE))
+    kept = sg.train(sketch, spec, _config(iterations=RESTART_PATIENCE + 1))
     assert (kept.thetas[0].logits == 0).all()
-    restarted = sg.train(sketch, spec, _config(iterations=RESTART_PATIENCE + 1))
+    restarted = sg.train(sketch, spec, _config(iterations=RESTART_PATIENCE + 2))
     assert (restarted.thetas[0].logits != 0).all()
     assert restarted.records[:-1] == kept.records
     assert restarted.best_loss == kept.best_loss
@@ -355,6 +380,21 @@ def test_train_best_loss_matches_reevaluation(onevar_sketch, onevar_spec):
     assert res.final_loss == sg.eval_spec_loss(res.final_program, onevar_spec)
     assert res.best_loss == res.records[-1].best_so_far_loss
     assert sg.argmax_program(onevar_sketch, res.best_thetas) == res.best_program
+
+
+def test_run_ends_on_its_last_trained_step(onevar_sketch, onevar_spec):
+    # The patience of this run runs out on iteration 4158: a run of 4158 iterations ends on that step's
+    # state, and one of 4159 restarts before its last step.
+    last = sg.train(onevar_sketch, onevar_spec, _config(iterations=4158, seed=0))
+    assert last.restarts == []
+    assert last.final_loss == 0.028556710022490994
+    assert last.final_program == sg.argmax_program(onevar_sketch, last.thetas)
+    restarted = sg.train(onevar_sketch, onevar_spec, _config(iterations=4159, seed=0))
+    assert restarted.restarts == [4158]
+    assert restarted.records[:-1] == last.records
+    for res in (last, restarted):
+        assert res.final_loss == res.records[-1].argmax_loss == sg.eval_spec_loss(res.final_program, onevar_spec)
+        assert res.best_loss == res.records[-1].best_so_far_loss
 
 
 def test_train_rejects_bad_inputs(onevar_sketch, onevar_truth, twovar_spec, onevar_spec):
@@ -527,3 +567,23 @@ def test_loss_spikes_detector():
     spikes = sg.loss_spikes(base, start=1000)
     assert spikes == [2101]
     assert sg.loss_spikes([1.0] * 3000, start=1000) == []
+
+
+def test_loss_spikes_sees_the_last_half_window():
+    base = [1.0] * 3000
+    base[2980] = 10.0  # 20 iterations from the end: its window is cut short
+    assert sg.loss_spikes(base, window=101, start=1000) == [2981]
+    base[-1] = 5.0
+    assert sg.loss_spikes(base, window=101, start=1000) == [2981, 3000]
+
+
+def _slice_spikes(x, window, factor, start):
+    half = window // 2
+    return [t + 1 for t in range(start, len(x)) if x[t] > factor * np.median(x[max(0, t - half) : t + half + 1])]
+
+
+def test_loss_spikes_match_a_median_per_slice():
+    rng = np.random.default_rng(3)
+    for n, window, start in [(0, 101, 0), (40, 101, 0), (101, 101, 0), (102, 101, 5), (1500, 100, 200), (9000, 7, 0)]:
+        x = np.round(rng.lognormal(0.0, 1.0, n), 1)  # rounding makes ties
+        assert sg.loss_spikes(x, window, 2.0, start) == _slice_spikes(x, window, 2.0, start)

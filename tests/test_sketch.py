@@ -74,6 +74,34 @@ def test_syntax_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+_SLOTS = "fn f(x: f32) -> f32 {{ if x {cmp} 1.0 {{ return x; }} return x {op} {operand}; }}"
+
+
+@pytest.mark.parametrize(
+    "cmp, op, operand, message",
+    [
+        ("[OP]", "+", "x", "line 1, col 28: [OP] cannot appear where a comparison is required"),
+        ("[Real]", "+", "x", "line 1, col 28: [Real] cannot appear where a comparison is required"),
+        ("+", "+", "x", "line 1, col 28: expected comparison ('==', '>', '<' or [COND]), found '+'"),
+        (">", "[COND]", "x", "line 1, col 57: [COND] cannot appear where an operator is required"),
+        (">", "[Real]", "x", "line 1, col 57: [Real] cannot appear where an operator is required"),
+        (">", "<", "x", "line 1, col 57: expected operator ('+', '-', '*', '/' or [OP]), found '<'"),
+        (">", "+", "[OP]", "line 1, col 59: [OP] cannot appear where an operand is required"),
+        (">", "+", "[COND]", "line 1, col 59: [COND] cannot appear where an operand is required"),
+    ],
+)
+def test_slot_misuse_messages(cmp, op, operand, message):
+    with pytest.raises(sg.SketchSyntaxError) as err:
+        sg.parse_sketch(_SLOTS.format(cmp=cmp, op=op, operand=operand))
+    assert str(err.value) == message
+
+
+def test_hole_table_reads_the_node_declarations(twovar_sketch):
+    assert [h.token for h in twovar_sketch.holes] == ["[COND]", "[Real]", "[OP]", "[OP]", "[Real]", "[OP]", "[OP]"]
+    for node in (sg.CondHole, sg.OpHole, sg.RealHole):
+        assert sg.HoleSpec(0, node.kind).domain == node.tokens
+
+
 def test_syntax_error_carries_line_and_column():
     with pytest.raises(sg.SketchSyntaxError) as err:
         sg.parse_sketch("fn f(x: f32) -> f32 {\n    return q;\n}")
