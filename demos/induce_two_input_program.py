@@ -46,13 +46,13 @@ def describe(thetas) -> str:
             cells.append(f"{theta.mu:9.3f}")
         else:
             k = int(np.argmax(theta.logits))
-            cells.append(f"{hole.domain[k]:>2} {theta.probs[k]:.2f}")
+            cells.append(f"{hole.tokens[k]:>2} {theta.probs[k]:.2f}")
     return " | ".join(cells)
 
 
 def checkpoint(record, state) -> None:
     if record.iteration in CHECKPOINTS:
-        print(f"{record.iteration:>6} | {describe(state.thetas(sketch))} | {record.argmax_loss:.4f}")
+        print(f"{record.iteration:>6} | {describe(state.thetas())} | {record.argmax_loss:.4f}")
 
 
 def report(restarts, best_loss, best_it, best_thetas) -> None:
@@ -74,7 +74,7 @@ for _ in range(config.iterations):
     checkpoint(record, state)
     if state.best_loss < best.best_loss:
         best = state
-report([], best.best_loss, best.iteration, best.thetas(sketch))
+report([], best.best_loss, best.iteration, best.thetas())
 
 print("\n2. defaults (score-function weight, restarts):")
 print(HEADER)
@@ -99,7 +99,7 @@ print(f"first few spike iterations: {spikes[:8]}")
 mus = [t.mu for t in result.best_thetas if isinstance(t, sg.GaussianTheta)]
 ranked = sg.enumerate_discrete(sketch, mus, spec)
 print(f"\nenumeration oracle at the learned reals {['%.3f' % m for m in mus]}:")
-cat_holes = [h for h in sketch.holes if h.domain is not None]
+cat_holes = [h for h in sketch.holes if h.tokens is not None]
 for i, (assignment, loss) in enumerate(ranked[:5], start=1):
-    tokens = " ".join(h.domain[assignment.values[h.index]] for h in cat_holes)
+    tokens = " ".join(h.tokens[assignment.values[h.index]] for h in cat_holes)
     print(f"  rank {i}: loss {loss:10.4f}  tokens [{tokens}]")

@@ -52,7 +52,7 @@ from .sketch import (
     Chain,
     CondHole,
     Guard,
-    HoleSpec,
+    Hole,
     Lit,
     OpHole,
     RealHole,

@@ -96,10 +96,10 @@ def _cmd_show(args) -> int:
         raise _Failure("IO", f"cannot read {args.theta}: {exc}")
     print(print_program(argmax_program(sketch, thetas)))
     for hole, theta in zip(sketch.holes, thetas):
-        if hole.domain is None:
+        if hole.tokens is None:
             print(f"hole {hole.index} {hole.token}: mu={format_real(theta.mu)} sigma={format_real(theta.sigma)}")
         else:
-            pairs = " ".join(f"p({tok})={p:.6f}" for tok, p in zip(hole.domain, theta.probs))
+            pairs = " ".join(f"p({tok})={p:.6f}" for tok, p in zip(hole.tokens, theta.probs))
             print(f"hole {hole.index} {hole.token}: {pairs} sum={theta.probs.sum():.3f}")
     return 0
 
@@ -134,9 +134,9 @@ def _cmd_enumerate(args) -> int:
     except (EnumerationError, SketchError) as exc:
         raise _Failure("CONFIG", str(exc))
     top = ranked if args.top is None else ranked[: args.top]
-    cat_holes = [h for h in sketch.holes if h.domain is not None]
+    cat_holes = [h for h in sketch.holes if h.tokens is not None]
     for rank, (assignment, loss) in enumerate(top, start=1):
-        tokens = " ".join(h.domain[assignment.values[h.index]] for h in cat_holes)
+        tokens = " ".join(h.tokens[assignment.values[h.index]] for h in cat_holes)
         print(f"{rank:4d} loss={format_real(loss)} tokens=[{tokens}]")
     return 0
 

@@ -44,7 +44,7 @@ from .dists import (
     standardize_fitness,
 )
 from .interp import NONFINITE_PENALTY, SpecSet, _read_only, eval_population_losses
-from .sketch import Assignment, KIND_REAL, Sketch, SketchError, instantiate
+from .sketch import Assignment, Sketch, SketchError, instantiate
 
 OPTIMIZER_SGD = "sgd"
 OPTIMIZER_ADAM = "adam"
@@ -80,7 +80,7 @@ class DivergenceError(ArithmeticError):
     """A training step left a non-finite parameter."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run.
 
@@ -88,6 +88,7 @@ class TrainConfig:
     distribution; `penalty` replaces non-finite candidate losses.  Each field
     holds its annotated type: an integral number that is not a bool, a finite
     real number (stored as a float) or a string; anything else is a ConfigError.
+    A value: `dataclasses.replace` makes a changed copy, and checks it again.
     """
 
     learning_rate: float
@@ -118,9 +119,9 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, accepts):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
             try:
-                setattr(self, name, kind(value))
+                object.__setattr__(self, name, kind(value))
             except OverflowError:  # an integer past the float range
-                setattr(self, name, math.inf)
+                object.__setattr__(self, name, math.inf)
             if kind is float and not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if not self.learning_rate > 0:
@@ -167,22 +168,23 @@ class TrainResult:
 
 @dataclass
 class Population:
-    """One iteration's candidates, and the draws their gradients are estimated from."""
+    """One iteration's candidates, and the draws their gradients are estimated from, one array per hole
+    in hole order: the values are token indices, or mu + sigma * eps for a real hole; the draws are the
+    softmax a categorical hole's tokens were drawn from, or a real hole's standard-normal eps."""
 
-    values: list[np.ndarray]  # in hole order: token indices, or mu + sigma * eps for a real hole
-    probs: list[np.ndarray]  # per categorical hole, the softmax its tokens were drawn from
-    eps: list[np.ndarray]  # per real hole, its standard-normal draws
+    values: list[np.ndarray]
+    draws: list[np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value, so states compare by identity
 class TrainState:
-    """What one training step reads and writes, as a value of read-only arrays.  Parameters are held
-    per kind, in hole order: a logit vector per categorical hole; the real holes' means and fixed sigmas."""
+    """What one training step reads and writes, as a value of read-only arrays, one entry per hole in
+    hole order: a categorical hole's logit vector, or a real hole's mean as a 1-vector; its sigma, fixed
+    for a real hole and None for a categorical one; and Adam's (m, v), shaped like the parameter."""
 
-    logits: tuple
-    mus: np.ndarray
-    sigmas: np.ndarray
-    moments: tuple  # Adam's (m, v) for each logit vector, then for `mus`
+    params: tuple
+    sigmas: tuple
+    moments: tuple
     step_count: int = 0  # optimizer steps since the last (re)start
     iteration: int = 0
     best_loss: float = math.inf  # best argmax loss so far, across restarts
@@ -191,36 +193,39 @@ class TrainState:
     def from_thetas(cls, sketch: Sketch, thetas) -> TrainState:
         """A state at step 0 holding `thetas`, which must fit the sketch's holes (ThetaError)."""
         check_thetas(thetas, sketch)
-        gaussians, categoricals = _by_kind(sketch, thetas)
-        mus, sigmas = [t.mu for t in gaussians], [t.sigma for t in gaussians]
-        return _fresh_state([t.logits for t in categoricals], mus, sigmas)
+        params = [t.logits if isinstance(t, CategoricalTheta) else [t.mu] for t in thetas]
+        return _fresh_state(params, [None if isinstance(t, CategoricalTheta) else t.sigma for t in thetas])
 
-    def thetas(self, sketch: Sketch) -> tuple:
+    def thetas(self) -> tuple:
         """The distributions as theta values, in hole order."""
-        gaussians = [GaussianTheta(mu, sigma) for mu, sigma in zip(self.mus.tolist(), self.sigmas.tolist())]
-        return tuple(_in_hole_order(sketch, gaussians, map(CategoricalTheta, self.logits)))
+        return tuple(
+            CategoricalTheta(p) if sigma is None else GaussianTheta(p.item(), sigma)
+            for p, sigma in zip(self.params, self.sigmas)
+        )
 
 
-def _fresh_state(logits, mus, sigmas) -> TrainState:
-    *logits, mus, sigmas = (_read_only(np.array(p, dtype=np.float64)) for p in (*logits, mus, sigmas))
-    moments = tuple((_read_only(np.zeros_like(p)), _read_only(np.zeros_like(p))) for p in (*logits, mus))
-    return TrainState(tuple(logits), mus, sigmas, moments)
+def _fresh_state(params, sigmas) -> TrainState:
+    params = tuple(_read_only(np.array(p, dtype=np.float64)) for p in params)
+    moments = tuple((_read_only(np.zeros_like(p)), _read_only(np.zeros_like(p))) for p in params)
+    return TrainState(params, tuple(sigmas), moments)
 
 
 def init_state(sketch: Sketch, config: TrainConfig) -> TrainState:
     """Uniform logits for categorical holes, N(mu_init, sigma) for real holes."""
-    reals, categoricals = _by_kind(sketch, sketch.holes)
-    n = len(reals)
-    return _fresh_state([np.zeros(h.arity) for h in categoricals], [config.mu_init] * n, [config.sigma] * n)
+    params = [np.zeros(h.arity) if h.tokens else [config.mu_init] for h in sketch.holes]
+    return _fresh_state(params, [None if h.tokens else config.sigma for h in sketch.holes])
 
 
 def restart_state(sketch: Sketch, state: TrainState, config: TrainConfig, streams) -> TrainState:
     """`init_state`, but with logits drawn from N(0, RESTART_LOGIT_STD) on each categorical hole's stream,
     and the iteration and best loss of `state`.  Uniform logits would send the search down the same
     mean path as the first start, into the basin it is leaving; random logits start it elsewhere."""
-    _, categoricals = _by_kind(sketch, zip(sketch.holes, streams))
-    logits = tuple(_read_only(stream.normal(0.0, RESTART_LOGIT_STD, hole.arity)) for hole, stream in categoricals)
-    return replace(init_state(sketch, config), logits=logits, iteration=state.iteration, best_loss=state.best_loss)
+    fresh = init_state(sketch, config)
+    params = tuple(
+        p if sigma is not None else _read_only(stream.normal(0.0, RESTART_LOGIT_STD, p.size))
+        for p, sigma, stream in zip(fresh.params, fresh.sigmas, streams)
+    )
+    return replace(fresh, params=params, iteration=state.iteration, best_loss=state.best_loss)
 
 
 def hole_streams(seed: int, n_holes: int) -> list[np.random.Generator]:
@@ -233,26 +238,25 @@ def hole_streams(seed: int, n_holes: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(max(n_holes, 1))]
 
 
-def sample_population(sketch: Sketch, state: TrainState, n: int, streams) -> Population:
+def sample_population(state: TrainState, n: int, streams) -> Population:
     """Draw n candidates, each hole from its own stream in `streams` (one per hole,
     in hole order): category indices per categorical hole, mu + sigma*eps per real hole."""
-    real_streams, cat_streams = _by_kind(sketch, streams)
-    # Through the module, so that a patched or traced `dists.softmax` sees every call.
-    probs = [dists.softmax(logits) for logits in state.logits]
-    tokens = [_categorical_draws(p, n, stream) for p, stream in zip(probs, cat_streams)]
-    eps = [stream.standard_normal(n) for stream in real_streams]
-    reals = [mu + sigma * e for mu, sigma, e in zip(state.mus, state.sigmas, eps)]
-    return Population(_in_hole_order(sketch, reals, tokens), probs, eps)
+    values, draws = [], []
+    for p, sigma, stream in zip(state.params, state.sigmas, streams):
+        # Softmax through the module, so that a patched or traced `dists.softmax` sees every call.
+        draws.append(dists.softmax(p) if sigma is None else stream.standard_normal(n))
+        values.append(_categorical_draws(draws[-1], n, stream) if sigma is None else p + sigma * draws[-1])
+    return Population(values, draws)
 
 
-def estimate_gradients(sketch: Sketch, state: TrainState, population: Population, fitness: np.ndarray, score: str):
-    """Gradients from one scored population, laid out as the optimizer steps
-    them: one vector per categorical hole, then one over the real holes' means."""
-    _, tokens = _by_kind(sketch, population.values)
-    categorical = [_categorical_accumulator(p, idx, fitness, score) for p, idx in zip(population.probs, tokens)]
-    # One dot product per real hole: a matrix-vector product may sum in another order.
-    real = [_gaussian_accumulator(eps, fitness, sigma) for eps, sigma in zip(population.eps, state.sigmas)]
-    return (*categorical, np.array(real, dtype=np.float64))
+def estimate_gradients(state: TrainState, population: Population, fitness: np.ndarray, score: str) -> tuple:
+    """Gradients from one scored population, one per hole, shaped like its parameter."""
+    return tuple(
+        _categorical_accumulator(draw, tokens, fitness, score)
+        if sigma is None
+        else np.array([_gaussian_accumulator(draw, fitness, sigma)])
+        for sigma, tokens, draw in zip(state.sigmas, population.values, population.draws)
+    )
 
 
 @dataclass(frozen=True)
@@ -293,23 +297,18 @@ def make_optimizer(config: TrainConfig):
     return SgdOptimizer(config.learning_rate)
 
 
-def _argmax_columns(sketch: Sketch, logits, mus: np.ndarray) -> list:
-    """The most probable value per hole, as one-candidate columns in hole order:
-    the highest-logit token index (ties break to the lowest index) per
-    categorical hole, the mean per real hole."""
-    return _in_hole_order(sketch, mus[:, None], [np.argmax(v, keepdims=True) for v in logits])
+def _argmax_columns(params, sigmas) -> list:
+    """The most probable value per hole of a state's `params` and `sigmas`, as one-candidate columns in
+    hole order: the highest-logit token index (ties break to the lowest index) per categorical hole,
+    the mean per real hole."""
+    return [p if sigma is not None else np.argmax(p, keepdims=True) for p, sigma in zip(params, sigmas)]
 
 
 def argmax_program(sketch: Sketch, thetas) -> Sketch:
     """Most probable concrete program, by the rule of `_argmax_columns`; ThetaError unless the thetas fit the holes."""
     state = TrainState.from_thetas(sketch, thetas)
-    columns = _argmax_columns(sketch, state.logits, state.mus)
+    columns = _argmax_columns(state.params, state.sigmas)
     return instantiate(sketch, Assignment(tuple(column.item() for column in columns)))
-
-
-def _argmax_loss(sketch: Sketch, logits, mus: np.ndarray, spec: SpecSet, penalty: float) -> float:
-    """Spec loss of the argmax program, scored as a population of one."""
-    return float(eval_population_losses(sketch, _argmax_columns(sketch, logits, mus), spec, penalty)[0])
 
 
 def train_step(sketch: Sketch, spec: SpecSet, state: TrainState, config: TrainConfig, streams):
@@ -318,20 +317,21 @@ def train_step(sketch: Sketch, spec: SpecSet, state: TrainState, config: TrainCo
     # Overflow is not an error here: a logit gap past the float range gives a
     # probability of 0, its limit, and a step past the range is caught below.
     with np.errstate(over="ignore"):
-        population = sample_population(sketch, state, config.population, streams)
+        population = sample_population(state, config.population, streams)
         losses = eval_population_losses(sketch, population.values, spec, config.penalty)
         fitness = standardize_fitness(losses)
-        grads = estimate_gradients(sketch, state, population, fitness, config.categorical_score)
+        grads = estimate_gradients(state, population, fitness, config.categorical_score)
         step_count = state.step_count + 1
-        params, moments = make_optimizer(config).step((*state.logits, state.mus), grads, state.moments, step_count)
+        params, moments = make_optimizer(config).step(state.params, grads, state.moments, step_count)
     iteration = state.iteration + 1
     if not np.isfinite(np.concatenate(params)).all():
         raise DivergenceError(f"the run diverged: iteration {iteration} left a non-finite parameter")
-    *logits, mus = map(_read_only, params)
-    argmax_loss = _argmax_loss(sketch, logits, mus, spec, config.penalty)
+    params = tuple(map(_read_only, params))
+    # The argmax program, scored as a population of one.
+    argmax_loss = float(eval_population_losses(sketch, _argmax_columns(params, state.sigmas), spec, config.penalty)[0])
     best_loss = min(state.best_loss, argmax_loss)
     record = TrainRecord(iteration, float(np.mean(losses)), argmax_loss, best_loss)
-    return TrainState(tuple(logits), mus, state.sigmas, moments, step_count, iteration, best_loss), record
+    return TrainState(params, state.sigmas, moments, step_count, iteration, best_loss), record
 
 
 def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> TrainResult:
@@ -363,7 +363,7 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
             low, stale = record.argmax_loss, 0
         else:
             stale += 1
-    thetas, best_thetas = state.thetas(sketch), best.thetas(sketch)
+    thetas, best_thetas = state.thetas(), best.thetas()
     return TrainResult(
         thetas=thetas,
         best_thetas=best_thetas,
@@ -391,49 +391,40 @@ def enumerate_discrete(
     the discrete space exceeds `cap`.
     """
     real_values = [float(v) for v in real_values]
-    n_reals = sum(h.kind == KIND_REAL for h in sketch.holes)
+    n_reals = sum(not h.tokens for h in sketch.holes)
     if len(real_values) != n_reals:
         raise SketchError(f"sketch has {n_reals} [Real] holes but {len(real_values)} values given")
-    shape = tuple(h.arity for h in sketch.holes if h.kind != KIND_REAL)
+    # Each hole's choices: its token indices, or the one value a real hole is pinned to.
+    reals = iter(real_values)
+    choices = [tuple(range(h.arity)) if h.tokens else (next(reals),) for h in sketch.holes]
+    shape = tuple(map(len, choices))
     space = math.prod(shape)
     if space > cap:
         raise EnumerationError(f"{space} discrete programs exceed the cap of {cap}")
-    # Flat index k is the k-th combination in lexicographic order of the
-    # category indices, so a stable sort on the loss breaks ties as documented.
+
+    def columns(flat, dtype=None):
+        # Each hole's values in the combinations at `flat`, one hole at a time, so that the ranking holds one object
+        # array at once; dtype object keeps the choices themselves.  Flat index k is the k-th combination in
+        # lexicographic order, so a stable sort on the loss breaks ties as documented.
+        return (np.array(c, dtype)[i] for c, i in zip(choices, np.unravel_index(flat, shape) if shape else ()))
+
     losses = np.empty(space, dtype=np.float64)
     chunk = max(1, ENUMERATE_CHUNK_CELLS // len(spec))
     for start in range(0, space, chunk):
         flat = np.arange(start, min(start + chunk, space))
-        reals = [np.full(flat.size, v) for v in real_values]
-        cats = np.unravel_index(flat, shape) if shape else ()
-        losses[start : start + flat.size] = eval_population_losses(
-            sketch, _in_hole_order(sketch, reals, cats), spec, penalty
-        )
+        losses[start : start + flat.size] = eval_population_losses(sketch, list(columns(flat)), spec, penalty)
     order = np.argsort(losses, kind="stable")
-    reals = [[v] * space for v in real_values]
-    cats = [c.tolist() for c in np.unravel_index(order, shape)] if shape else ()
-    columns = _in_hole_order(sketch, reals, cats)
-    rows = zip(*columns) if columns else [()]
+    rows = zip(*(c.tolist() for c in columns(order, object))) if shape else [()]
     return [(Assignment(values), loss) for values, loss in zip(rows, losses[order].tolist())]
-
-
-def _in_hole_order(sketch: Sketch, real_columns, cat_columns) -> list:
-    """Interleave per-hole columns, given separately for real and categorical holes, into hole order."""
-    reals, cats = iter(real_columns), iter(cat_columns)
-    return [next(reals) if h.kind == KIND_REAL else next(cats) for h in sketch.holes]
-
-
-def _by_kind(sketch: Sketch, per_hole) -> tuple[list, list]:
-    """The inverse of `_in_hole_order`: split per-hole items into the real holes' and the categorical holes'."""
-    reals, cats = [], []
-    for hole, item in zip(sketch.holes, per_hole):
-        (reals if hole.kind == KIND_REAL else cats).append(item)
-    return reals, cats
 
 
 def loss_spikes(mean_losses, window: int = 101, factor: float = 3.0, start: int = 1000) -> list[int]:
     """Iterations (1-based) after `start` where the mean population loss
     exceeds `factor` times the local windowed median."""
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    if start < 0:
+        raise ValueError(f"start must be non-negative, got {start}")
     x = np.asarray(mean_losses, dtype=np.float64)
     half = window // 2
     median = np.empty(x.size)  # at t, of the window x[t - half : t + half + 1]

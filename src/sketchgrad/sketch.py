@@ -1,4 +1,4 @@
-"""Program sketches: AST, hole table, parser and printer.
+"""Program sketches: AST, parser and printer.
 
 A sketch is a tiny straight-line function with an optional guarded return
 followed by a mandatory unconditional return.  Incomplete positions are
@@ -32,36 +32,13 @@ class SketchSyntaxError(SketchError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class HoleSpec:
-    """One entry of the hole table: position ``index``, kind and domain."""
-
-    index: int
-    kind: str  # KIND_COND | KIND_OP | KIND_REAL
-
-    @property
-    def token(self) -> str:
-        """The hole's source token: [COND], [OP] or [Real]."""
-        return _HOLE_NODES[self.kind].token
-
-    @property
-    def domain(self) -> tuple[str, ...] | None:
-        """Token set for categorical holes, None for real holes."""
-        return _HOLE_NODES[self.kind].tokens
-
-    @property
-    def arity(self) -> int | None:
-        """Category count for categorical holes, None for real holes."""
-        dom = self.domain
-        return None if dom is None else len(dom)
-
-
 # ---------------------------------------------------------------------------
 # AST nodes.  Operands are Var | Lit | RealHole.  A slot (the comparison of a
 # guard, or an operator of a chain) holds a token string or a hole that stands
 # for one token of a fixed set: a CondHole or an OpHole.  Each hole class
 # declares its source token, its kind, its token set (None: a real, not a
-# token) and the slot it may fill, which parse errors name.
+# token) and the slot it may fill, which parse errors name.  A sketch's hole
+# table is its hole nodes, in source order.
 
 
 @dataclass(frozen=True)
@@ -75,24 +52,30 @@ class Lit:
 
 
 @dataclass(frozen=True)
-class RealHole:
+class Hole:
+    """A hole: its position `index` in the sketch's hole table."""
+
     index: int
+
+    @property
+    def arity(self) -> int | None:
+        """Token count for a categorical hole, None for a real hole."""
+        return None if self.tokens is None else len(self.tokens)
+
+
+@dataclass(frozen=True)
+class RealHole(Hole):
     token, kind, tokens, slot = "[Real]", KIND_REAL, None, "operand"
 
 
 @dataclass(frozen=True)
-class OpHole:
-    index: int
+class OpHole(Hole):
     token, kind, tokens, slot = "[OP]", KIND_OP, ("+", "-", "*", "/"), "operator"
 
 
 @dataclass(frozen=True)
-class CondHole:
-    index: int
+class CondHole(Hole):
     token, kind, tokens, slot = "[COND]", KIND_COND, ("==", ">", "<"), "comparison"
-
-
-_HOLE_NODES = {node.kind: node for node in (CondHole, OpHole, RealHole)}
 
 
 @dataclass(frozen=True)
@@ -127,7 +110,7 @@ class Sketch:
     params: tuple[str, ...]
     guard: Guard | None
     ret: Chain
-    holes: tuple[HoleSpec, ...] = field(default=())
+    holes: tuple[Hole, ...] = field(default=())
 
     @property
     def arity(self) -> int:
@@ -165,7 +148,7 @@ class _Token:
     col: int
 
 
-_HOLE_TOKENS = tuple(node.token for node in _HOLE_NODES.values())
+_HOLE_TOKENS = tuple(node.token for node in (CondHole, OpHole, RealHole))
 
 # One alternative per token class, tried in order.  `\d` is a Unicode decimal digit, which `float` accepts;
 # `\w` is exactly `str.isalnum()` plus `_`.  A `[` with no `]` anywhere after it is unterminated.
@@ -216,7 +199,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.params: tuple[str, ...] = ()
-        self.holes: list[HoleSpec] = []
+        self.holes: list[Hole] = []
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -248,8 +231,8 @@ class _Parser:
         if tok.text != hole_type.token:
             article = "an" if hole_type.slot[0] in "aeiou" else "a"
             self.error(f"{tok.text} cannot appear where {article} {hole_type.slot} is required", tok)
-        self.holes.append(HoleSpec(len(self.holes), hole_type.kind))
-        return hole_type(len(self.holes) - 1)
+        self.holes.append(hole_type(len(self.holes)))
+        return self.holes[-1]
 
     def parse(self) -> Sketch:
         self.expect("fn")
@@ -422,18 +405,17 @@ def print_program(sketch: Sketch) -> str:
 # Instantiation
 
 
-def _filled(hole: HoleSpec, value) -> object:
+def _filled(hole: Hole, value) -> object:
     """What fills `hole` for `value`: a literal for a real hole, the token at a category index otherwise."""
-    if hole.kind == KIND_REAL:
+    if hole.tokens is None:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SketchError(f"hole {hole.index} is {hole.token} but got {value!r}")
         return Lit(float(value))
     if isinstance(value, bool) or not isinstance(value, int):
         raise SketchError(f"hole {hole.index} is categorical but got {value!r}")
-    domain = hole.domain
-    if not 0 <= value < len(domain):
-        raise SketchError(f"hole {hole.index}: category index {value} out of range 0..{len(domain) - 1}")
-    return domain[value]
+    if not 0 <= value < hole.arity:
+        raise SketchError(f"hole {hole.index}: category index {value} out of range 0..{hole.arity - 1}")
+    return hole.tokens[value]
 
 
 def instantiate(sketch: Sketch, assignment: Assignment) -> Sketch:
@@ -450,7 +432,7 @@ def instantiate(sketch: Sketch, assignment: Assignment) -> Sketch:
     fill = {h.index: _filled(h, v) for h, v in zip(sketch.holes, assignment.values)}
 
     def sub(node):  # an operand or a slot
-        return fill[node.index] if isinstance(node, (RealHole, OpHole, CondHole)) else node
+        return fill[node.index] if isinstance(node, Hole) else node
 
     def sub_chain(chain: Chain) -> Chain:
         return Chain(tuple(map(sub, chain.operands)), tuple(map(sub, chain.ops)))

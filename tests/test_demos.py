@@ -1,10 +1,11 @@
-"""The fast demos run to completion against the package as it stands.
+"""The fast demos and the README's examples run to completion against the package as it stands.
 
 `induce_two_input_program.py` trains for 2 x 20 000 iterations (about 24 s),
 so it is left out here and run by hand.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,13 @@ def test_demo_runs(demo):
         [sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_examples_run(capsys):
+    # The README's python blocks build on each other, so they run in order in one namespace.
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import struct
@@ -85,7 +86,7 @@ def test_config_defaults():
 
 
 def test_init_thetas_match_hole_table(onevar_sketch):
-    thetas = sg.init_state(onevar_sketch, _config()).thetas(onevar_sketch)
+    thetas = sg.init_state(onevar_sketch, _config()).thetas()
     kinds = [type(t).__name__ for t in thetas]
     assert kinds == [
         "CategoricalTheta",
@@ -102,7 +103,7 @@ def test_init_thetas_match_hole_table(onevar_sketch):
 
 def test_sample_population_shapes(onevar_sketch):
     state = sg.init_state(onevar_sketch, _config())
-    pop = sg.sample_population(onevar_sketch, state, 50, sg.hole_streams(0, onevar_sketch.hole_count))
+    pop = sg.sample_population(state, 50, sg.hole_streams(0, onevar_sketch.hole_count))
     assert len(pop.values) == 6
     assert all(col.shape == (50,) for col in pop.values)
     # Categorical values are ints in range; real values floats.
@@ -112,8 +113,8 @@ def test_sample_population_shapes(onevar_sketch):
 
 def test_sample_population_seed_determinism(onevar_sketch):
     state = sg.init_state(onevar_sketch, _config())
-    p1 = sg.sample_population(onevar_sketch, state, 20, sg.hole_streams(9, onevar_sketch.hole_count))
-    p2 = sg.sample_population(onevar_sketch, state, 20, sg.hole_streams(9, onevar_sketch.hole_count))
+    p1 = sg.sample_population(state, 20, sg.hole_streams(9, onevar_sketch.hole_count))
+    p2 = sg.sample_population(state, 20, sg.hole_streams(9, onevar_sketch.hole_count))
     for a, b in zip(p1.values, p2.values):
         assert (a == b).all()
 
@@ -122,7 +123,7 @@ def test_sample_population_degenerate_distributions():
     sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] [Real] { return 1.0; } return 2.0; }")
     thetas = [sg.CategoricalTheta([40.0, 0.0, 0.0]), sg.GaussianTheta(2.5, 1e-9)]
     state = sg.TrainState.from_thetas(sketch, thetas)
-    pop = sg.sample_population(sketch, state, 2, sg.hole_streams(4, sketch.hole_count))
+    pop = sg.sample_population(state, 2, sg.hole_streams(4, sketch.hole_count))
     cats, reals = pop.values
     assert cats.tolist() == [0, 0]
     assert abs(reals[0] - 2.5) < 1e-7
@@ -176,7 +177,7 @@ def test_train_step_equal_losses_leave_thetas_unchanged():
     cfg = _config()
     state = sg.init_state(sketch, cfg)
     new, record = sg.train_step(sketch, spec, state, cfg, sg.hole_streams(0, sketch.hole_count))
-    assert (new.logits[0] == state.logits[0]).all()
+    assert (new.params[0] == state.params[0]).all()
     assert record.argmax_loss == record.best_so_far_loss
 
 
@@ -188,7 +189,7 @@ def test_train_step_rewards_perfect_token():
     cfg = _config()
     state = sg.init_state(sketch, cfg)
     new, _ = sg.train_step(sketch, spec, state, cfg, sg.hole_streams(1, sketch.hole_count))
-    logits = new.logits[0]
+    logits = new.params[0]
     assert logits[0] > 0
     assert logits[0] > logits[1] and logits[0] > logits[2] and logits[0] > logits[3]
 
@@ -201,8 +202,8 @@ def test_train_step_sgd_linearity(onevar_sketch, onevar_spec):
     state = sg.init_state(onevar_sketch, cfg1)
     out1, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg1, sg.hole_streams(3, onevar_sketch.hole_count))
     out2, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg2, sg.hole_streams(3, onevar_sketch.hole_count))
-    thetas = state.thetas(onevar_sketch)
-    for base, a, b in zip(thetas, out1.thetas(onevar_sketch), out2.thetas(onevar_sketch)):
+    thetas = state.thetas()
+    for base, a, b in zip(thetas, out1.thetas(), out2.thetas()):
         if isinstance(base, sg.GaussianTheta):
             assert b.mu - base.mu == 2 * (a.mu - base.mu)
         else:
@@ -216,13 +217,13 @@ def test_train_step_invariant_to_constant_loss_shift(onevar_sketch, onevar_spec)
     spec_a = sg.SpecSet.from_pairs([((1.0,), 2.0), ((2.0,), 4.0)])
     cfg = _config()
     state = sg.init_state(sketch, cfg)
-    pop = sg.sample_population(sketch, state, cfg.population, sg.hole_streams(5, sketch.hole_count))
+    pop = sg.sample_population(state, cfg.population, sg.hole_streams(5, sketch.hole_count))
     losses = sg.eval_population_losses(sketch, pop.values, spec_a)
     fit_a = sg.standardize_fitness(losses)
     fit_b = sg.standardize_fitness(losses + 123.456)
     np.testing.assert_allclose(fit_a, fit_b, atol=1e-9)
-    grads_a = sg.estimate_gradients(sketch, state, pop, fit_a, cfg.categorical_score)
-    grads_b = sg.estimate_gradients(sketch, state, pop, fit_b, cfg.categorical_score)
+    grads_a = sg.estimate_gradients(state, pop, fit_a, cfg.categorical_score)
+    grads_b = sg.estimate_gradients(state, pop, fit_b, cfg.categorical_score)
     for ga, gb in zip(grads_a, grads_b):
         np.testing.assert_allclose(ga, gb, atol=1e-9)
 
@@ -237,7 +238,7 @@ def _pin_to_reference(sketch, spec, cfg, state):
     losses = []
     for it in range(1, cfg.iterations + 1):
         state, record = sg.train_step(sketch, spec, state, cfg, streams)
-        expected = sg.eval_spec_loss(sg.argmax_program(sketch, state.thetas(sketch)), spec, cfg.penalty)
+        expected = sg.eval_spec_loss(sg.argmax_program(sketch, state.thetas()), spec, cfg.penalty)
         assert struct.pack("<d", record.argmax_loss) == struct.pack("<d", expected), (it, record, expected)
         losses.append(record.argmax_loss)
     return losses
@@ -341,11 +342,11 @@ def test_train_on_step_sees_every_step_and_changes_nothing(onevar_sketch, onevar
     assert [record for record, _ in seen] == watched.records == plain.records
     assert [record.iteration for record, _ in seen] == list(range(1, cfg.iterations + 1))
     for record, state in seen:
-        thetas = state.thetas(onevar_sketch)
+        thetas = state.thetas()
         assert isinstance(thetas, tuple)
         program = sg.argmax_program(onevar_sketch, thetas)
         assert record.argmax_loss == sg.eval_spec_loss(program, onevar_spec, cfg.penalty)
-    assert _theta_bits(seen[-1][1].thetas(onevar_sketch)) == _theta_bits(watched.thetas) == _theta_bits(plain.thetas)
+    assert _theta_bits(seen[-1][1].thetas()) == _theta_bits(watched.thetas) == _theta_bits(plain.thetas)
     assert _theta_bits(watched.best_thetas) == _theta_bits(plain.best_thetas)
     assert watched.best_loss == plain.best_loss
     assert sg.print_program(watched.best_program) == sg.print_program(plain.best_program)
@@ -353,11 +354,11 @@ def test_train_on_step_sees_every_step_and_changes_nothing(onevar_sketch, onevar
 
 def test_restart_thetas_redraws_from_the_hole_streams(onevar_sketch):
     cfg = _config(mu_init=1.5)
-    thetas = list(sg.init_state(onevar_sketch, cfg).thetas(onevar_sketch))
+    thetas = list(sg.init_state(onevar_sketch, cfg).thetas())
     thetas[1] = sg.GaussianTheta(7.0, 0.5)
     state = sg.TrainState.from_thetas(onevar_sketch, thetas)
-    fresh = restart_state(onevar_sketch, state, cfg, sg.hole_streams(3, onevar_sketch.hole_count)).thetas(onevar_sketch)
-    again = restart_state(onevar_sketch, state, cfg, sg.hole_streams(3, onevar_sketch.hole_count)).thetas(onevar_sketch)
+    fresh = restart_state(onevar_sketch, state, cfg, sg.hole_streams(3, onevar_sketch.hole_count)).thetas()
+    again = restart_state(onevar_sketch, state, cfg, sg.hole_streams(3, onevar_sketch.hole_count)).thetas()
     for hole, a, b in zip(onevar_sketch.holes, fresh, again):
         if hole.kind == "real":
             assert (a.mu, a.sigma) == (b.mu, b.sigma) == (1.5, 0.5)
@@ -434,7 +435,7 @@ def test_hand_written_adam_loop_equals_train(onevar_sketch, onevar_spec):
     result = sg.train(onevar_sketch, onevar_spec, cfg)
     assert cfg.iterations < RESTART_PATIENCE and result.restarts == []
     assert records == result.records
-    assert _theta_bits(state.thetas(onevar_sketch)) == _theta_bits(result.thetas)
+    assert _theta_bits(state.thetas()) == _theta_bits(result.thetas)
     assert state.step_count == state.iteration == cfg.iterations
 
 
@@ -587,3 +588,60 @@ def test_loss_spikes_match_a_median_per_slice():
     for n, window, start in [(0, 101, 0), (40, 101, 0), (101, 101, 0), (102, 101, 5), (1500, 100, 200), (9000, 7, 0)]:
         x = np.round(rng.lognormal(0.0, 1.0, n), 1)  # rounding makes ties
         assert sg.loss_spikes(x, window, 2.0, start) == _slice_spikes(x, window, 2.0, start)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(window=0), "window must be at least 1, got 0"),
+        (dict(window=-3), "window must be at least 1, got -3"),
+        (dict(start=-1), "start must be non-negative, got -1"),
+    ],
+)
+def test_loss_spikes_rejects_bad_arguments(kw, message):
+    with pytest.raises(ValueError) as err:
+        sg.loss_spikes([1.0] * 10 + [9.0], **{"window": 3, "factor": 1.0, "start": 0, **kw})
+    assert str(err.value) == message
+
+
+def test_config_is_frozen_and_replace_checks_again():
+    cfg = _config(iterations=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.iterations = 10_000
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.population = 1
+    assert dataclasses.replace(cfg, seed=7).seed == 7
+    with pytest.raises(sg.ConfigError, match="iterations must be an integer"):
+        dataclasses.replace(cfg, iterations=1e4)
+    with pytest.raises(sg.ConfigError, match="population must be at least 2"):
+        dataclasses.replace(cfg, population=1)
+
+
+def test_enumerate_a_program_with_no_holes_ranks_the_one_program(onevar_truth, onevar_spec):
+    ranked = sg.enumerate_discrete(onevar_truth, [], onevar_spec)
+    assert ranked == [(sg.Assignment(()), sg.eval_spec_loss(onevar_truth, onevar_spec))]
+
+
+def _run_bytes(result) -> bytes:
+    """A training run's records, final and best thetas and restarts as little-endian float64 bytes."""
+    records = [(r.iteration, r.mean_population_loss, r.argmax_loss, r.best_so_far_loss) for r in result.records]
+    thetas = (*result.thetas, *result.best_thetas)
+    parts = [records, *(t.logits if isinstance(t, sg.CategoricalTheta) else (t.mu, t.sigma) for t in thetas)]
+    parts.append(result.restarts)
+    return b"".join(np.asarray(part, dtype="<f8").tobytes() for part in parts)
+
+
+# Recorded with numpy 2.4.6; a numpy that rounds differently changes it.
+RESULTS_SHA256 = "97ad06af2c2fa3c09dd11c7fdd4d70f60e98fc6f521e2c6ce2fb8e4510a292a9"
+
+
+def test_results_are_pinned_across_commits(onevar_sketch, onevar_spec, twovar_sketch, twovar_spec):
+    # One SGD run of the one-input sketch, one Adam run of the two-input sketch that restarts, and one
+    # enumeration ranking, digested bit for bit: a refactor that moves any of them by one ulp fails here.
+    sgd = sg.train(onevar_sketch, onevar_spec, _config(learning_rate=0.1, iterations=3000, seed=0))
+    adam = sg.train(twovar_sketch, twovar_spec, _config(learning_rate=0.05, iterations=3000, seed=0, optimizer="adam"))
+    assert adam.restarts != []
+    ranked = sg.enumerate_discrete(twovar_sketch, [2.0, 2.0], twovar_spec)
+    digest = hashlib.sha256(_run_bytes(sgd) + _run_bytes(adam))
+    digest.update(np.asarray([(*a.values, loss) for a, loss in ranked], dtype="<f8").tobytes())
+    assert digest.hexdigest() == RESULTS_SHA256

@@ -29,13 +29,13 @@ def test_hole_free_program_parses_with_empty_table(onevar_truth):
 
 
 def test_hole_domains():
-    hole = sg.HoleSpec(0, KIND_COND)
-    assert hole.domain == ("==", ">", "<")
+    hole = sg.CondHole(0)
+    assert hole.tokens == ("==", ">", "<")
     assert hole.arity == 3
-    hole = sg.HoleSpec(1, KIND_OP)
-    assert hole.domain == ("+", "-", "*", "/")
+    hole = sg.OpHole(1)
+    assert hole.tokens == ("+", "-", "*", "/")
     assert hole.arity == 4
-    assert sg.HoleSpec(2, KIND_REAL).domain is None
+    assert sg.RealHole(2).tokens is None
 
 
 def test_comments_and_whitespace():
@@ -98,8 +98,10 @@ def test_slot_misuse_messages(cmp, op, operand, message):
 
 def test_hole_table_reads_the_node_declarations(twovar_sketch):
     assert [h.token for h in twovar_sketch.holes] == ["[COND]", "[Real]", "[OP]", "[OP]", "[Real]", "[OP]", "[OP]"]
-    for node in (sg.CondHole, sg.OpHole, sg.RealHole):
-        assert sg.HoleSpec(0, node.kind).domain == node.tokens
+    kinds = [sg.CondHole, sg.RealHole, sg.OpHole, sg.OpHole, sg.RealHole, sg.OpHole, sg.OpHole]
+    assert [type(h) for h in twovar_sketch.holes] == kinds and all(isinstance(h, sg.Hole) for h in twovar_sketch.holes)
+    # The table holds the AST's own hole nodes.
+    assert twovar_sketch.holes[0] is twovar_sketch.guard.cmp and twovar_sketch.holes[-1] is twovar_sketch.ret.ops[-1]
 
 
 def test_syntax_error_carries_line_and_column():
