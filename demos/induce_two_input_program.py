@@ -69,8 +69,9 @@ print(HEADER)
 config = sg.TrainConfig(**hyper, categorical_score="softmax_grad")
 state = best = sg.init_state(sketch, config)
 streams = sg.hole_streams(config.seed, sketch.hole_count)
+plan = sg.compile_sketch(sketch, spec)
 for _ in range(config.iterations):
-    state, record = sg.train_step(sketch, spec, state, config, streams)
+    state, record = sg.train_step(plan, state, config, streams)
     checkpoint(record, state)
     if state.best_loss < best.best_loss:
         best = state

@@ -42,6 +42,7 @@ from .interp import (
     NONFINITE_PENALTY,
     SpecError,
     SpecSet,
+    compile_sketch,
     eval_population_losses,
     eval_program,
     eval_spec_loss,

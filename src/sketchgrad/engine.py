@@ -1,17 +1,21 @@
 """The training loop: sample programs, score them, step the distributions.
 
-One iteration samples a population of hole assignments from the current
-per-hole distributions, scores every candidate against the specification in
-one vectorized pass, standardizes the negated losses into fitness, estimates a
-gradient per hole and takes an ascent step: `train_step` maps one `TrainState`
-value of plain arrays to the next, and theta objects exist only at the edges.
-The argmax program (most probable token per categorical hole, mean per real
-hole) is scored every iteration by the same vectorized scorer, as a
-population of one, and the best one seen is kept; `train` instantiates a
-concrete program only for the best and the final state.  `enumerate_discrete`
-scores the whole discrete space with the same scorer too.  The scalar
-interpreter (`interp.eval_spec_loss`) is not on these paths: it is the
-reference they are tested against.
+`train` and `enumerate_discrete` each compile the sketch against the spec
+once (`interp.compile_sketch`) and score through that plan.  One iteration
+samples a population of hole assignments from the current per-hole
+distributions, scores every candidate in one call of the vectorized scorer,
+standardizes the negated losses into fitness, estimates a gradient per hole
+and takes an ascent step: `train_step` maps one `TrainState` value of plain
+arrays to the next, and theta objects exist only at the edges.  The argmax
+program (most probable token per categorical hole, mean per real hole) is
+scored every iteration by the same scorer, as a population of one, and the
+best one seen is kept; `train` instantiates a concrete program only for the
+best and the final state.  `enumerate_discrete` scores the whole discrete
+space with the same scorer too, in candidate chunks sized from
+`interp.CHUNK_CELLS`.  Calls go through this module's name
+`eval_population_losses`, looked up at call time, so a wrapper put there sees
+every one.  The scalar interpreter (`interp.eval_spec_loss`) is not on these
+paths: it is the reference they are tested against.
 
 Because the best program is kept, a search that has settled can be
 restarted at no cost: when the argmax loss has not improved by
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import dists
+from . import dists, interp
 from .dists import (
     SCORE_KINDS,
     SCORE_LOG_SOFTMAX,
@@ -43,7 +47,7 @@ from .dists import (
     check_thetas,
     standardize_fitness,
 )
-from .interp import NONFINITE_PENALTY, SpecSet, _read_only, eval_population_losses
+from .interp import NONFINITE_PENALTY, Plan, SpecSet, _read_only, compile_sketch, eval_population_losses
 from .sketch import Assignment, Sketch, SketchError, instantiate
 
 OPTIMIZER_SGD = "sgd"
@@ -56,10 +60,6 @@ OPTIMIZERS = (OPTIMIZER_SGD, OPTIMIZER_ADAM)
 RESTART_PATIENCE = 2000
 RESTART_MIN_GAIN = 0.01
 RESTART_LOGIT_STD = 1.0
-
-# enumerate_discrete scores this many candidate x spec-row cells per call to
-# the vectorized scorer, which bounds its intermediates at any space size.
-ENUMERATE_CHUNK_CELLS = 1 << 16
 
 # loss_spikes takes the medians of this many full windows per numpy call.
 SPIKE_CHUNK = 4096
@@ -311,14 +311,15 @@ def argmax_program(sketch: Sketch, thetas) -> Sketch:
     return instantiate(sketch, Assignment(tuple(column.item() for column in columns)))
 
 
-def train_step(sketch: Sketch, spec: SpecSet, state: TrainState, config: TrainConfig, streams):
-    """One iteration: the state after `state`, and its record.  `streams` holds one Generator per hole
-    (see `hole_streams`).  Raises DivergenceError when the step leaves a non-finite parameter."""
+def train_step(plan: Plan, state: TrainState, config: TrainConfig, streams):
+    """One iteration: the state after `state`, and its record.  `plan` is the sketch compiled against the
+    spec (see `compile_sketch`), `streams` holds one Generator per hole (see `hole_streams`).  Raises
+    DivergenceError when the step leaves a non-finite parameter."""
     # Overflow is not an error here: a logit gap past the float range gives a
     # probability of 0, its limit, and a step past the range is caught below.
     with np.errstate(over="ignore"):
         population = sample_population(state, config.population, streams)
-        losses = eval_population_losses(sketch, population.values, spec, config.penalty)
+        losses = eval_population_losses(plan, population.values, config.penalty)
         fitness = standardize_fitness(losses)
         grads = estimate_gradients(state, population, fitness, config.categorical_score)
         step_count = state.step_count + 1
@@ -328,7 +329,7 @@ def train_step(sketch: Sketch, spec: SpecSet, state: TrainState, config: TrainCo
         raise DivergenceError(f"the run diverged: iteration {iteration} left a non-finite parameter")
     params = tuple(map(_read_only, params))
     # The argmax program, scored as a population of one.
-    argmax_loss = float(eval_population_losses(sketch, _argmax_columns(params, state.sigmas), spec, config.penalty)[0])
+    argmax_loss = float(eval_population_losses(plan, _argmax_columns(params, state.sigmas), config.penalty)[0])
     best_loss = min(state.best_loss, argmax_loss)
     record = TrainRecord(iteration, float(np.mean(losses)), argmax_loss, best_loss)
     return TrainState(params, state.sigmas, moments, step_count, iteration, best_loss), record
@@ -343,6 +344,7 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     """
     if sketch.hole_count == 0:
         raise SketchError("sketch has no holes; nothing to train")
+    plan = compile_sketch(sketch, spec)
     state = best = init_state(sketch, config)
     streams = hole_streams(config.seed, sketch.hole_count)
     records: list[TrainRecord] = []
@@ -353,7 +355,7 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
             state = restart_state(sketch, state, config, streams)
             low, stale = math.inf, 0
             restarts.append(state.iteration)
-        state, record = train_step(sketch, spec, state, config, streams)
+        state, record = train_step(plan, state, config, streams)
         if state.best_loss < best.best_loss:
             best = state
         records.append(record)
@@ -401,6 +403,7 @@ def enumerate_discrete(
     space = math.prod(shape)
     if space > cap:
         raise EnumerationError(f"{space} discrete programs exceed the cap of {cap}")
+    plan = compile_sketch(sketch, spec)
 
     def columns(flat, dtype=None):
         # Each hole's values in the combinations at `flat`, one hole at a time, so that the ranking holds one object
@@ -409,10 +412,10 @@ def enumerate_discrete(
         return (np.array(c, dtype)[i] for c, i in zip(choices, np.unravel_index(flat, shape) if shape else ()))
 
     losses = np.empty(space, dtype=np.float64)
-    chunk = max(1, ENUMERATE_CHUNK_CELLS // len(spec))
+    chunk = max(1, interp.CHUNK_CELLS // len(spec))  # candidates per call
     for start in range(0, space, chunk):
         flat = np.arange(start, min(start + chunk, space))
-        losses[start : start + flat.size] = eval_population_losses(sketch, list(columns(flat)), spec, penalty)
+        losses[start : start + flat.size] = eval_population_losses(plan, list(columns(flat)), penalty)
     order = np.argsort(losses, kind="stable")
     rows = zip(*(c.tolist() for c in columns(order, object))) if shape else [()]
     return [(Assignment(values), loss) for values, loss in zip(rows, losses[order].tolist())]

@@ -4,6 +4,17 @@ Arithmetic follows IEEE-754 double semantics end to end: division by zero
 produces an infinity or NaN instead of trapping, so no candidate program can
 crash the search.  Candidates whose predictions (or accumulated error) go
 non-finite are scored with a large penalty constant instead.
+
+The scalar interpreter (`eval_program`, `eval_spec_loss`) runs one program on
+one input; it is the reference.  The population scorer runs a `Plan`, which
+`compile_sketch` resolves once per sketch and spec into a flat step list.
+At a categorical hole it sorts the candidates by the token they drew and
+applies each drawn token's ufunc to its own candidates only (gather, apply,
+scatter); a token drawn by every candidate is applied to the whole operand.
+Rows are scored in chunks of `CHUNK_CELLS // n`.  The squared errors are
+summed left to right by `cumsum`, with the running total entering each chunk
+as its first term, so each loss is the scalar loop's sequential sum at any
+chunk size, bit for bit; a pairwise sum would round differently.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import Chain, Lit, RealHole, Sketch, SketchError, Var
+from .sketch import Chain, CondHole, Lit, RealHole, Sketch, SketchError, Var
 
 NONFINITE_PENALTY = 1e12
 
@@ -156,14 +167,12 @@ def eval_spec_loss(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PE
 
 
 # ---------------------------------------------------------------------------
-# Vectorized population evaluation.
-#
-# Evaluates one sketch for a whole population of hole assignments over all
-# spec rows in a single numpy pass.  Per-element operations are the same IEEE
-# doubles as the scalar interpreter, and the error accumulation below follows
-# the same left-to-right order, so the result is bit-identical to calling
-# eval_spec_loss on each instantiated candidate.
+# Population scoring through a compiled plan (see the module docstring).
 
+# The scorer holds at most this many candidate x spec-row cells per
+# intermediate array: it scores the rows in chunks of CHUNK_CELLS // n.  Read
+# at call time, so that tests can move the chunk boundaries.
+CHUNK_CELLS = 1 << 16
 
 _UFUNCS = {
     "==": np.equal,
@@ -176,59 +185,151 @@ _UFUNCS = {
 }
 
 
-def eval_population_losses(
-    sketch: Sketch,
-    hole_values: list,
-    spec: SpecSet,
-    penalty: float = NONFINITE_PENALTY,
-) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """A sketch compiled against a spec, for `eval_population_losses`.
+
+    A call holds a list of values, each a 2-D array over (candidates, spec rows) whose axes have length 1
+    where the value does not vary.  Values 0 .. arity-1 are the input columns of the current row chunk,
+    cut from `columns` (the spec's inputs, one contiguous row per input); value arity + h is real hole
+    h's candidate values; the rest are, in `slots` order, the literals (held there) and the step results
+    (None there).  A step `(out, hole, fns, args, dtype)` sets value `out` to a function of `fns` applied
+    to the values at `args`: `fns[0]` when `hole` is None, else, per candidate, the function of the token
+    it drew for that categorical hole, into an array of `dtype`.  Value `out` is the prediction."""
+
+    holes: tuple
+    columns: np.ndarray
+    outputs: np.ndarray
+    slots: tuple
+    steps: tuple
+    out: int
+
+
+def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
+    """The plan that scores populations of `sketch`'s hole assignments on `spec`; a SketchError if the
+    spec's arity is not the sketch's."""
+    if spec.arity != sketch.arity:
+        raise SketchError(f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
+    slots: list = [None] * (sketch.arity + sketch.hole_count)
+    steps = []
+
+    def operand(node) -> int:
+        if isinstance(node, Var):
+            return sketch.params.index(node.name)
+        if isinstance(node, RealHole):
+            return sketch.arity + node.index
+        if isinstance(node, Lit):
+            slots.append(_read_only(np.full((1, 1), node.value)))
+            return len(slots) - 1
+        raise SketchError(f"not an operand: {node!r}")
+
+    def step(hole, fns: tuple, dtype, *args: int) -> int:
+        slots.append(None)
+        steps.append((len(slots) - 1, hole, fns, args, dtype))
+        return len(slots) - 1
+
+    def apply(slot, a: int, b: int) -> int:
+        """A comparison or operator slot: a token, or a hole that applies the token each candidate drew."""
+        tokens = (slot,) if isinstance(slot, str) else slot.tokens
+        dtype = bool if tokens[0] in CondHole.tokens else np.float64
+        return step(None if isinstance(slot, str) else slot.index, tuple(_UFUNCS[t] for t in tokens), dtype, a, b)
+
+    def chain(c: Chain) -> int:
+        acc = operand(c.operands[0])
+        for op, nxt in zip(c.ops, c.operands[1:]):
+            acc = apply(op, acc, operand(nxt))
+        return acc
+
+    out = chain(sketch.ret)
+    if sketch.guard is not None:
+        g = sketch.guard
+        out = step(None, (np.where,), None, apply(g.cmp, operand(g.lhs), operand(g.rhs)), chain(g.body), out)
+    columns = _read_only(np.ascontiguousarray(spec.inputs.T))
+    return Plan(sketch.holes, columns, spec.outputs, tuple(slots), tuple(steps), out)
+
+
+def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFINITE_PENALTY) -> np.ndarray:
     """Spec losses for a population of hole assignments, vectorized.
 
     hole_values: one array per hole, in hole-table order; int arrays of
     category indices for cond/op holes, float arrays of concrete values for
     real holes.  All arrays share one length n.  Returns losses, shape (n,).
     """
-    if spec.arity != sketch.arity:
-        raise SketchError(f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
-    if sketch.hole_count != len(hole_values):
-        raise SketchError(f"expected {sketch.hole_count} value arrays, got {len(hole_values)}")
+    if len(plan.holes) != len(hole_values):
+        raise SketchError(f"expected {len(plan.holes)} value arrays, got {len(hole_values)}")
+    hole_values = [np.asarray(v) for v in hole_values]
     n = len(hole_values[0]) if hole_values else 1
-    if any(len(arr) != n for arr in hole_values):
+    if any(len(v) != n for v in hole_values):
         raise SketchError("hole value arrays differ in length")
-    cols = {name: spec.inputs[:, k][None, :] for k, name in enumerate(sketch.params)}
-    rows = len(spec)
-
-    def operand(node):
-        if isinstance(node, Var):
-            return cols[node.name]  # shape (1, P)
-        if isinstance(node, Lit):
-            return np.float64(node.value)
-        if isinstance(node, RealHole):
-            return hole_values[node.index][:, None]  # shape (n, 1)
-        raise SketchError(f"not an operand: {node!r}")
-
-    def apply(slot, a, b):
-        """A comparison or operator slot applied to a and b; a hole picks, per candidate, the token it drew."""
-        if isinstance(slot, str):
-            return _UFUNCS[slot](a, b)
-        idx = hole_values[slot.index][:, None]  # (n, 1) int, into slot.tokens
-        return np.choose(idx, [_UFUNCS[tok](a, b) for tok in slot.tokens])
-
-    def chain(c: Chain):
-        acc = operand(c.operands[0])
-        for op, nxt in zip(c.ops, c.operands[1:]):
-            acc = apply(op, acc, operand(nxt))
-        return acc
-
+    arity, rows = plan.columns.shape
+    values = list(plan.slots)
+    drawn = {}
+    for hole, v in zip(plan.holes, hole_values):
+        if hole.tokens is None:
+            values[arity + hole.index] = v[:, None]
+        else:
+            drawn[hole.index] = _drawn_tokens(hole, v)
+    chunk = max(1, CHUNK_CELLS // max(n, 1))
+    total = np.zeros(n)
     with np.errstate(all="ignore"):
-        preds = chain(sketch.ret)
-        if sketch.guard is not None:
-            g = sketch.guard
-            preds = np.where(apply(g.cmp, operand(g.lhs), operand(g.rhs)), chain(g.body), preds)
-        d = np.subtract(preds, spec.outputs, out=np.empty((n, rows)))
-        sq = d * d
-        # cumsum accumulates left to right, as the scalar path does (a
-        # pairwise sum would round differently).  A non-finite prediction
-        # makes its candidate's loss non-finite, so one check covers both.
-        losses = sq.cumsum(axis=1)[:, -1] / rows
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            values[:arity] = plan.columns[:, None, lo:hi]
+            for out, hole, fns, args, dtype in plan.steps:
+                if hole is None:
+                    values[out] = fns[0](*[values[a] for a in args])
+                else:
+                    values[out] = _apply(fns, drawn[hole], values[args[0]], values[args[1]], n, dtype)
+            sq = np.subtract(values[plan.out], plan.outputs[lo:hi], out=np.empty((n, hi - lo)))
+            np.multiply(sq, sq, out=sq)
+            # A sequential sum, whatever the chunks (see the module docstring).  A non-finite prediction
+            # makes its candidate's loss non-finite, so the one check below covers both.
+            if lo:
+                sq[:, 0] += total
+            total = sq.cumsum(axis=1)[:, -1]
+        losses = total / rows
         return np.where(np.isfinite(losses), losses, penalty)
+
+
+def _drawn_tokens(hole, indices: np.ndarray) -> tuple:
+    """Which candidates drew which token of categorical `hole`: `(order, inverse, spans)`, where `order`
+    sorts the candidates by token, `inverse` undoes it, and `spans` holds `(token, start, stop)` of each
+    drawn token's run in that order; `order` is None when every candidate drew one token.  A SketchError
+    names the hole if an index is not an integer in 0..arity-1."""
+    try:
+        counts = np.bincount(indices, minlength=hole.arity).tolist() if indices.dtype.kind in "iu" else None
+    except (TypeError, ValueError):  # a negative index, or an unsigned type past int64
+        counts = None
+    if counts is None or len(counts) > hole.arity:
+        bad = indices[(indices < 0) | (indices >= hole.arity)] if indices.dtype.kind in "iu" else ()
+        if len(bad):
+            raise SketchError(f"hole {hole.index}: category index {bad[0]} out of range 0..{hole.arity - 1}")
+        raise SketchError(f"hole {hole.index} is categorical but got {indices.dtype} values")
+    n = len(indices)
+    if n in counts:
+        return None, None, ((counts.index(n), 0, n),)
+    order = indices.argsort(kind="stable")
+    spans, start = [], 0
+    for tok, count in enumerate(counts):
+        if count:
+            spans.append((tok, start, start + count))
+            start += count
+    # The inverse sorts with the same kind as the order: each kind maps in its own library code, which
+    # shows in the peak resident set.
+    return order, order.argsort(kind="stable"), spans
+
+
+def _apply(fns: tuple, drawn: tuple, a, b, n: int, dtype):
+    """Each drawn token's function applied to `a` and `b` on the candidates that drew it: the candidate
+    rows of `a` and `b` are gathered in token order, each token's run is computed into its run of the
+    output, and the output is put back in candidate order."""
+    order, inverse, spans = drawn
+    if order is None:
+        return fns[spans[0][0]](a, b)
+    a_rows, b_rows = len(a) == n, len(b) == n  # which operands vary by candidate
+    a = a.take(order, axis=0) if a_rows else a
+    b = b.take(order, axis=0) if b_rows else b
+    out = np.empty((n, max(a.shape[1], b.shape[1])), dtype)
+    for tok, start, stop in spans:
+        fns[tok](a[start:stop] if a_rows else a, b[start:stop] if b_rows else b, out[start:stop])
+    return out.take(inverse, axis=0)

@@ -71,7 +71,15 @@ def read_table(path, arity: int | None = None) -> tuple[np.ndarray, array]:
             for row in filter(None, reader):
                 if len(row) != len(header):
                     raise SpecError(f"row {reader.line_num}: expected {len(header)} columns, got {len(row)}")
-                values.extend(_parse_cell(cell, reader.line_num, c) for c, cell in enumerate(row))
+                try:
+                    cells = list(map(float, row))
+                except ValueError:
+                    cells = None
+                # The sum of a row is finite only if every cell is; a row that fails either test is parsed
+                # again cell by cell, which names the first bad cell (or finds none, for a sum that overflowed).
+                if cells is None or not math.isfinite(sum(cells)):
+                    cells = [_parse_cell(cell, reader.line_num, c) for c, cell in enumerate(row)]
+                values.extend(cells)
                 lines.append(reader.line_num)
     except OSError as exc:
         raise SpecError(f"cannot read {what} {path}: {exc}") from exc

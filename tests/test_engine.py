@@ -2,14 +2,19 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sketchgrad as sg
 from sketchgrad import dists
-from sketchgrad.engine import ENUMERATE_CHUNK_CELLS, RESTART_PATIENCE, make_optimizer, restart_state
+from sketchgrad.engine import RESTART_PATIENCE, make_optimizer, restart_state
+from sketchgrad.interp import CHUNK_CELLS
 
 
 def _config(**kw):
@@ -176,7 +181,7 @@ def test_train_step_equal_losses_leave_thetas_unchanged():
     spec = sg.SpecSet.from_pairs([((1.0,), 1.0), ((2.0,), 3.0)])
     cfg = _config()
     state = sg.init_state(sketch, cfg)
-    new, record = sg.train_step(sketch, spec, state, cfg, sg.hole_streams(0, sketch.hole_count))
+    new, record = sg.train_step(sg.compile_sketch(sketch, spec), state, cfg, sg.hole_streams(0, sketch.hole_count))
     assert (new.params[0] == state.params[0]).all()
     assert record.argmax_loss == record.best_so_far_loss
 
@@ -188,7 +193,7 @@ def test_train_step_rewards_perfect_token():
     spec = sg.SpecSet.from_pairs([((1.0,), 11.0), ((2.0,), 12.0), ((3.0,), 13.0)])
     cfg = _config()
     state = sg.init_state(sketch, cfg)
-    new, _ = sg.train_step(sketch, spec, state, cfg, sg.hole_streams(1, sketch.hole_count))
+    new, _ = sg.train_step(sg.compile_sketch(sketch, spec), state, cfg, sg.hole_streams(1, sketch.hole_count))
     logits = new.params[0]
     assert logits[0] > 0
     assert logits[0] > logits[1] and logits[0] > logits[2] and logits[0] > logits[3]
@@ -200,8 +205,9 @@ def test_train_step_sgd_linearity(onevar_sketch, onevar_spec):
     cfg1 = _config(learning_rate=0.05, mu_init=0.0)
     cfg2 = _config(learning_rate=0.1, mu_init=0.0)
     state = sg.init_state(onevar_sketch, cfg1)
-    out1, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg1, sg.hole_streams(3, onevar_sketch.hole_count))
-    out2, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg2, sg.hole_streams(3, onevar_sketch.hole_count))
+    plan = sg.compile_sketch(onevar_sketch, onevar_spec)
+    out1, _ = sg.train_step(plan, state, cfg1, sg.hole_streams(3, onevar_sketch.hole_count))
+    out2, _ = sg.train_step(plan, state, cfg2, sg.hole_streams(3, onevar_sketch.hole_count))
     thetas = state.thetas()
     for base, a, b in zip(thetas, out1.thetas(), out2.thetas()):
         if isinstance(base, sg.GaussianTheta):
@@ -218,7 +224,7 @@ def test_train_step_invariant_to_constant_loss_shift(onevar_sketch, onevar_spec)
     cfg = _config()
     state = sg.init_state(sketch, cfg)
     pop = sg.sample_population(state, cfg.population, sg.hole_streams(5, sketch.hole_count))
-    losses = sg.eval_population_losses(sketch, pop.values, spec_a)
+    losses = sg.eval_population_losses(sg.compile_sketch(sketch, spec_a), pop.values)
     fit_a = sg.standardize_fitness(losses)
     fit_b = sg.standardize_fitness(losses + 123.456)
     np.testing.assert_allclose(fit_a, fit_b, atol=1e-9)
@@ -235,9 +241,10 @@ def _pin_to_reference(sketch, spec, cfg, state):
     """Drive train_step as train does and check every record's argmax loss
     against the scalar interpreter bit for bit; returns those losses."""
     streams = sg.hole_streams(cfg.seed, sketch.hole_count)
+    plan = sg.compile_sketch(sketch, spec)
     losses = []
     for it in range(1, cfg.iterations + 1):
-        state, record = sg.train_step(sketch, spec, state, cfg, streams)
+        state, record = sg.train_step(plan, state, cfg, streams)
         expected = sg.eval_spec_loss(sg.argmax_program(sketch, state.thetas()), spec, cfg.penalty)
         assert struct.pack("<d", record.argmax_loss) == struct.pack("<d", expected), (it, record, expected)
         losses.append(record.argmax_loss)
@@ -289,9 +296,10 @@ def test_train_step_computes_softmax_once_per_categorical_hole(monkeypatch, onev
     state = sg.init_state(onevar_sketch, cfg)
     streams = sg.hole_streams(cfg.seed, onevar_sketch.hole_count)
     categorical = sum(h.kind != "real" for h in onevar_sketch.holes)
+    plan = sg.compile_sketch(onevar_sketch, onevar_spec)
     for it in range(1, 6):
         calls.clear()
-        state, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg, streams)
+        state, _ = sg.train_step(plan, state, cfg, streams)
         assert len(calls) == categorical == 3
 
 
@@ -428,9 +436,10 @@ def test_hand_written_adam_loop_equals_train(onevar_sketch, onevar_spec):
     cfg = _config(iterations=300, seed=4, optimizer="adam")
     state = sg.init_state(onevar_sketch, cfg)
     streams = sg.hole_streams(cfg.seed, onevar_sketch.hole_count)
+    plan = sg.compile_sketch(onevar_sketch, onevar_spec)
     records = []
     for _ in range(cfg.iterations):
-        state, record = sg.train_step(onevar_sketch, onevar_spec, state, cfg, streams)
+        state, record = sg.train_step(plan, state, cfg, streams)
         records.append(record)
     result = sg.train(onevar_sketch, onevar_spec, cfg)
     assert cfg.iterations < RESTART_PATIENCE and result.restarts == []
@@ -443,8 +452,9 @@ def test_restart_resets_adam_moments_and_step_count(onevar_sketch, onevar_spec):
     cfg = _config(optimizer="adam")
     streams = sg.hole_streams(cfg.seed, onevar_sketch.hole_count)
     state = sg.init_state(onevar_sketch, cfg)
+    plan = sg.compile_sketch(onevar_sketch, onevar_spec)
     for _ in range(3):
-        state, _ = sg.train_step(onevar_sketch, onevar_spec, state, cfg, streams)
+        state, _ = sg.train_step(plan, state, cfg, streams)
     assert state.step_count == 3 and all(m.any() for pair in state.moments for m in pair)
     fresh = restart_state(onevar_sketch, state, cfg, streams)
     assert fresh.step_count == 0
@@ -471,6 +481,36 @@ def test_train_builds_theta_objects_only_for_its_result(monkeypatch, onevar_sket
         # One tuple each for `thetas` and `best_thetas`: 3 categorical and 3 real holes.
         assert built.count(sg.CategoricalTheta) == built.count(sg.GaussianTheta) == 6
         assert len(result.thetas) == len(result.best_thetas) == 6
+
+
+# A train iteration on a spec of a million rows, in a fresh process so that ru_maxrss is its own.
+_LARGE_SPEC_RUN = """
+import resource, sys
+import numpy as np
+import sketchgrad as sg
+
+rng = np.random.default_rng(0)
+x1, x2 = rng.uniform(1.0, 10.0, (2, 10**6))
+spec = sg.SpecSet(np.column_stack([x1, x2]), np.where(x1 > x2, 2.0 * x1 + x2, 2.0 / x2 - x1))
+sketch = sg.parse_sketch(sys.argv[1])
+config = sg.TrainConfig(learning_rate=0.0995, iterations=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+result = sg.train(sketch, spec, config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, result.records[-1].mean_population_loss)
+"""
+
+
+def test_a_train_iteration_on_a_million_rows_holds_row_chunks_not_the_population(twovar_sketch):
+    # 50 candidates x 10**6 rows is 400 MB per intermediate array; scored in row chunks, the peak
+    # resident set grows by a few MB across `train`.
+    src = str(Path(sg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = [sys.executable, "-c", _LARGE_SPEC_RUN, sg.print_program(twovar_sketch)]
+    proc = subprocess.run(code, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    growth_kb, mean_loss = proc.stdout.split()
+    assert int(growth_kb) < 256 * 1024
+    assert math.isfinite(float(mean_loss))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +562,7 @@ def test_enumerate_ranking_crosses_chunks_and_matches_scalar_reference():
     # programs span four chunks.  The guard never fires for `==` or `<`, so
     # those eight programs tie at the else branch's loss across chunks.
     sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] 0.5 { return x [OP] 2.0; } return x * [Real]; }")
-    rows = ENUMERATE_CHUNK_CELLS // 3
+    rows = CHUNK_CELLS // 3
     spec = sg.SpecSet.from_pairs(((1.0 + k / 1e6,), 1.0 + k / 1e6 + 2.0) for k in range(rows))
     reals = [3.0]
     ranked = sg.enumerate_discrete(sketch, reals, spec)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchgrad as sg
+from sketchgrad import interp
 
 from conftest import ONEVAR_LEARNED, TWOVAR_LEARNED
 from test_sketch import sketch_texts
@@ -131,7 +133,7 @@ def test_batch_losses_match_scalar_path(sketch_name, onevar_spec, twovar_spec, r
     spec = onevar_spec if sketch.arity == 1 else twovar_spec
     rng = np.random.default_rng(42)
     values = _population_values(sketch, rng, 200)
-    batch = sg.eval_population_losses(sketch, values, spec)
+    batch = sg.eval_population_losses(sg.compile_sketch(sketch, spec), values)
     for i in range(200):
         vals = tuple(
             float(col[i]) if hole.kind == "real" else int(col[i])
@@ -151,7 +153,7 @@ def test_batch_losses_cover_division_blowups(twovar_spec):
         rng.normal(0.0, 0.01, size=500),
         rng.integers(0, 4, size=500),
     ]
-    batch = sg.eval_population_losses(sketch, values, twovar_spec)
+    batch = sg.eval_population_losses(sg.compile_sketch(sketch, twovar_spec), values)
     assert np.isfinite(batch).all()
     for i in range(500):
         program = sg.instantiate(
@@ -160,8 +162,41 @@ def test_batch_losses_cover_division_blowups(twovar_spec):
         assert sg.eval_spec_loss(program, twovar_spec) == batch[i]
 
 
+def test_population_losses_are_bit_identical_across_row_chunks(monkeypatch, twovar_sketch):
+    # 10 000 rows of a two-input spec, scored in chunks of 1 row, 7 rows and the default size: the running
+    # total enters each chunk's sum as its first term, so every loss is the same sequential sum.
+    rng = np.random.default_rng(11)
+    spec = sg.SpecSet(rng.uniform(1.0, 10.0, (10_000, 2)), rng.uniform(-10.0, 30.0, 10_000))
+    n = 20
+    values = _population_values(twovar_sketch, rng, n)
+    plan = sg.compile_sketch(twovar_sketch, spec)
+    default = sg.eval_population_losses(plan, values)
+    assert interp.CHUNK_CELLS // n < len(spec)  # the default chunks the rows too
+    for rows_per_chunk in (1, 7):
+        monkeypatch.setattr(interp, "CHUNK_CELLS", rows_per_chunk * n)
+        assert sg.eval_population_losses(plan, values).tobytes() == default.tobytes()
+    for i in range(3):
+        program = sg.instantiate(twovar_sketch, sg.Assignment(tuple(col[i].item() for col in values)))
+        assert struct.pack("<d", sg.eval_spec_loss(program, spec)) == struct.pack("<d", default[i])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-1, "hole 0: category index -1 out of range 0..2"),
+        (3, "hole 0: category index 3 out of range 0..2"),
+        (1.0, "hole 0 is categorical but got float64 values"),
+    ],
+)
+def test_population_losses_reject_a_bad_category_index(onevar_sketch, onevar_spec, bad, message):
+    values = _population_values(onevar_sketch, np.random.default_rng(0), 4)
+    values[0] = np.array([1, bad, 0, 2])  # hole 0 is the [COND] hole, with 3 tokens
+    with pytest.raises(sg.SketchError, match=re.escape(message)):
+        sg.eval_population_losses(sg.compile_sketch(onevar_sketch, onevar_spec), values)
+
+
 def test_batch_losses_zero_hole_program(onevar_truth, onevar_spec):
-    batch = sg.eval_population_losses(onevar_truth, [], onevar_spec)
+    batch = sg.eval_population_losses(sg.compile_sketch(onevar_truth, onevar_spec), [])
     assert batch.shape == (1,)
     assert batch[0] == 0.0
 
@@ -218,12 +253,18 @@ def _check_population_losses_match_scalar_path(data, texts):
         values = reals if hole.kind == "real" else st.integers(0, hole.arity - 1)
         columns.append(data.draw(st.lists(values, min_size=n, max_size=n)))
     arrays = [np.array(col, dtype=np.float64 if h.kind == "real" else np.int64) for h, col in zip(sketch.holes, columns)]
-    batch = sg.eval_population_losses(sketch, arrays, spec)
+    plan = sg.compile_sketch(sketch, spec)
+    batch = sg.eval_population_losses(plan, arrays)
     assert batch.shape == ((n,) if sketch.holes else (1,))
     for i, loss in enumerate(batch.tolist()):
         program = sg.instantiate(sketch, sg.Assignment(tuple(col[i] for col in columns)))
         expected = sg.eval_spec_loss(program, spec)
         assert struct.pack("<d", loss) == struct.pack("<d", expected), (i, loss, expected)
+    # The same population scored in row chunks, of one row (CHUNK_CELLS 1) and of 7 // n rows (7).
+    for chunk_cells in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interp, "CHUNK_CELLS", chunk_cells)
+            assert sg.eval_population_losses(plan, arrays).tobytes() == batch.tobytes(), chunk_cells
 
 
 def test_spec_holds_two_read_only_float64_arrays(tmp_path):
@@ -247,6 +288,5 @@ def test_spec_holds_two_read_only_float64_arrays(tmp_path):
 
 
 def test_population_losses_reject_spec_arity_mismatch(onevar_sketch, twovar_spec):
-    values = _population_values(onevar_sketch, np.random.default_rng(0), 3)
     with pytest.raises(sg.SketchError):
-        sg.eval_population_losses(onevar_sketch, values, twovar_spec)
+        sg.compile_sketch(onevar_sketch, twovar_spec)

@@ -43,6 +43,7 @@ def test_load_spec_twovar(tmp_path):
         ("in_0,out\n1.0,2.0,3.0\n", "row 2"),
         ("in_0,out\n1.0,abc\n", "not a number"),
         ("in_0,out\n1.0,inf\n", "non-finite"),
+        ("in_0,out\n1.0,2.0\n-inf,nan\n", "row 3, column 0: non-finite value '-inf'"),
         ("x,out\n1.0,2.0\n", "header"),
         ("out\n1.0\n", "header"),
         ("in_0,in_1,out\n1.0,2.0\n", "row 2"),
@@ -54,6 +55,15 @@ def test_load_spec_rejects_bad_files(tmp_path, text, fragment):
     with pytest.raises(sg.SpecError) as err:
         load_spec(path)
     assert fragment in str(err.value)
+
+
+def test_load_spec_keeps_a_row_whose_sum_overflows(tmp_path):
+    # Each cell is finite though the row's sum is not, so the row's quick check fails and its cells are
+    # parsed one by one, which keeps them.
+    path = _write(tmp_path, "in_0,in_1,out\n1e308,1e308,-1e308\n1.0,2.0,3.0\n")
+    spec = load_spec(path)
+    assert spec.inputs.tolist() == [[1e308, 1e308], [1.0, 2.0]]
+    assert spec.outputs.tolist() == [-1e308, 3.0]
 
 
 def test_load_spec_missing_file(tmp_path):
