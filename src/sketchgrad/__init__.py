@@ -24,6 +24,7 @@ from .engine import (
     DivergenceError,
     EnumerationError,
     Population,
+    Ranking,
     TrainConfig,
     TrainRecord,
     TrainResult,

@@ -133,9 +133,8 @@ def _cmd_enumerate(args) -> int:
         ranked = enumerate_discrete(sketch, reals, spec)
     except (EnumerationError, SketchError) as exc:
         raise _Failure("CONFIG", str(exc))
-    top = ranked if args.top is None else ranked[: args.top]
     cat_holes = [h for h in sketch.holes if h.tokens is not None]
-    for rank, (assignment, loss) in enumerate(top, start=1):
+    for rank, (assignment, loss) in enumerate(ranked[: args.top], start=1):
         tokens = " ".join(h.tokens[assignment.values[h.index]] for h in cat_holes)
         print(f"{rank:4d} loss={format_real(loss)} tokens=[{tokens}]")
     return 0

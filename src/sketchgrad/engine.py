@@ -12,10 +12,12 @@ scored every iteration by the same scorer, as a population of one, and the
 best one seen is kept; `train` instantiates a concrete program only for the
 best and the final state.  `enumerate_discrete` scores the whole discrete
 space with the same scorer too, in candidate chunks sized from
-`interp.CHUNK_CELLS`.  Calls go through this module's name
-`eval_population_losses`, looked up at call time, so a wrapper put there sees
-every one.  The scalar interpreter (`interp.eval_spec_loss`) is not on these
-paths: it is the reference they are tested against.
+`interp.CHUNK_CELLS`, and returns a `Ranking`: the ranked flat indices and
+losses as arrays, with each (assignment, loss) pair built when it is read.
+Calls go through this module's name `eval_population_losses`, looked up at
+call time, so a wrapper put there sees every one.  The scalar interpreter
+(`interp.eval_spec_loss`) is not on these paths: it is the reference they are
+tested against.
 
 Because the best program is kept, a search that has settled can be
 restarted at no cost: when the argmax loss has not improved by
@@ -27,9 +29,12 @@ and the search cannot leave the basin it is in; a restart is the way out.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import operator
 import typing
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,6 +68,9 @@ RESTART_LOGIT_STD = 1.0
 
 # loss_spikes takes the medians of this many full windows per numpy call.
 SPIKE_CHUNK = 4096
+
+# Iterating a Ranking builds this many pairs at a time.
+RANKING_BLOCK = 4096
 
 # What a TrainConfig field annotated with each type accepts, and how an error names it.
 _FIELD_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"), str: (str, "a string")}
@@ -378,19 +386,64 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     )
 
 
+def _columns(choices, flat, dtype=None) -> list:
+    """Each hole's values in the combinations at `flat`, one array per hole: flat index k is the k-th
+    combination of `choices` in lexicographic order.  dtype object keeps the choices themselves."""
+    shape = tuple(map(len, choices))
+    return [np.array(c, dtype)[i] for c, i in zip(choices, np.unravel_index(flat, shape) if shape else ())]
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value, so rankings compare by identity
+class Ranking(Sequence):
+    """A read-only sequence of `(Assignment, loss)` pairs in ascending loss order, held as arrays: `order`,
+    the ranked flat indices into the lexicographic product of `choices` (one tuple of values per hole, in
+    hole order), and `losses`, the ranked losses.  An index or a slice builds only the pairs it returns;
+    in them a category index is an int, a real is the object given for it and a loss is a float."""
+
+    choices: tuple
+    order: np.ndarray
+    losses: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._pairs(self.order[index], self.losses[index])
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"ranking index {i} out of range for {len(self)} programs")
+        i %= len(self)
+        return self._pairs(self.order[i : i + 1], self.losses[i : i + 1])[0]
+
+    def __iter__(self):
+        blocks = range(0, len(self), RANKING_BLOCK)
+        return itertools.chain.from_iterable(self[start : start + RANKING_BLOCK] for start in blocks)
+
+    def __reversed__(self):
+        blocks = range(len(self), 0, -RANKING_BLOCK)
+        return itertools.chain.from_iterable(self[max(stop - RANKING_BLOCK, 0) : stop][::-1] for stop in blocks)
+
+    def _pairs(self, flat: np.ndarray, losses: np.ndarray) -> list:
+        columns = [c.tolist() for c in _columns(self.choices, flat, object)]
+        rows = zip(*columns) if columns else [()] * len(flat)
+        return list(zip(map(Assignment, rows), losses.tolist()))
+
+
 def enumerate_discrete(
     sketch: Sketch,
     real_values,
     spec: SpecSet,
     cap: int = 10**6,
     penalty: float = NONFINITE_PENALTY,
-) -> list[tuple[Assignment, float]]:
+) -> Ranking:
     """Exhaustively score every categorical combination, reals pinned.
 
     real_values supplies one number per [Real] hole, in hole order.  Returns
-    (assignment, loss) pairs in ascending loss order; ties break
-    lexicographically on the category indices.  Raises EnumerationError if
-    the discrete space exceeds `cap`.
+    a `Ranking` of (assignment, loss) pairs in ascending loss order, whose
+    pairs are built when they are read; ties break lexicographically on the
+    category indices.  Raises EnumerationError if the discrete space exceeds
+    `cap`.
     """
     real_values = [float(v) for v in real_values]
     n_reals = sum(not h.tokens for h in sketch.holes)
@@ -398,27 +451,20 @@ def enumerate_discrete(
         raise SketchError(f"sketch has {n_reals} [Real] holes but {len(real_values)} values given")
     # Each hole's choices: its token indices, or the one value a real hole is pinned to.
     reals = iter(real_values)
-    choices = [tuple(range(h.arity)) if h.tokens else (next(reals),) for h in sketch.holes]
-    shape = tuple(map(len, choices))
-    space = math.prod(shape)
+    choices = tuple(tuple(range(h.arity)) if h.tokens else (next(reals),) for h in sketch.holes)
+    space = math.prod(map(len, choices))
     if space > cap:
         raise EnumerationError(f"{space} discrete programs exceed the cap of {cap}")
     plan = compile_sketch(sketch, spec)
-
-    def columns(flat, dtype=None):
-        # Each hole's values in the combinations at `flat`, one hole at a time, so that the ranking holds one object
-        # array at once; dtype object keeps the choices themselves.  Flat index k is the k-th combination in
-        # lexicographic order, so a stable sort on the loss breaks ties as documented.
-        return (np.array(c, dtype)[i] for c, i in zip(choices, np.unravel_index(flat, shape) if shape else ()))
-
     losses = np.empty(space, dtype=np.float64)
     chunk = max(1, interp.CHUNK_CELLS // len(spec))  # candidates per call
     for start in range(0, space, chunk):
         flat = np.arange(start, min(start + chunk, space))
-        losses[start : start + flat.size] = eval_population_losses(plan, list(columns(flat)), penalty)
+        losses[start : start + flat.size] = eval_population_losses(plan, _columns(choices, flat), penalty)
+    # Flat index k is the k-th combination in lexicographic order, so a stable sort on the loss breaks
+    # ties as documented.
     order = np.argsort(losses, kind="stable")
-    rows = zip(*(c.tolist() for c in columns(order, object))) if shape else [()]
-    return [(Assignment(values), loss) for values, loss in zip(rows, losses[order].tolist())]
+    return Ranking(choices, _read_only(order), _read_only(losses[order]))
 
 
 def loss_spikes(mean_losses, window: int = 101, factor: float = 3.0, start: int = 1000) -> list[int]:

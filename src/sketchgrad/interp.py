@@ -254,6 +254,7 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     hole_values: one array per hole, in hole-table order; int arrays of
     category indices for cond/op holes, float arrays of concrete values for
     real holes.  All arrays share one length n.  Returns losses, shape (n,).
+    A SketchError names a hole whose array does not fit it.
     """
     if len(plan.holes) != len(hole_values):
         raise SketchError(f"expected {len(plan.holes)} value arrays, got {len(hole_values)}")
@@ -265,10 +266,12 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     values = list(plan.slots)
     drawn = {}
     for hole, v in zip(plan.holes, hole_values):
-        if hole.tokens is None:
+        if hole.tokens is not None:
+            drawn[hole.index] = _drawn_tokens(hole, v)
+        elif v.ndim == 1 and v.dtype.kind in "iuf":
             values[arity + hole.index] = v[:, None]
         else:
-            drawn[hole.index] = _drawn_tokens(hole, v)
+            raise SketchError(f"hole {hole.index} is real but got {v.ndim}-D {v.dtype} values")
     chunk = max(1, CHUNK_CELLS // max(n, 1))
     total = np.zeros(n)
     with np.errstate(all="ignore"):
@@ -314,9 +317,10 @@ def _drawn_tokens(hole, indices: np.ndarray) -> tuple:
         if count:
             spans.append((tok, start, start + count))
             start += count
-    # The inverse sorts with the same kind as the order: each kind maps in its own library code, which
-    # shows in the peak resident set.
-    return order, order.argsort(kind="stable"), spans
+    # The inverse permutation by one scatter, in O(n): a second sort would cost O(n log n).
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(n)
+    return order, inverse, spans
 
 
 def _apply(fns: tuple, drawn: tuple, a, b, n: int, dtype):

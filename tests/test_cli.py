@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import sketchgrad as sg
+from sketchgrad import engine
 from sketchgrad.cli import main
 
 from conftest import ONEVAR_SKETCH, ONEVAR_TRUTH
@@ -395,3 +396,17 @@ def test_main_callable_directly(workdir, capsys):
     code = main(["eval", "--program", str(workdir / "truth.txt"), "--spec", str(workdir / "spec.csv")])
     assert code == 0
     assert "MSE: 0.0" in capsys.readouterr().out
+
+
+def test_enumerate_top_builds_only_the_programs_it_prints(workdir, capsys, monkeypatch):
+    built = []
+
+    def counting(values):
+        built.append(values)
+        return sg.Assignment(values)
+
+    monkeypatch.setattr(engine, "Assignment", counting)
+    args = ["enumerate", "--sketch", str(workdir / "sketch.txt"), "--spec", str(workdir / "spec.csv")]
+    code = main([*args, "--reals", "3.5,4.2,2.1", "--top", "2"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 and len(built) == 2

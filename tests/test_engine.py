@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sketchgrad as sg
-from sketchgrad import dists
+from sketchgrad import dists, engine
 from sketchgrad.engine import RESTART_PATIENCE, make_optimizer, restart_state
 from sketchgrad.interp import CHUNK_CELLS
 
@@ -579,6 +579,50 @@ def test_enumerate_ranking_crosses_chunks_and_matches_scalar_reference():
         assert type(c) is int and type(o) is int and r is reals[0] and type(loss) is float
 
 
+def test_ranking_reads_like_a_list_of_its_pairs(onevar_sketch, onevar_spec, monkeypatch):
+    reals = [3.5, 4.2, 2.1]
+    ranked = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
+    pairs = [ranked[i] for i in range(len(ranked))]
+    assert len(ranked) == len(pairs) == 48
+    assert [ranked[i] for i in range(-48, 0)] == pairs
+    for i in (48, -49, 10**6):
+        with pytest.raises(IndexError):
+            ranked[i]
+    for index in (slice(None), slice(3, 40, 5), slice(None, None, -1), slice(40, 2, -7), slice(50, 60)):
+        assert ranked[index] == pairs[index]
+    assert ranked[np.int64(5)] == pairs[5]
+    assert list(ranked) == pairs and list(reversed(ranked)) == pairs[::-1]
+    monkeypatch.setattr(engine, "RANKING_BLOCK", 5)  # iteration crosses blocks, and ends on a short one
+    assert list(ranked) == pairs and list(reversed(ranked)) == pairs[::-1]
+    assert ranked.losses.tolist() == [loss for _, loss in pairs]
+    assert sorted(ranked.order.tolist()) == list(range(48))
+    for a, loss in [ranked[0], *ranked[1::9]]:
+        c, r1, r2, o1, o2, r3 = a.values
+        assert type(c) is int and type(o1) is int and type(o2) is int and type(loss) is float
+        assert r1 is reals[0] and r2 is reals[1] and r3 is reals[2]
+    for array in (ranked.order, ranked.losses):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ranked.order = ranked.order[::-1]
+
+
+def test_reading_a_ranking_builds_only_the_pairs_read(twovar_sketch, twovar_spec, monkeypatch):
+    built = []
+
+    def counting(values):
+        built.append(values)
+        return sg.Assignment(values)
+
+    monkeypatch.setattr(engine, "Assignment", counting)
+    ranked = sg.enumerate_discrete(twovar_sketch, [2.0, 2.0], twovar_spec)
+    assert len(ranked) == 768 and built == []
+    top = ranked[:3]
+    assert len(top) == 3 and len(built) <= 3
+    ranked[-1]
+    assert len(built) <= 4
+
+
 def test_discrete_only_training_matches_enumeration_oracle(onevar_spec):
     # Reals pinned as literals leaves a purely discrete 48-program space;
     # the trained argmax pattern must attain the enumeration oracle's
@@ -659,7 +703,11 @@ def test_config_is_frozen_and_replace_checks_again():
 
 def test_enumerate_a_program_with_no_holes_ranks_the_one_program(onevar_truth, onevar_spec):
     ranked = sg.enumerate_discrete(onevar_truth, [], onevar_spec)
-    assert ranked == [(sg.Assignment(()), sg.eval_spec_loss(onevar_truth, onevar_spec))]
+    assert list(ranked) == [(sg.Assignment(()), sg.eval_spec_loss(onevar_truth, onevar_spec))]
+    assert len(ranked) == 1 and ranked[-1] == ranked[0] and ranked[1:] == []
+    assert ranked.order.tolist() == [0] and ranked.losses.tolist() == [ranked[0][1]]
+    with pytest.raises(IndexError):
+        ranked[1]
 
 
 def _run_bytes(result) -> bytes:

@@ -195,6 +195,22 @@ def test_population_losses_reject_a_bad_category_index(onevar_sketch, onevar_spe
         sg.eval_population_losses(sg.compile_sketch(onevar_sketch, onevar_spec), values)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.ones((2, 2)), "hole 1 is real but got 2-D float64 values"),
+        (np.array(["a", "b"]), "hole 1 is real but got 1-D <U1 values"),
+        (np.array([1.0 + 0j, 2.0j]), "hole 1 is real but got 1-D complex128 values"),
+        (np.array([True, False]), "hole 1 is real but got 1-D bool values"),
+    ],
+)
+def test_population_losses_reject_a_bad_real_array(onevar_sketch, onevar_spec, bad, message):
+    values = _population_values(onevar_sketch, np.random.default_rng(0), 2)
+    values[1] = bad  # hole 1 is the guard's [Real] hole
+    with pytest.raises(sg.SketchError, match=re.escape(message)):
+        sg.eval_population_losses(sg.compile_sketch(onevar_sketch, onevar_spec), values)
+
+
 def test_batch_losses_zero_hole_program(onevar_truth, onevar_spec):
     batch = sg.eval_population_losses(sg.compile_sketch(onevar_truth, onevar_spec), [])
     assert batch.shape == (1,)
