@@ -29,13 +29,12 @@ and the search cannot leave the basin it is in; a restart is the way out.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
-import operator
 import typing
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,9 +67,6 @@ RESTART_LOGIT_STD = 1.0
 
 # loss_spikes takes the medians of this many full windows per numpy call.
 SPIKE_CHUNK = 4096
-
-# Iterating a Ranking builds this many pairs at a time.
-RANKING_BLOCK = 4096
 
 # What a TrainConfig field annotated with each type accepts, and how an error names it.
 _FIELD_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"), str: (str, "a string")}
@@ -386,19 +382,21 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     )
 
 
-def _columns(choices, flat, dtype=None) -> list:
-    """Each hole's values in the combinations at `flat`, one array per hole: flat index k is the k-th
-    combination of `choices` in lexicographic order.  dtype object keeps the choices themselves."""
+def _columns(choices, flat, dtype=None) -> typing.Iterator[np.ndarray]:
+    """Each hole's values in the combinations at `flat`, one array per hole and one hole at a time, so a
+    caller that converts each in turn holds one object array at once: flat index k is the k-th combination
+    of `choices` in lexicographic order.  dtype object keeps the choices themselves."""
     shape = tuple(map(len, choices))
-    return [np.array(c, dtype)[i] for c, i in zip(choices, np.unravel_index(flat, shape) if shape else ())]
+    return (np.array(c, dtype)[i] for c, i in zip(choices, np.unravel_index(flat, shape) if shape else ()))
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no single truth value, so rankings compare by identity
+@dataclass(frozen=True, eq=False)  # __eq__ below: the generated one would compare arrays
 class Ranking(Sequence):
     """A read-only sequence of `(Assignment, loss)` pairs in ascending loss order, held as arrays: `order`,
     the ranked flat indices into the lexicographic product of `choices` (one tuple of values per hole, in
-    hole order), and `losses`, the ranked losses.  An index or a slice builds only the pairs it returns;
-    in them a category index is an int, a real is the object given for it and a loss is a float."""
+    hole order), and `losses`, the ranked losses.  An index or a slice builds only the pairs it returns,
+    and iteration builds every pair once and keeps them; in a pair a category index is an int, a real is
+    the object given for it and a loss is a float.  A ranking equals any sequence of the same pairs."""
 
     choices: tuple
     order: np.ndarray
@@ -410,19 +408,29 @@ class Ranking(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self._pairs(self.order[index], self.losses[index])
-        i = operator.index(index)
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"ranking index {i} out of range for {len(self)} programs")
-        i %= len(self)
+        i = range(len(self))[index]
         return self._pairs(self.order[i : i + 1], self.losses[i : i + 1])[0]
 
     def __iter__(self):
-        blocks = range(0, len(self), RANKING_BLOCK)
-        return itertools.chain.from_iterable(self[start : start + RANKING_BLOCK] for start in blocks)
+        return iter(self._every_pair)
 
-    def __reversed__(self):
-        blocks = range(len(self), 0, -RANKING_BLOCK)
-        return itertools.chain.from_iterable(self[max(stop - RANKING_BLOCK, 0) : stop][::-1] for stop in blocks)
+    @cached_property
+    def _every_pair(self) -> list:
+        """All the pairs, built by the first pass over the whole ranking and kept for later ones."""
+        return self._pairs(self.order, self.losses)
+
+    def __eq__(self, other):
+        if isinstance(other, Ranking):
+            return (
+                self.choices == other.choices
+                and np.array_equal(self.order, other.order)
+                and np.array_equal(self.losses, other.losses)
+            )
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # equal to lists, which have no hash
 
     def _pairs(self, flat: np.ndarray, losses: np.ndarray) -> list:
         columns = [c.tolist() for c in _columns(self.choices, flat, object)]
@@ -460,7 +468,7 @@ def enumerate_discrete(
     chunk = max(1, interp.CHUNK_CELLS // len(spec))  # candidates per call
     for start in range(0, space, chunk):
         flat = np.arange(start, min(start + chunk, space))
-        losses[start : start + flat.size] = eval_population_losses(plan, _columns(choices, flat), penalty)
+        losses[start : start + flat.size] = eval_population_losses(plan, list(_columns(choices, flat)), penalty)
     # Flat index k is the k-th combination in lexicographic order, so a stable sort on the loss breaks
     # ties as documented.
     order = np.argsort(losses, kind="stable")

@@ -579,7 +579,7 @@ def test_enumerate_ranking_crosses_chunks_and_matches_scalar_reference():
         assert type(c) is int and type(o) is int and r is reals[0] and type(loss) is float
 
 
-def test_ranking_reads_like_a_list_of_its_pairs(onevar_sketch, onevar_spec, monkeypatch):
+def test_ranking_reads_like_a_list_of_its_pairs(onevar_sketch, onevar_spec):
     reals = [3.5, 4.2, 2.1]
     ranked = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
     pairs = [ranked[i] for i in range(len(ranked))]
@@ -591,9 +591,14 @@ def test_ranking_reads_like_a_list_of_its_pairs(onevar_sketch, onevar_spec, monk
     for index in (slice(None), slice(3, 40, 5), slice(None, None, -1), slice(40, 2, -7), slice(50, 60)):
         assert ranked[index] == pairs[index]
     assert ranked[np.int64(5)] == pairs[5]
-    assert list(ranked) == pairs and list(reversed(ranked)) == pairs[::-1]
-    monkeypatch.setattr(engine, "RANKING_BLOCK", 5)  # iteration crosses blocks, and ends on a short one
-    assert list(ranked) == pairs and list(reversed(ranked)) == pairs[::-1]
+    assert list(ranked) == pairs and list(ranked) == pairs
+    # Equal to the same pairs in any sequence, and to a second call.
+    again = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
+    assert ranked == pairs and pairs == ranked and ranked == tuple(pairs) and ranked == again
+    assert ranked != pairs[:-1] and ranked != pairs[::-1] and ranked != ranked[:-1] and ranked != 48
+    assert ranked != sg.enumerate_discrete(onevar_sketch, [3.5, 4.2, 2.0], onevar_spec)
+    with pytest.raises(TypeError):
+        hash(ranked)
     assert ranked.losses.tolist() == [loss for _, loss in pairs]
     assert sorted(ranked.order.tolist()) == list(range(48))
     for a, loss in [ranked[0], *ranked[1::9]]:
@@ -621,6 +626,8 @@ def test_reading_a_ranking_builds_only_the_pairs_read(twovar_sketch, twovar_spec
     assert len(top) == 3 and len(built) <= 3
     ranked[-1]
     assert len(built) <= 4
+    built.clear()
+    assert list(ranked) == list(ranked) and len(built) == 768  # passes over the whole build it once
 
 
 def test_discrete_only_training_matches_enumeration_oracle(onevar_spec):
