@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -191,6 +192,7 @@ def thetas_to_doc(thetas) -> list[dict]:
 
 
 def thetas_from_doc(doc) -> list:
+    """The thetas a parsed theta document holds; a ThetaError naming the entry at fault for anything else."""
     if not isinstance(doc, list):
         raise ThetaError("theta document must be an array of per-hole entries")
     thetas = []
@@ -199,17 +201,37 @@ def thetas_from_doc(doc) -> list:
             raise ThetaError(f"entry {i}: expected an object with a 'kind' field")
         kind = entry["kind"]
         keys = set(entry)
-        if kind == "cat":
-            if keys != {"kind", "logits"}:
-                raise ThetaError(f"entry {i}: 'cat' entries carry exactly 'logits', got {sorted(keys)}")
-            thetas.append(CategoricalTheta(np.array(entry["logits"], dtype=np.float64)))
-        elif kind == "real":
-            if keys != {"kind", "mu", "sigma"}:
-                raise ThetaError(f"entry {i}: 'real' entries carry exactly 'mu' and 'sigma', got {sorted(keys)}")
-            thetas.append(GaussianTheta(float(entry["mu"]), float(entry["sigma"])))
-        else:
-            raise ThetaError(f"entry {i}: unknown kind {kind!r}")
+        try:
+            if kind == "cat":
+                if keys != {"kind", "logits"}:
+                    raise ThetaError(f"'cat' entries carry exactly 'logits', got {sorted(keys)}")
+                logits = entry["logits"]
+                if not isinstance(logits, list):
+                    raise ThetaError(f"logits must be an array of numbers, got {_json(logits)}")
+                thetas.append(CategoricalTheta([_number(v, f"logits[{j}]") for j, v in enumerate(logits)]))
+            elif kind == "real":
+                if keys != {"kind", "mu", "sigma"}:
+                    raise ThetaError(f"'real' entries carry exactly 'mu' and 'sigma', got {sorted(keys)}")
+                thetas.append(GaussianTheta(_number(entry["mu"], "mu"), _number(entry["sigma"], "sigma")))
+            else:
+                raise ThetaError(f"unknown kind {kind!r}")
+        except ThetaError as exc:
+            raise ThetaError(f"entry {i}: {exc}") from None
     return thetas
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; a ThetaError naming `name` for anything else, a bool or null included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ThetaError(f"{name} must be a number, got {_json(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ThetaError(f"{name} must be finite, got an integer of {len(str(value))} digits") from None
+
+
+def _json(value) -> str:
+    return json.dumps(value, default=repr)
 
 
 def save_thetas(thetas, path) -> None:

@@ -40,6 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dists, interp
+from . import sketch as _sketch
 from .dists import (
     SCORE_KINDS,
     SCORE_LOG_SOFTMAX,
@@ -396,7 +397,8 @@ class Ranking(Sequence):
     the ranked flat indices into the lexicographic product of `choices` (one tuple of values per hole, in
     hole order), and `losses`, the ranked losses.  An index or a slice builds only the pairs it returns,
     and iteration builds every pair once and keeps them; in a pair a category index is an int, a real is
-    the object given for it and a loss is a float.  A ranking equals any sequence of the same pairs."""
+    the object given for it and a loss is a float.  `in`, `count` and `index` find a pair from the arrays
+    and build none.  A ranking equals any sequence of the same pairs."""
 
     choices: tuple
     order: np.ndarray
@@ -431,6 +433,36 @@ class Ranking(Sequence):
         return NotImplemented
 
     __hash__ = None  # equal to lists, which have no hash
+
+    def __contains__(self, pair) -> bool:
+        return self._position(pair) is not None
+
+    def count(self, pair) -> int:
+        return int(self._position(pair) is not None)
+
+    def index(self, pair, start: int = 0, stop: int | None = None) -> int:
+        """The position of `pair` in positions start .. stop - 1 (read as a list reads them); a ValueError
+        when it is not there.  Like `in` and `count`, it builds no pair: each assignment is at one place."""
+        i = self._position(pair)
+        lo, hi, _ = slice(start, stop).indices(len(self))
+        if i is None or not lo <= i < hi:
+            raise ValueError(f"{pair!r} is not in the ranking")
+        return i
+
+    def _position(self, pair) -> int | None:
+        """Where `pair` is, or None: its assignment's flat index into `choices`, found in `order`, if the
+        loss there equals its loss.  Values compare as in a tuple, so a pair read from the ranking is found."""
+        if not (isinstance(pair, tuple) and len(pair) == 2 and type(pair[0]) is _sketch.Assignment):
+            return None  # a pair equals only a 2-tuple whose first item is an Assignment
+        values, loss = pair[0].values, pair[1]
+        if not isinstance(values, tuple) or len(values) != len(self.choices):
+            return None
+        try:
+            digits = [c.index(v) for c, v in zip(self.choices, values)]
+        except ValueError:
+            return None
+        at = np.flatnonzero(self.order == np.ravel_multi_index(digits, tuple(map(len, self.choices))))
+        return int(at[0]) if self.losses[at[0]].item() == loss else None
 
     def _pairs(self, flat: np.ndarray, losses: np.ndarray) -> list:
         columns = [c.tolist() for c in _columns(self.choices, flat, object)]

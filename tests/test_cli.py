@@ -252,6 +252,38 @@ def test_show_kind_mismatch(workdir):
     assert stderr.startswith("IO:")
 
 
+_GOOD_THETAS = [
+    {"kind": "cat", "logits": [0.0, 4.0, 0.0]},
+    {"kind": "real", "mu": 3.5, "sigma": 0.5},
+    {"kind": "real", "mu": 4.2, "sigma": 0.5},
+    {"kind": "cat", "logits": [0.0, 0.0, 4.0, 0.0]},
+    {"kind": "cat", "logits": [0.0, 0.0, 4.0, 0.0]},
+    {"kind": "real", "mu": 2.1, "sigma": 0.5},
+]
+
+
+@pytest.mark.parametrize(
+    "entry, field, value, message",
+    [
+        (2, "mu", [1], "entry 2: mu must be a number, got [1]"),
+        (2, "mu", None, "entry 2: mu must be a number, got null"),
+        (5, "sigma", "0.5", 'entry 5: sigma must be a number, got "0.5"'),
+        (0, "logits", ["a", "b", "c"], 'entry 0: logits[0] must be a number, got "a"'),
+        (4, "logits", "abcd", 'entry 4: logits must be an array of numbers, got "abcd"'),
+        (1, "mu", True, "entry 1: mu must be a number, got true"),
+        (3, "logits", [0.0, False, 4.0, 0.0], "entry 3: logits[1] must be a number, got false"),
+    ],
+)
+def test_show_rejects_a_theta_entry_that_is_not_a_number(workdir, entry, field, value, message):
+    doc = json.loads(json.dumps(_GOOD_THETAS))
+    doc[entry][field] = value
+    (workdir / "theta.json").write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(
+        "show", "--sketch", str(workdir / "sketch.txt"), "--theta", str(workdir / "theta.json")
+    )
+    assert (code, stdout, stderr) == (2, "", f"IO: {message}\n")
+
+
 def test_enumerate_top(workdir):
     code, stdout, _ = run_cli(
         "enumerate",

@@ -630,6 +630,49 @@ def test_reading_a_ranking_builds_only_the_pairs_read(twovar_sketch, twovar_spec
     assert list(ranked) == list(ranked) and len(built) == 768  # passes over the whole build it once
 
 
+def test_ranking_finds_a_pair_as_a_list_does_and_builds_none(onevar_sketch, onevar_spec, monkeypatch):
+    reals = [3.5, 4.2, 2.1]
+    ranked = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
+    pairs = list(ranked)
+    absent = [
+        (pairs[3][0], pairs[3][1] + 1.0),  # the right assignment with another loss
+        (sg.Assignment((0, 3.5, 0, 0, 0)), 0.0),  # one value short
+        (sg.Assignment((0, 3.5, 9, 0, 0, 2.1)), 0.0),  # a token out of range
+        (sg.Assignment((0, 3.0, 0, 0, 0, 2.1)), pairs[0][1]),  # another real
+        [pairs[3][0], pairs[3][1]],  # a list is not a tuple
+        (pairs[3][0].values, pairs[3][1]),
+        pairs[3][0],
+        48,
+        "pair",
+        (pairs[3][0], pairs[3][1], 0),
+    ]
+    for pair in [*pairs, *absent]:
+        assert (pair in ranked) is (pair in pairs) and ranked.count(pair) == pairs.count(pair)
+    for i in (0, 7, 47):
+        again = (sg.Assignment(tuple(float(v) for v in pairs[i][0].values)), pairs[i][1])  # 1.0 == 1
+        assert ranked.index(pairs[i]) == ranked.index(again) == i
+        for start, stop in [(0, 10**9), (i, i + 1), (-48, 48), (i - 48, 10**9), (0, -1), (i + 1, 10**9), (0, i)]:
+            if i in range(48)[start:stop]:
+                assert ranked.index(pairs[i], start, stop) == pairs.index(pairs[i], start, stop)
+            else:
+                with pytest.raises(ValueError):
+                    ranked.index(pairs[i], start, stop)
+    for pair in absent:
+        with pytest.raises(ValueError):
+            ranked.index(pair)
+    built = []
+
+    def counting(values):
+        built.append(values)
+        return sg.Assignment(values)
+
+    monkeypatch.setattr(engine, "Assignment", counting)
+    fresh = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
+    last = fresh[-1]
+    built.clear()
+    assert fresh.index(last) == 47 and last in fresh and fresh.count(last) == 1 and len(built) <= 1
+
+
 def test_discrete_only_training_matches_enumeration_oracle(onevar_spec):
     # Reals pinned as literals leaves a purely discrete 48-program space;
     # the trained argmax pattern must attain the enumeration oracle's

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,3 +307,120 @@ def test_spec_holds_two_read_only_float64_arrays(tmp_path):
 def test_population_losses_reject_spec_arity_mismatch(onevar_sketch, twovar_spec):
     with pytest.raises(sg.SketchError):
         sg.compile_sketch(onevar_sketch, twovar_spec)
+
+
+# ---------------------------------------------------------------------------
+# The pieces of the scorer's row loop, each against its plain reference.
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_ODD_FLOATS = [
+    _float(0x7FF8000000000001),  # quiet NaNs with payloads, of either sign
+    _float(0xFFF80000DEADBEEF),
+    _float(0x7FF4000000000000),  # a signalling NaN's bits
+    math.inf,
+    -math.inf,
+    0.0,
+    -0.0,
+    1.5,
+    -2.25e-308,
+]
+
+
+@pytest.mark.parametrize("rows", [6, 60])  # 240 cells, by masked copies; 2 400, bitwise
+@pytest.mark.parametrize(
+    "mask_shape, x_shape, y_shape",
+    [((6, 40), (6, 40), (6, 40)), ((1, 40), (6, 1), (6, 40)), ((6, 40), (1, 40), (1, 1)), ((6, 1), (1, 1), (1, 40))],
+)
+def test_guard_select_is_np_where_bit_for_bit(rows, mask_shape, x_shape, y_shape):
+    rng = np.random.default_rng(5)
+    odd = np.array(_ODD_FLOATS)
+    mask_shape, x_shape, y_shape = [(rows if r == 6 else 1, c) for r, c in (mask_shape, x_shape, y_shape)]
+    x, y = rng.choice(odd, x_shape), rng.choice(odd, y_shape)
+    mask = rng.random(mask_shape) < 0.5
+    out = np.full((rows, 40), 7.0)
+    assert (out.size >= interp.SELECT_BITWISE_CELLS) is (rows == 60)
+    assert interp._select(mask, x, y, out) is out
+    assert out.tobytes() == np.where(mask, x, y).tobytes()
+    assert np.isnan(out).any() and np.isinf(out).any() and np.signbit(out[out == 0.0]).any()
+
+
+def _sequential_sum(terms) -> float:
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("chunk_cells", [None, 1, 7, 64])
+def test_population_losses_are_the_sequential_sum(monkeypatch, n, chunk_cells):
+    # Squared errors of 1e16 and about 1: added one by one, each 1 after a 1e16 is lost to rounding,
+    # which a pairwise sum would keep, so only the left-to-right sum gives these losses.
+    rng = np.random.default_rng(n)
+    xs = rng.choice([1e8, 1.0, 3.0, 0.5], 301)
+    spec = sg.SpecSet(xs[:, None], np.zeros(301))
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { return x [OP] [Real]; }")
+    reals = rng.choice([0.0, 1.0, -1.0, 0.25], n)
+    values = [np.zeros(n, dtype=np.int64), reals]  # token 0 is '+'
+    if chunk_cells is not None:
+        monkeypatch.setattr(interp, "CHUNK_CELLS", chunk_cells)
+    losses = sg.eval_population_losses(sg.compile_sketch(sketch, spec), values)
+    differs = False
+    for loss, r in zip(losses.tolist(), reals.tolist()):
+        squares = [(x + r) * (x + r) for x in xs.tolist()]
+        expected = _sequential_sum(squares) / 301
+        assert struct.pack("<d", loss) == struct.pack("<d", expected)
+        differs |= expected != np.sum(squares) / 301  # np.sum of a 1-D array is pairwise
+    assert differs
+
+
+def _wide_spec_and_values(sketch, n_counts):
+    rng = np.random.default_rng(23)
+    spec = sg.SpecSet(rng.uniform(1.0, 10.0, (10_000, 2)), rng.uniform(-10.0, 30.0, 10_000))
+    return spec, {n: _population_values(sketch, rng, n) for n in n_counts}
+
+
+def test_a_scoring_call_allocates_no_buffers_per_chunk(twovar_sketch):
+    # The second call on a plan reuses the first call's buffers: 10 000 rows x 50 candidates is 16
+    # chunks, each of which allocated several MB of temporaries before the workspace was kept.  What is
+    # left is numpy's own 64 KB cast buffer (the guard's multiply by a bool mask) and the call's small
+    # arrays, less than one chunk's float64 buffer: a single array per chunk would cross that.
+    spec, populations = _wide_spec_and_values(twovar_sketch, (50,))
+    plan = sg.compile_sketch(twovar_sketch, spec)
+    assert interp.CHUNK_CELLS // 50 < len(spec) // 8
+    sg.eval_population_losses(plan, populations[50])
+    tracemalloc.start()
+    try:
+        sg.eval_population_losses(plan, populations[50])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < interp.CHUNK_CELLS * 8, peak
+
+
+def test_returned_losses_are_not_overwritten_by_later_calls(twovar_sketch):
+    spec, populations = _wide_spec_and_values(twovar_sketch, (50, 1))
+    plan = sg.compile_sketch(twovar_sketch, spec)
+    first = sg.eval_population_losses(plan, populations[50])
+    kept = first.copy()
+    argmax = sg.eval_population_losses(plan, populations[1])
+    again = sg.eval_population_losses(plan, [v[::-1] for v in populations[50]])
+    assert first.tobytes() == kept.tobytes()
+    fresh = sg.eval_population_losses(sg.compile_sketch(twovar_sketch, spec), populations[1])
+    assert argmax.tobytes() == fresh.tobytes()
+    assert again.tobytes() == kept[::-1].tobytes()
+
+
+def test_workspace_stays_bounded_over_many_candidate_counts(twovar_sketch, twovar_spec):
+    rng = np.random.default_rng(4)
+    plan = sg.compile_sketch(twovar_sketch, twovar_spec)
+    for n in [*range(1, 40), 50, 1, 50, 3]:
+        values = _population_values(twovar_sketch, rng, n)
+        losses = sg.eval_population_losses(plan, values)
+        assert len(plan.workspaces) <= interp.WORKSPACES
+        fresh = sg.eval_population_losses(sg.compile_sketch(twovar_sketch, twovar_spec), values)
+        assert losses.tobytes() == fresh.tobytes(), n
