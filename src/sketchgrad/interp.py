@@ -12,20 +12,20 @@ At a categorical hole it sorts the candidates by the token they drew and
 applies each drawn token's ufunc to its own candidates only (gather, apply,
 scatter); a token drawn by every candidate is applied to the whole operand.
 Rows are scored in chunks of `CHUNK_CELLS // n`, and the row loop allocates
-no array: every step, gather, scatter and square writes with `out=` into
-buffers that the plan keeps per candidate count (its workspace), each shaped
-once from the steps.  The guard picks its branch by a bitwise select on the
-int64 views of the two branches, which gives `np.where`'s bits (NaN payloads
-and -0.0 too) without a mispredicted branch per cell; below
-`SELECT_BITWISE_CELLS` cells a copy and a masked copy give the same bits for
-less than its three passes.  The squared errors are written transposed, one
-row per spec row under a row holding the running total, and summed by
-`np.add.reduce` down the rows: for n >= 2 numpy adds them row by row, which
-is the scalar loop's left-to-right sum, so each loss is that sequential sum
-at any chunk size, bit for bit.  For n = 1 the same reduction runs down one
-contiguous column, where numpy sums pairwise and rounds differently, so a
-population of one (the argmax program) is summed by `np.add.accumulate`, a
-`cumsum`, instead.
+no array past the first chunk of each shape: the arrays that chunk's steps,
+gathers and scatters allocate are kept on the plan, keyed by candidate count
+and chunk width (its workspace), and later chunks and calls write into them
+with `out=`.  The guard picks its branch by a bitwise select on the int64
+views of the two branches, which gives `np.where`'s bits (NaN payloads and
+-0.0 too) without a mispredicted branch per cell; real holes are scored as
+float64, so both branches are float64.  The squared errors are written
+transposed, one row per spec row under a row holding the running total, and
+summed by `np.add.reduce` down the rows: for n >= 2 numpy adds them row by
+row, which is the scalar loop's left-to-right sum, so each loss is that
+sequential sum at any chunk size, bit for bit.  For n = 1 the same reduction
+runs down one contiguous column, where numpy sums pairwise and rounds
+differently, so a population of one (the argmax program) is summed by
+`np.add.accumulate`, a `cumsum`, instead.
 """
 
 from __future__ import annotations
@@ -181,19 +181,17 @@ def eval_spec_loss(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PE
 # Population scoring through a compiled plan (see the module docstring).
 
 # The scorer holds at most this many candidate x spec-row cells per
-# intermediate array: it scores the rows in chunks of CHUNK_CELLS // n.  At
-# 2^15 cells (256 KB a float64 buffer) one chunk's buffers stay near a core's
-# L2 cache; 2^13 and 2^14 measured slower at 10 000 rows.  Read at call time,
-# so that tests can move the chunk boundaries.
+# intermediate array: it scores the rows in chunks of CHUNK_CELLS // n.  A plan
+# keeps its chunks' buffers (see `_workspace`); at 2^16 cells they raised the
+# peak RSS of a 10 000-row training run and of a 49 152-program enumeration by
+# 6-8 MB, and neither ran faster than at 2^15.  Read at call time, so that
+# tests can move the chunk boundaries.
 CHUNK_CELLS = 1 << 15
 
-# A plan keeps scratch buffers for this many (candidate count, chunk) pairs, the most recent ones; a
-# training run uses two, the population and the argmax program.
-WORKSPACES = 2
-
-# The guard's select is bitwise from this many cells on (see `_select`): near the crossover measured on
-# 1 x w and 50 x w operands, where a masked copy's mispredicted branches start to cost more.
-SELECT_BITWISE_CELLS = 1 << 10
+# A plan keeps scratch buffers for this many (candidate count, chunk width) pairs, the most recent ones; a
+# training run uses at most three (the population's whole chunks and its last one, and the argmax
+# program), an enumeration two (its whole candidate chunks and its last one).
+WORKSPACES = 4
 
 _UFUNCS = {
     "==": np.equal,
@@ -206,15 +204,12 @@ _UFUNCS = {
 }
 
 
-def _select(mask, x, y, out):
-    """`np.where(mask, x, y)` into `out`, bit for bit (NaN payloads and -0.0 included).  From
-    SELECT_BITWISE_CELLS cells on, with no branch per cell: on the int64 views of the floats,
-    y ^ ((x ^ y) * mask), where a bool mask is 0 or 1.  Below that, by a copy and a masked copy, whose
-    branches cost less there than the three passes' fixed cost."""
-    if out.size < SELECT_BITWISE_CELLS:
-        np.copyto(out, y)
-        np.copyto(out, x, where=mask)
-        return out
+def _select(mask, x, y, out=None):
+    """`np.where(mask, x, y)` on float64 `x` and `y`, bit for bit (NaN payloads and -0.0 included), into
+    `out` (a new array when None), with no branch per cell: on the int64 views of the floats,
+    y ^ ((x ^ y) * mask), where a bool mask is 0 or 1."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(mask.shape, x.shape, y.shape))
     bits, y = out.view(np.int64), y.view(np.int64)
     np.bitwise_xor(x.view(np.int64), y, out=bits)
     np.multiply(bits, mask, out=bits)
@@ -233,8 +228,6 @@ class Plan:
     (None there).  A step `(out, hole, fns, args, dtype)` sets value `out` to a function of `fns` applied
     to the values at `args`: `fns[0]` when `hole` is None, else, per candidate, the function of the token
     it drew for that categorical hole, into an array of `dtype`.  Value `out` is the prediction.
-    `varies` holds, per value, whether it varies by candidate and whether by spec row: a step's result
-    varies as its arguments do, and by candidate too at a categorical hole.
 
     A plan owns the scratch buffers its calls write into (`workspaces`, see `_workspace`), so one plan
     must not be scored from two threads at once; compile one per thread."""
@@ -245,7 +238,6 @@ class Plan:
     slots: tuple
     steps: tuple
     out: int
-    varies: tuple
     workspaces: dict = field(default_factory=dict, repr=False)
 
 
@@ -255,7 +247,6 @@ def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
     if spec.arity != sketch.arity:
         raise SketchError(f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
     slots: list = [None] * (sketch.arity + sketch.hole_count)
-    varies: list = [(False, True)] * sketch.arity + [(h.tokens is None, False) for h in sketch.holes]
     steps = []
 
     def operand(node) -> int:
@@ -265,13 +256,11 @@ def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
             return sketch.arity + node.index
         if isinstance(node, Lit):
             slots.append(_read_only(np.full((1, 1), node.value)))
-            varies.append((False, False))
             return len(slots) - 1
         raise SketchError(f"not an operand: {node!r}")
 
     def step(hole, fns: tuple, dtype, *args: int) -> int:
         slots.append(None)
-        varies.append((hole is not None or any(varies[a][0] for a in args), any(varies[a][1] for a in args)))
         steps.append((len(slots) - 1, hole, fns, args, dtype))
         return len(slots) - 1
 
@@ -292,17 +281,17 @@ def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
         g = sketch.guard
         out = step(None, (_select,), np.float64, apply(g.cmp, operand(g.lhs), operand(g.rhs)), chain(g.body), out)
     columns = _read_only(np.ascontiguousarray(spec.inputs.T))
-    return Plan(sketch.holes, columns, spec.outputs, tuple(slots), tuple(steps), out, tuple(varies))
+    return Plan(sketch.holes, columns, spec.outputs, tuple(slots), tuple(steps), out)
 
 
 def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFINITE_PENALTY) -> np.ndarray:
     """Spec losses for a population of hole assignments, vectorized.
 
     hole_values: one array per hole, in hole-table order; int arrays of
-    category indices for cond/op holes, float arrays of concrete values for
-    real holes.  All arrays share one length n.  Returns losses, shape (n),
-    a new array that later calls leave alone.  A SketchError names a hole
-    whose array does not fit it.
+    category indices for cond/op holes, int or float arrays of concrete
+    values for real holes (scored as float64).  All arrays share one length
+    n.  Returns losses, shape (n), a new array that later calls leave alone.
+    A SketchError names a hole whose array does not fit it.
     """
     if len(plan.holes) != len(hole_values):
         raise SketchError(f"expected {len(plan.holes)} value arrays, got {len(hole_values)}")
@@ -317,83 +306,51 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
         if hole.tokens is not None:
             drawn[hole.index] = _drawn_tokens(hole, v)
         elif v.ndim == 1 and v.dtype.kind in "iuf":
-            values[arity + hole.index] = v[:, None]
+            values[arity + hole.index] = v.astype(np.float64, copy=False)[:, None]
         else:
             raise SketchError(f"hole {hole.index} is real but got {v.ndim}-D {v.dtype} values")
     chunk = max(1, CHUNK_CELLS // max(n, 1))
-    total, by_width = plan.workspaces.get((n, chunk)) or _workspace(plan, n, chunk)
+    total = np.empty(n)
     with np.errstate(all="ignore"):
         for lo in range(0, rows, chunk):
             hi = min(lo + chunk, rows)
-            steps, (head, squares, body, running) = by_width[hi - lo]
+            bufs, squares, running = plan.workspaces.get((n, hi - lo)) or _workspace(plan, n, hi - lo)
             values[:arity] = plan.columns[:, None, lo:hi]
-            for out, hole, fns, args, res, scratch in steps:
+            for (out, hole, fns, args, dtype), buf in zip(plan.steps, bufs):
                 if hole is None:
-                    values[out] = fns[0](*[values[a] for a in args], out=res)
+                    values[out] = buf[0] = fns[0](*[values[a] for a in args], out=buf[0])
                 else:
-                    values[out] = _apply(fns, drawn[hole], values[args[0]], values[args[1]], n, res, *scratch)
+                    values[out] = _apply(fns, drawn[hole], values[args[0]], values[args[1]], n, dtype, buf)
             # A sequential sum, whatever the chunks (see the module docstring): rows 1.. of `squares` are the
             # chunk's squared errors, one row per spec row, and from the second chunk on its row 0 is the
             # running total.  A non-finite prediction makes its candidate's loss non-finite, so the one
             # check below covers both.
+            body = squares[1:]
             np.subtract(values[plan.out].T, plan.outputs[lo:hi, None], out=body)
             np.multiply(body, body, out=body)
             if lo:
-                np.copyto(head, total)
+                squares[0] = total
             terms = squares if lo else body
             if running is None:
                 np.add.reduce(terms, axis=0, out=total)
             else:  # n = 1, where the reduction would be pairwise
-                np.copyto(total, np.add.accumulate(terms, axis=0, out=running[: len(terms)])[-1])
+                total[:] = np.add.accumulate(terms, axis=0, out=running[: len(terms)])[-1]
         losses = total / rows
         return np.where(np.isfinite(losses), losses, penalty)
 
 
-def _workspace(plan: Plan, n: int, chunk: int) -> tuple:
-    """The scratch buffers of a call that scores `n` candidates in row chunks of `chunk`: `(total,
-    by_width)`, made at the first call with these sizes and kept on the plan for the last `WORKSPACES` of
-    them.  `total` holds the running sums.  `by_width` maps each chunk width the rows use to `(steps,
-    sums)`: `steps` is the plan's steps, each as `(out, hole, fns, args, res, scratch)` with `res` its
-    result buffer and, at a categorical hole scored for n >= 2, `scratch` the buffers its operands are
-    gathered and its runs computed into; `sums` is `(head, squares, body, running)`: the (width + 1, n)
-    buffer of the sequential sum as rows 0 and 1.., whole and as rows 1.., and for n = 1 the buffer of
-    its `cumsum` (else None).  Every buffer is shaped from the plan, (n or 1, width or 1) as the value
-    varies, and the buffers of both widths share memory."""
+def _workspace(plan: Plan, n: int, width: int) -> tuple:
+    """The scratch buffers of a row chunk of `width` rows scored for `n` candidates, kept on the plan for
+    the last `WORKSPACES` such pairs: `(bufs, squares, running)`.  `bufs` holds one list per step, all None
+    until the first chunk of this shape fills it with the arrays the step allocated (its result, and at a
+    categorical hole its gathered operands and runs), which later chunks write into.  `squares` is the
+    (width + 1, n) buffer of the sequential sum and `running`, for n = 1, the buffer of its `cumsum`."""
     if len(plan.workspaces) >= WORKSPACES:
         del plan.workspaces[next(iter(plan.workspaces))]  # the oldest
-    rows = plan.columns.shape[1]
-    full = min(chunk, rows)
-    widths = {full, rows - (rows - 1) // chunk * chunk}  # the whole chunks' and the last one's
-
-    def shape(slot: int, w: int) -> tuple:
-        by_candidate, by_row = plan.varies[slot]
-        return (n if by_candidate else 1, w if by_row else 1)
-
-    def view(flat: np.ndarray, shape: tuple) -> np.ndarray:
-        """A C-contiguous `shape` view of the start of `flat`, as `take(out=...)` needs to write in place."""
-        return flat[: shape[0] * shape[1]].reshape(shape)
-
-    results = {out: np.empty(math.prod(shape(out, full)), dtype) for out, _, _, _, dtype in plan.steps}
-    hole_steps = [step for step in plan.steps if step[1] is not None] if n > 1 else []
-    gathered = [np.empty(n * full) for _ in range(2)] if hole_steps else []
-    runs = {dtype: np.empty(n * full, dtype) for _, _, _, _, dtype in hole_steps}
-    squares = np.empty((full + 1) * n)
-    running = np.empty((full + 1, 1)) if n == 1 else None
-    by_width = {}
-    for w in widths:
-        steps = []
-        for out, hole, fns, args, dtype in plan.steps:
-            scratch = ()
-            if hole is not None and n > 1:
-                scratch = (
-                    *(view(flat, shape(a, w)) if plan.varies[a][0] else None for flat, a in zip(gathered, args)),
-                    view(runs[dtype], shape(out, w)),
-                )
-            steps.append((out, hole, fns, args, view(results[out], shape(out, w)), scratch))
-        sq = view(squares, (w + 1, n))
-        by_width[w] = (tuple(steps), (sq[0], sq, sq[1:], running))
-    plan.workspaces[n, chunk] = total, by_width = np.empty(n), by_width
-    return total, by_width
+    running = np.empty((width + 1, 1)) if n == 1 else None
+    bufs = [[None] * (4 if hole is not None else 1) for _, hole, _, _, _ in plan.steps]
+    plan.workspaces[n, width] = workspace = bufs, np.empty((width + 1, n)), running
+    return workspace
 
 
 def _drawn_tokens(hole, indices: np.ndarray) -> tuple:
@@ -425,19 +382,25 @@ def _drawn_tokens(hole, indices: np.ndarray) -> tuple:
     return order, inverse, spans
 
 
-def _apply(fns: tuple, drawn: tuple, a, b, n: int, res, a_runs=None, b_runs=None, runs=None):
-    """Each drawn token's function applied to `a` and `b` on the candidates that drew it, into `res`: the
-    candidate rows of `a` and `b` are gathered in token order into `a_runs` and `b_runs`, each token's run
-    is computed into its run of `runs`, and `runs` is put back in candidate order.  When every candidate
-    drew one token its function is applied to the whole operands.  Returns `res`."""
+def _apply(fns: tuple, drawn: tuple, a, b, n: int, dtype, buf: list):
+    """Each drawn token's function applied to `a` and `b` on the candidates that drew it: the candidate
+    rows of `a` and `b` are gathered in token order, each token's run is computed into its run of `runs`,
+    and `runs` is put back in candidate order, into an (n, width) array of `dtype`.  When every candidate
+    drew one token its function is applied to the whole operands.  `buf` is `[result, a_runs, b_runs,
+    runs]`, each None until this call allocates it; the arrays are left there for the next chunk."""
     order, inverse, spans = drawn
+    res, a_runs, b_runs, runs = buf
+    if res is None:
+        res = buf[0] = np.empty((n, max(a.shape[1], b.shape[1])), dtype)
     if order is None:
         return fns[spans[0][0]](a, b, out=res)
     a_rows, b_rows = len(a) == n, len(b) == n  # which operands vary by candidate
     if a_rows:
-        a = a.take(order, axis=0, out=a_runs, mode="clip")
+        a = buf[1] = a.take(order, axis=0, out=a_runs, mode="clip")
     if b_rows:
-        b = b.take(order, axis=0, out=b_runs, mode="clip")
+        b = buf[2] = b.take(order, axis=0, out=b_runs, mode="clip")
+    if runs is None:
+        runs = buf[3] = np.empty_like(res)
     for tok, start, stop in spans:
         fns[tok](a[start:stop] if a_rows else a, b[start:stop] if b_rows else b, out=runs[start:stop])
     return runs.take(inverse, axis=0, out=res, mode="clip")

@@ -330,7 +330,7 @@ _ODD_FLOATS = [
 ]
 
 
-@pytest.mark.parametrize("rows", [6, 60])  # 240 cells, by masked copies; 2 400, bitwise
+@pytest.mark.parametrize("rows", [6, 60])
 @pytest.mark.parametrize(
     "mask_shape, x_shape, y_shape",
     [((6, 40), (6, 40), (6, 40)), ((1, 40), (6, 1), (6, 40)), ((6, 40), (1, 40), (1, 1)), ((6, 1), (1, 1), (1, 40))],
@@ -342,10 +342,32 @@ def test_guard_select_is_np_where_bit_for_bit(rows, mask_shape, x_shape, y_shape
     x, y = rng.choice(odd, x_shape), rng.choice(odd, y_shape)
     mask = rng.random(mask_shape) < 0.5
     out = np.full((rows, 40), 7.0)
-    assert (out.size >= interp.SELECT_BITWISE_CELLS) is (rows == 60)
     assert interp._select(mask, x, y, out) is out
     assert out.tobytes() == np.where(mask, x, y).tobytes()
+    assert interp._select(mask, x, y).tobytes() == out.tobytes()
     assert np.isnan(out).any() and np.isinf(out).any() and np.signbit(out[out == 0.0]).any()
+
+
+@pytest.mark.parametrize("rows", [4, 2_000])  # 50 x 4 cells per chunk; 50 x 1 310, and several chunks
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fn f(x: f32) -> f32 { if x [COND] 1.0 { return [Real]; } return x; }",
+        "fn f(x: f32) -> f32 { if x [COND] 1.0 { return x * 2.0; } return [Real]; }",
+    ],
+)
+def test_a_bare_real_hole_in_a_guard_branch_scores_as_float64(text, rows):
+    # The guard's select reads its branches' bits as float64, so a real hole given as integers or float32
+    # must be converted on entry, not passed through bit for bit (3 read as an int64 is about 1.5e-323).
+    rng = np.random.default_rng(rows)
+    spec = sg.SpecSet(rng.uniform(-2.0, 4.0, (rows, 1)), rng.uniform(-5.0, 5.0, rows))
+    sketch = sg.parse_sketch(text)
+    plan = sg.compile_sketch(sketch, spec)
+    cond, reals = rng.integers(0, 3, 50), rng.integers(0, 9, 50)
+    expected = sg.eval_population_losses(plan, [cond, reals.astype(np.float64)])
+    for dtype in (np.int64, np.uint64, np.int32, np.float32):
+        losses = sg.eval_population_losses(plan, [cond, reals.astype(dtype)])
+        assert losses.tobytes() == expected.tobytes(), dtype
 
 
 def _sequential_sum(terms) -> float:
@@ -384,18 +406,20 @@ def _wide_spec_and_values(sketch, n_counts):
     return spec, {n: _population_values(sketch, rng, n) for n in n_counts}
 
 
-def test_a_scoring_call_allocates_no_buffers_per_chunk(twovar_sketch):
+@pytest.mark.parametrize("n", [50, 1])
+def test_a_scoring_call_allocates_no_buffers_per_chunk(twovar_sketch, n):
     # The second call on a plan reuses the first call's buffers: 10 000 rows x 50 candidates is 16
-    # chunks, each of which allocated several MB of temporaries before the workspace was kept.  What is
-    # left is numpy's own 64 KB cast buffer (the guard's multiply by a bool mask) and the call's small
-    # arrays, less than one chunk's float64 buffer: a single array per chunk would cross that.
-    spec, populations = _wide_spec_and_values(twovar_sketch, (50,))
+    # chunks, each of which allocated several MB of temporaries before the workspace was kept, and the
+    # argmax program (n = 1) is one chunk whose every step allocated a row.  What is left is numpy's own
+    # 64 KB cast buffer (the guard's multiply by a bool mask) and the call's small arrays, less than one
+    # chunk's float64 buffer: a single array per chunk, or a few rows per call, would cross that.
+    spec, populations = _wide_spec_and_values(twovar_sketch, (n,))
     plan = sg.compile_sketch(twovar_sketch, spec)
-    assert interp.CHUNK_CELLS // 50 < len(spec) // 8
-    sg.eval_population_losses(plan, populations[50])
+    assert interp.CHUNK_CELLS // 50 < len(spec) // 4
+    sg.eval_population_losses(plan, populations[n])
     tracemalloc.start()
     try:
-        sg.eval_population_losses(plan, populations[50])
+        sg.eval_population_losses(plan, populations[n])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
