@@ -35,9 +35,12 @@ class ThetaError(ValueError):
 
 def softmax(logits) -> np.ndarray:
     """Numerically stable softmax; shift-invariant, strictly positive, sums to 1."""
+    # The reductions are the ufuncs' own, called directly: `np.max` and `e.sum()` reach the same ones
+    # through a Python wrapper each, which at the sizes training uses costs more than the arithmetic.
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - np.max(z))
-    return e / e.sum()
+    e = np.exp(z - np.maximum.reduce(z, axis=None))
+    e /= np.add.reduce(e, axis=None)
+    return e
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,11 @@ def sample_categorical_many(theta: CategoricalTheta, n: int, rng: np.random.Gene
 
 
 def _categorical_draws(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(probs)
-    u = rng.random(n)
-    return np.minimum(np.searchsorted(cum, u, side="right"), probs.size - 1).astype(np.int64)
+    """n int64 category indices drawn by inverse CDF from `rng`.  A uniform u draws the number of
+    cumulative probabilities at or below it, clamped to the last category for a u past them all (rounding
+    can leave the total below 1): the count over all but the last cumulative probability, which needs no
+    clamp."""
+    return np.add.accumulate(probs[:-1]).searchsorted(rng.random(n), side="right")
 
 
 def _categorical_accumulator(probs: np.ndarray, indices: np.ndarray, fitness: np.ndarray, score: str) -> np.ndarray:
@@ -116,12 +121,14 @@ def _categorical_accumulator(probs: np.ndarray, indices: np.ndarray, fitness: np
     else:
         raise ValueError(f"unknown categorical score {score!r}")
     diag = np.bincount(indices, weights=w, minlength=k)
-    return (diag - w.sum() * probs) / n
+    diag -= np.add.reduce(w) * probs
+    diag /= n
+    return diag
 
 
 def _gaussian_accumulator(eps: np.ndarray, fitness: np.ndarray, sigma: float) -> float:
     """The fixed-sigma mean gradient (1 / (n * sigma)) * sum(F_i * eps_i)."""
-    return float(np.dot(fitness, eps) / (fitness.size * sigma))
+    return float(fitness.dot(eps) / (fitness.size * sigma))
 
 
 def categorical_gradient(theta: CategoricalTheta, samples, *, score: str) -> np.ndarray:
@@ -166,11 +173,16 @@ def standardize_fitness(raw_losses) -> np.ndarray:
     x = -np.asarray(raw_losses, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need at least two losses to standardize")
-    if x.max() == x.min():
+    if np.maximum.reduce(x) == np.minimum.reduce(x):
         # An all-equal population carries no signal; exact zeros, not the
         # rounding noise of (x - mean(x)) / eps.
         return np.zeros_like(x)
-    return (x - x.mean()) / (x.std() + STANDARDIZE_EPS)
+    # (x - x.mean()) / (x.std() + STANDARDIZE_EPS) bit for bit, from the ufuncs that `mean` and `std`
+    # call, with the centred vector taken once: std is the root of the mean of its squares.
+    x -= np.add.reduce(x) / x.size
+    std = math.sqrt(np.add.reduce(x * x) / x.size)
+    x /= std + STANDARDIZE_EPS
+    return x
 
 
 # ---------------------------------------------------------------------------

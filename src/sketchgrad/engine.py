@@ -306,7 +306,7 @@ def _argmax_columns(params, sigmas) -> list:
     """The most probable value per hole of a state's `params` and `sigmas`, as one-candidate columns in
     hole order: the highest-logit token index (ties break to the lowest index) per categorical hole,
     the mean per real hole."""
-    return [p if sigma is not None else np.argmax(p, keepdims=True) for p, sigma in zip(params, sigmas)]
+    return [p if sigma is not None else p.argmax(keepdims=True) for p, sigma in zip(params, sigmas)]
 
 
 def argmax_program(sketch: Sketch, thetas) -> Sketch:
@@ -330,13 +330,15 @@ def train_step(plan: Plan, state: TrainState, config: TrainConfig, streams):
         step_count = state.step_count + 1
         params, moments = make_optimizer(config).step(state.params, grads, state.moments, step_count)
     iteration = state.iteration + 1
-    if not np.isfinite(np.concatenate(params)).all():
+    # The reductions here are ufunc methods, called directly: numpy's wrappers for `.all()` and `np.mean`
+    # cost more than the few cells they reduce.
+    if not np.logical_and.reduce(np.isfinite(np.concatenate(params))):
         raise DivergenceError(f"the run diverged: iteration {iteration} left a non-finite parameter")
     params = tuple(map(_read_only, params))
     # The argmax program, scored as a population of one.
     argmax_loss = float(eval_population_losses(plan, _argmax_columns(params, state.sigmas), config.penalty)[0])
     best_loss = min(state.best_loss, argmax_loss)
-    record = TrainRecord(iteration, float(np.mean(losses)), argmax_loss, best_loss)
+    record = TrainRecord(iteration, float(np.add.reduce(losses) / losses.size), argmax_loss, best_loss)
     return TrainState(params, state.sigmas, moments, step_count, iteration, best_loss), record
 
 

@@ -10,15 +10,19 @@ one input; it is the reference.  The population scorer runs a `Plan`, which
 `compile_sketch` resolves once per sketch and spec into a flat step list.
 At a categorical hole it sorts the candidates by the token they drew and
 applies each drawn token's ufunc to its own candidates only (gather, apply,
-scatter); a token drawn by every candidate is applied to the whole operand.
-Rows are scored in chunks of `CHUNK_CELLS // n`, and the row loop allocates
-no array past the first chunk of each shape: the arrays that chunk's steps,
-gathers and scatters allocate are kept on the plan, keyed by candidate count
-and chunk width (its workspace), and later chunks and calls write into them
-with `out=`.  The guard picks its branch by a bitwise select on the int64
+scatter); a token drawn by every candidate is applied to the whole operand,
+and a population of one (the argmax program) takes its one token after a
+range check, with no partition.  Rows are scored in chunks of
+`CHUNK_CELLS // n`, and the row loop allocates no array past the first chunk
+of each shape (numpy's own iterator buffers aside): the arrays that chunk's
+steps, gathers and scatters allocate are kept on the plan, keyed by candidate
+count and chunk width (its workspace), and later chunks and calls write into
+them with `out=`.  The guard picks its branch by a bitwise select on the int64
 views of the two branches, which gives `np.where`'s bits (NaN payloads and
 -0.0 too) without a mispredicted branch per cell; real holes are scored as
-float64, so both branches are float64.  The squared errors are written
+float64, so both branches are float64.  Its comparison is copied to a 0/1
+int64 mask first, a step of its own, as a multiply by a bool mask would cast
+it through a buffer numpy allocates per call.  The squared errors are written
 transposed, one row per spec row under a row holding the running total, and
 summed by `np.add.reduce` down the rows: for n >= 2 numpy adds them row by
 row, which is the scalar loop's left-to-right sum, so each loss is that
@@ -204,10 +208,20 @@ _UFUNCS = {
 }
 
 
+def _int_mask(mask, out=None):
+    """A bool `mask` as 0/1 int64, into `out` (a new array when None), for `_select`: an assignment casts
+    with no buffer, where a multiply by the bool mask casts through one numpy allocates per call."""
+    if out is None:
+        out = np.empty(mask.shape, np.int64)
+    out[...] = mask
+    return out
+
+
 def _select(mask, x, y, out=None):
     """`np.where(mask, x, y)` on float64 `x` and `y`, bit for bit (NaN payloads and -0.0 included), into
     `out` (a new array when None), with no branch per cell: on the int64 views of the floats,
-    y ^ ((x ^ y) * mask), where a bool mask is 0 or 1."""
+    y ^ ((x ^ y) * mask), where the mask is 0 or 1.  Give it `_int_mask`'s int64 mask: a bool one gives
+    the same bits, through a cast buffer."""
     if out is None:
         out = np.empty(np.broadcast_shapes(mask.shape, x.shape, y.shape))
     bits, y = out.view(np.int64), y.view(np.int64)
@@ -223,11 +237,12 @@ class Plan:
 
     A call holds a list of values, each a 2-D array over (candidates, spec rows) whose axes have length 1
     where the value does not vary.  Values 0 .. arity-1 are the input columns of the current row chunk,
-    cut from `columns` (the spec's inputs, one contiguous row per input); value arity + h is real hole
-    h's candidate values; the rest are, in `slots` order, the literals (held there) and the step results
-    (None there).  A step `(out, hole, fns, args, dtype)` sets value `out` to a function of `fns` applied
-    to the values at `args`: `fns[0]` when `hole` is None, else, per candidate, the function of the token
-    it drew for that categorical hole, into an array of `dtype`.  Value `out` is the prediction.
+    cut from `columns` (the spec's inputs, one contiguous row per input; `slots` holds them whole, for a
+    call scored in one chunk); value arity + h is real hole h's candidate values; the rest are, in `slots`
+    order, the literals (held there) and the step results (None there).  A step `(out, hole, fns, args,
+    dtype)` sets value `out` to a function of `fns` applied to the values at `args`: `fns[0]` when `hole`
+    is None, else, per candidate, the function of the token it drew for that categorical hole, into an
+    array of `dtype`.  Value `out` is the prediction.
 
     A plan owns the scratch buffers its calls write into (`workspaces`, see `_workspace`), so one plan
     must not be scored from two threads at once; compile one per thread."""
@@ -279,8 +294,10 @@ def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
     out = chain(sketch.ret)
     if sketch.guard is not None:
         g = sketch.guard
-        out = step(None, (_select,), np.float64, apply(g.cmp, operand(g.lhs), operand(g.rhs)), chain(g.body), out)
+        mask = step(None, (_int_mask,), np.int64, apply(g.cmp, operand(g.lhs), operand(g.rhs)))
+        out = step(None, (_select,), np.float64, mask, chain(g.body), out)
     columns = _read_only(np.ascontiguousarray(spec.inputs.T))
+    slots[: sketch.arity] = columns[:, None, :]  # whole rows, which a call scored in one chunk reads
     return Plan(sketch.holes, columns, spec.outputs, tuple(slots), tuple(steps), out)
 
 
@@ -295,10 +312,11 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     """
     if len(plan.holes) != len(hole_values):
         raise SketchError(f"expected {len(plan.holes)} value arrays, got {len(hole_values)}")
-    hole_values = [np.asarray(v) for v in hole_values]
-    n = len(hole_values[0]) if hole_values else 1
-    if any(len(v) != n for v in hole_values):
+    hole_values = list(map(np.asarray, hole_values))
+    lengths = set(map(len, hole_values))
+    if len(lengths) > 1:
         raise SketchError("hole value arrays differ in length")
+    n = lengths.pop() if lengths else 1
     arity, rows = plan.columns.shape
     values = list(plan.slots)
     drawn = {}
@@ -315,7 +333,8 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
         for lo in range(0, rows, chunk):
             hi = min(lo + chunk, rows)
             bufs, squares, running = plan.workspaces.get((n, hi - lo)) or _workspace(plan, n, hi - lo)
-            values[:arity] = plan.columns[:, None, lo:hi]
+            if chunk < rows:  # else the plan's slots hold every row
+                values[:arity] = plan.columns[:, None, lo:hi]
             for (out, hole, fns, args, dtype), buf in zip(plan.steps, bufs):
                 if hole is None:
                     values[out] = buf[0] = fns[0](*[values[a] for a in args], out=buf[0])
@@ -335,8 +354,11 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
                 np.add.reduce(terms, axis=0, out=total)
             else:  # n = 1, where the reduction would be pairwise
                 total[:] = np.add.accumulate(terms, axis=0, out=running[: len(terms)])[-1]
-        losses = total / rows
-        return np.where(np.isfinite(losses), losses, penalty)
+        total /= rows
+        # A finite sum of the losses shows that each is finite, with no pass over them that allocates.
+        if not math.isfinite(np.add.reduce(total)):
+            total[~np.isfinite(total)] = penalty
+    return total
 
 
 def _workspace(plan: Plan, n: int, width: int) -> tuple:
@@ -357,15 +379,20 @@ def _drawn_tokens(hole, indices: np.ndarray) -> tuple:
     """Which candidates drew which token of categorical `hole`: `(order, inverse, spans)`, where `order`
     sorts the candidates by token, `inverse` undoes it, and `spans` holds `(token, start, stop)` of each
     drawn token's run in that order; `order` is None when every candidate drew one token.  A SketchError
-    names the hole if an index is not an integer in 0..arity-1."""
+    names the hole if an index is not an integer in 0..arity-1.  A population of one (the argmax program)
+    has one token, and is not partitioned."""
+    arity = len(hole.tokens)
+    integral = indices.dtype.kind in "iu"
+    if integral and indices.shape == (1,) and 0 <= indices.item() < arity:
+        return None, None, ((indices.item(), 0, 1),)
     try:
-        counts = np.bincount(indices, minlength=hole.arity).tolist() if indices.dtype.kind in "iu" else None
+        counts = np.bincount(indices, minlength=arity).tolist() if integral else None
     except (TypeError, ValueError):  # a negative index, or an unsigned type past int64
         counts = None
-    if counts is None or len(counts) > hole.arity:
-        bad = indices[(indices < 0) | (indices >= hole.arity)] if indices.dtype.kind in "iu" else ()
+    if counts is None or len(counts) > arity:
+        bad = indices[(indices < 0) | (indices >= arity)] if integral else ()
         if len(bad):
-            raise SketchError(f"hole {hole.index}: category index {bad[0]} out of range 0..{hole.arity - 1}")
+            raise SketchError(f"hole {hole.index}: category index {bad[0]} out of range 0..{arity - 1}")
         raise SketchError(f"hole {hole.index} is categorical but got {indices.dtype} values")
     n = len(indices)
     if n in counts:
@@ -377,7 +404,7 @@ def _drawn_tokens(hole, indices: np.ndarray) -> tuple:
             spans.append((tok, start, start + count))
             start += count
     # The inverse permutation by one scatter, in O(n): a second sort would cost O(n log n).
-    inverse = np.empty_like(order)
+    inverse = np.empty(n, order.dtype)
     inverse[order] = np.arange(n)
     return order, inverse, spans
 

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchgrad as sg
-from sketchgrad.dists import SCORE_LOG_SOFTMAX, thetas_from_doc, thetas_to_doc
+from sketchgrad import dists
+from sketchgrad.dists import (
+    SCORE_KINDS,
+    SCORE_LOG_SOFTMAX,
+    SCORE_SOFTMAX,
+    STANDARDIZE_EPS,
+    thetas_from_doc,
+    thetas_to_doc,
+)
+from sketchgrad.interp import NONFINITE_PENALTY
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +48,59 @@ def test_softmax_is_a_distribution(logits):
     assert abs(p.sum() - 1.0) < 1e-12
 
 
+def _logit_vectors(seed):
+    """Seeded logit vectors of 2 to 40 entries, on scales from a tie to gaps past exp's range."""
+    rng = np.random.default_rng(seed)
+    for k in [2, 3, 4, 7, 9, 16, 40]:
+        for scale in [0.0, 1e-3, 1.0, 30.0, 800.0]:
+            yield rng.normal(0.0, scale, k) + rng.normal(0.0, 50.0)
+
+
+def test_softmax_is_e_over_its_sum_bit_for_bit():
+    for z in _logit_vectors(11):
+        e = np.exp(z - np.max(z))
+        assert sg.softmax(z).tobytes() == (e / e.sum()).tobytes(), z
+        assert sg.softmax(z.tolist()).tobytes() == (e / e.sum()).tobytes(), z
+
+
 # ---------------------------------------------------------------------------
 # sampling
+
+
+def test_categorical_draws_are_int64():
+    probs = sg.softmax([0.5, -0.2, 1.0, 0.0])
+    for n in [0, 1, 50]:
+        draws = dists._categorical_draws(probs, n, np.random.default_rng(n))
+        assert draws.dtype == np.int64 and draws.shape == (n,)
+
+
+class _Uniforms:
+    """A stand-in for a Generator whose `random(n)` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+def test_categorical_draws_clamp_a_uniform_past_the_last_cumulative_probability():
+    probs = np.array([0.25, 0.25, 0.25, 0.2])  # sums to 0.95
+    u = [0.0, 0.2499, 0.25, 0.5, 0.9499, 0.95, 0.96, 0.999999]
+    draws = dists._categorical_draws(probs, len(u), _Uniforms(u))
+    assert draws.tolist() == [0, 0, 1, 2, 3, 3, 3, 3]
+
+
+def test_categorical_draws_are_the_clamped_inverse_cdf():
+    rng = np.random.default_rng(8)
+    for k in [2, 3, 4, 9]:
+        for _ in range(50):
+            probs = rng.dirichlet(np.full(k, 0.3)) * rng.choice([1.0, 0.9, 1.0 - 2**-50])
+            u = np.concatenate([rng.random(40), np.cumsum(probs), [np.nextafter(np.sum(probs), 1.0)]])
+            draws = dists._categorical_draws(probs, u.size, _Uniforms(u))
+            expected = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), k - 1)
+            assert draws.tolist() == expected.tolist()
 
 
 def test_sample_categorical_near_deterministic():
@@ -69,6 +129,20 @@ def test_sample_categorical_seed_determinism():
 
 # ---------------------------------------------------------------------------
 # categorical gradient (the printed accumulator and the log variant)
+
+
+@pytest.mark.parametrize("score", SCORE_KINDS)
+def test_categorical_accumulator_is_its_formula_bit_for_bit(score):
+    rng = np.random.default_rng(12)
+    for k in [2, 3, 4, 9]:
+        for n in [2, 3, 50, 300]:
+            probs = sg.softmax(rng.normal(0.0, 2.0, k))
+            indices = rng.integers(0, k, n)
+            fitness = sg.standardize_fitness(rng.lognormal(0.0, 2.0, n))
+            w = probs[indices] * fitness if score == SCORE_SOFTMAX else fitness
+            expected = (np.bincount(indices, weights=w, minlength=k) - w.sum() * probs) / n
+            got = dists._categorical_accumulator(probs, indices, fitness, score)
+            assert got.tobytes() == expected.tobytes(), (k, n)
 
 
 def test_categorical_gradient_hand_value():
@@ -220,6 +294,45 @@ def test_standardize_is_rank_preserving(int_losses):
     fit = sg.standardize_fitness(losses)
     neg = -np.asarray(losses)
     assert list(np.argsort(fit, kind="stable")) == list(np.argsort(neg, kind="stable"))
+
+
+def _textbook_standardize(losses):
+    x = -np.asarray(losses, dtype=np.float64)
+    return (x - x.mean()) / (x.std() + STANDARDIZE_EPS)
+
+
+def _loss_populations(seed):
+    """Seeded populations of 2 to 300 losses: spread, clustered, heavy-tailed, with a few or many
+    NONFINITE_PENALTY values, and all-but-one equal."""
+    rng = np.random.default_rng(seed)
+    for n in [2, 3, 8, 9, 50, 128, 129, 300]:
+        yield rng.normal(3.0, 2.0, n)
+        yield 7.0 + rng.normal(0.0, 1e-9, n)
+        yield rng.lognormal(0.0, 3.0, n)
+        with_penalty = rng.lognormal(0.0, 1.0, n)
+        with_penalty[rng.random(n) < 0.3] = NONFINITE_PENALTY
+        with_penalty[0] = NONFINITE_PENALTY
+        yield with_penalty
+        yield np.where(np.arange(n) == n - 1, NONFINITE_PENALTY, 0.25)
+        yield np.where(np.arange(n) == 0, np.nextafter(4.2, 5.0), 4.2)
+
+
+def test_standardize_is_the_textbook_expression_bit_for_bit():
+    for losses in _loss_populations(6):
+        expected = _textbook_standardize(losses)
+        assert sg.standardize_fitness(losses).tobytes() == expected.tobytes(), losses
+        assert sg.standardize_fitness(losses.tolist()).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 129])
+@pytest.mark.parametrize("value", [0.0, 2.0, 0.1, 4.2, NONFINITE_PENALTY])
+def test_standardize_an_all_equal_population_is_exact_zeros(n, value):
+    # Positive zeros, where the textbook expression is zero (of either sign) only when the mean of the
+    # copies is exact, and rounding noise over the epsilon when it is not.
+    fit = sg.standardize_fitness(np.full(n, value))
+    assert fit.dtype == np.float64 and fit.tobytes() == np.zeros(n).tobytes()
+    if np.full(n, -value).mean() == -value:
+        assert np.array_equal(fit, _textbook_standardize(np.full(n, value)))
 
 
 def test_standardize_rejects_tiny_populations():

@@ -303,6 +303,31 @@ def test_train_step_computes_softmax_once_per_categorical_hole(monkeypatch, onev
         assert len(calls) == categorical == 3
 
 
+def test_train_step_reaches_no_numpy_python_wrapper(onevar_sketch, onevar_spec):
+    # At 50 candidates x 4 rows a training step is call overhead, so its reductions call the ufuncs and
+    # array methods directly: `np.mean`, `x.std()`, `.all()` and the like run Python code in these two
+    # numpy modules first, which costs more than the arithmetic at these sizes.
+    try:
+        from numpy._core import _methods, fromnumeric
+    except ImportError:  # numpy 1.x
+        from numpy.core import _methods, fromnumeric
+    wrappers = {os.path.realpath(_methods.__file__), os.path.realpath(fromnumeric.__file__)}
+    cfg = _config()
+    plan = sg.compile_sketch(onevar_sketch, onevar_spec)
+    state = sg.init_state(onevar_sketch, cfg)
+    streams = sg.hole_streams(cfg.seed, onevar_sketch.hole_count)
+    state, _ = sg.train_step(plan, state, cfg, streams)
+    files = set()
+    sys.setprofile(lambda frame, event, arg: files.add(frame.f_code.co_filename) if event == "call" else None)
+    try:
+        for _ in range(20):
+            state, _ = sg.train_step(plan, state, cfg, streams)
+    finally:
+        sys.setprofile(None)
+    assert os.path.realpath(engine.__file__) in set(map(os.path.realpath, files))
+    assert not wrappers & set(map(os.path.realpath, files))
+
+
 # ---------------------------------------------------------------------------
 # full train loop
 

@@ -199,6 +199,25 @@ def test_population_losses_reject_a_bad_category_index(onevar_sketch, onevar_spe
 @pytest.mark.parametrize(
     "bad, message",
     [
+        (np.array([-1]), "hole 0: category index -1 out of range 0..2"),
+        (np.array([3]), "hole 0: category index 3 out of range 0..2"),
+        (np.array([2**64 - 1], dtype=np.uint64), f"hole 0: category index {2**64 - 1} out of range 0..2"),
+        (np.array([1.0]), "hole 0 is categorical but got float64 values"),
+        (np.array([True]), "hole 0 is categorical but got bool values"),
+        (np.array([[1]]), "hole 0 is categorical but got int64 values"),
+    ],
+)
+def test_a_population_of_one_rejects_a_bad_category_index(onevar_sketch, onevar_spec, bad, message):
+    # A population of one takes its token without partitioning the candidates, and checks it the same way.
+    values = _population_values(onevar_sketch, np.random.default_rng(0), 1)
+    values[0] = bad  # hole 0 is the [COND] hole, with 3 tokens
+    with pytest.raises(sg.SketchError, match=re.escape(message)):
+        sg.eval_population_losses(sg.compile_sketch(onevar_sketch, onevar_spec), values)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
         (np.ones((2, 2)), "hole 1 is real but got 2-D float64 values"),
         (np.array(["a", "b"]), "hole 1 is real but got 1-D <U1 values"),
         (np.array([1.0 + 0j, 2.0j]), "hole 1 is real but got 1-D complex128 values"),
@@ -345,6 +364,7 @@ def test_guard_select_is_np_where_bit_for_bit(rows, mask_shape, x_shape, y_shape
     assert interp._select(mask, x, y, out) is out
     assert out.tobytes() == np.where(mask, x, y).tobytes()
     assert interp._select(mask, x, y).tobytes() == out.tobytes()
+    assert interp._select(interp._int_mask(mask), x, y).tobytes() == out.tobytes()  # the mask a plan passes
     assert np.isnan(out).any() and np.isinf(out).any() and np.signbit(out[out == 0.0]).any()
 
 
@@ -411,8 +431,10 @@ def test_a_scoring_call_allocates_no_buffers_per_chunk(twovar_sketch, n):
     # The second call on a plan reuses the first call's buffers: 10 000 rows x 50 candidates is 16
     # chunks, each of which allocated several MB of temporaries before the workspace was kept, and the
     # argmax program (n = 1) is one chunk whose every step allocated a row.  What is left is numpy's own
-    # 64 KB cast buffer (the guard's multiply by a bool mask) and the call's small arrays, less than one
-    # chunk's float64 buffer: a single array per chunk, or a few rows per call, would cross that.
+    # iterator buffers, of up to `np.getbufsize()` elements for each operand that a ufunc call broadcasts
+    # across a chunk narrower than that (two for `[Real] [OP] x2`: 127 KB at the default 8192), and the
+    # call's small arrays, less than one chunk's float64 buffer: a single array per chunk, or a few rows
+    # per call, would cross that.
     spec, populations = _wide_spec_and_values(twovar_sketch, (n,))
     plan = sg.compile_sketch(twovar_sketch, spec)
     assert interp.CHUNK_CELLS // 50 < len(spec) // 4
@@ -424,6 +446,35 @@ def test_a_scoring_call_allocates_no_buffers_per_chunk(twovar_sketch, n):
     finally:
         tracemalloc.stop()
     assert peak < interp.CHUNK_CELLS * 8, peak
+
+
+def test_the_guard_select_allocates_nothing_on_a_repeat_call(monkeypatch, twovar_sketch):
+    # The guard's mask reaches the select as 0/1 int64, so its multiply casts nothing: a multiply by a
+    # bool mask casts it through a buffer of numpy's bufsize (64 KB by default) on every chunk.
+    peaks, masks = [], []
+    select = interp._select
+
+    def traced(mask, x, y, out=None):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = select(mask, x, y, out)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        masks.append(mask.dtype)
+        return result
+
+    monkeypatch.setattr(interp, "_select", traced)  # compile_sketch reads it into the plan
+    spec, populations = _wide_spec_and_values(twovar_sketch, (50,))
+    plan = sg.compile_sketch(twovar_sketch, spec)
+    expected = sg.eval_population_losses(plan, populations[50])
+    tracemalloc.start()
+    try:
+        peaks.clear()
+        losses = sg.eval_population_losses(plan, populations[50])
+    finally:
+        tracemalloc.stop()
+    assert losses.tobytes() == expected.tobytes()
+    assert len(peaks) == -(-len(spec) // (interp.CHUNK_CELLS // 50)) and set(masks) == {np.dtype(np.int64)}
+    assert max(peaks) < 1024, peaks  # the three int64 views' array objects, and no buffer
 
 
 def test_returned_losses_are_not_overwritten_by_later_calls(twovar_sketch):
