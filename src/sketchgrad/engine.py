@@ -481,11 +481,11 @@ def enumerate_discrete(
 ) -> Ranking:
     """Exhaustively score every categorical combination, reals pinned.
 
-    real_values supplies one number per [Real] hole, in hole order.  Returns
-    a `Ranking` of (assignment, loss) pairs in ascending loss order, whose
-    pairs are built when they are read; ties break lexicographically on the
-    category indices.  Raises EnumerationError if the discrete space exceeds
-    `cap`.
+    real_values supplies one finite number per [Real] hole, in hole order
+    (else a SketchError naming the hole).  Returns a `Ranking` of
+    (assignment, loss) pairs in ascending loss order, whose pairs are built
+    when they are read; ties break lexicographically on the category indices.
+    Raises EnumerationError if the discrete space exceeds `cap`.
     """
     real_values = [float(v) for v in real_values]
     n_reals = sum(not h.tokens for h in sketch.holes)
@@ -494,15 +494,24 @@ def enumerate_discrete(
     # Each hole's choices: its token indices, or the one value a real hole is pinned to.
     reals = iter(real_values)
     choices = tuple(tuple(range(h.arity)) if h.tokens else (next(reals),) for h in sketch.holes)
+    for hole, values in zip(sketch.holes, choices):
+        if not hole.tokens and not math.isfinite(values[0]):
+            raise SketchError(f"hole {hole.index}: [Real] value {values[0]} is not finite")
     space = math.prod(map(len, choices))
     if space > cap:
         raise EnumerationError(f"{space} discrete programs exceed the cap of {cap}")
     plan = compile_sketch(sketch, spec)
     losses = np.empty(space, dtype=np.float64)
     chunk = max(1, interp.CHUNK_CELLS // len(spec))  # candidates per call
+    shape = tuple(map(len, choices))
+    # A pinned real is one value for every candidate, given as a length-1 array; a categorical hole's
+    # choices are its token indices, so its column is its digit of the flat index.
+    pinned = [np.array(c) if not h.tokens else None for h, c in zip(sketch.holes, choices)]
     for start in range(0, space, chunk):
-        flat = np.arange(start, min(start + chunk, space))
-        losses[start : start + flat.size] = eval_population_losses(plan, list(_columns(choices, flat)), penalty)
+        stop = min(start + chunk, space)
+        digits = np.unravel_index(np.arange(start, stop), shape) if shape else ()
+        columns = [d if p is None else p for p, d in zip(pinned, digits)]
+        losses[start:stop] = eval_population_losses(plan, columns, penalty)
     # Flat index k is the k-th combination in lexicographic order, so a stable sort on the loss breaks
     # ties as documented.
     order = np.argsort(losses, kind="stable")

@@ -8,28 +8,49 @@ non-finite are scored with a large penalty constant instead.
 The scalar interpreter (`eval_program`, `eval_spec_loss`) runs one program on
 one input; it is the reference.  The population scorer runs a `Plan`, which
 `compile_sketch` resolves once per sketch and spec into a flat step list.
-At a categorical hole it sorts the candidates by the token they drew and
-applies each drawn token's ufunc to its own candidates only (gather, apply,
-scatter); a token drawn by every candidate is applied to the whole operand,
-and a population of one (the argmax program) takes its one token after a
-range check, with no partition.  Rows are scored in chunks of
-`CHUNK_CELLS // n`, and the row loop allocates no array past the first chunk
-of each shape (numpy's own iterator buffers aside): the arrays that chunk's
-steps, gathers and scatters allocate are kept on the plan, keyed by candidate
-count and chunk width (its workspace), and later chunks and calls write into
-them with `out=`.  The guard picks its branch by a bitwise select on the int64
+Each value a step reads or writes is held as stored rows plus a map from
+candidate to stored row, and each value's layout is settled once per call,
+before the row loop (`_resolve`):
+
+- a value that no candidate varies is one row (an input column, a literal, a
+  real hole given one value, and what is computed from these by one token);
+- a step of one token whose varying operands share a layout keeps it;
+- a categorical step whose other operand is one row, and whose tokens times
+  the varying operand's rows are at most n, is a table of each token's
+  function of each of those rows: a chain of `[OP]`s over inputs and pinned
+  reals is computed once per token combination, not once per candidate;
+- any other categorical step keeps its result in token order: the operand
+  rows are gathered into that order through their composed maps, each drawn
+  token's ufunc runs on its own run of candidates, and the map of the result
+  is the inverse permutation, so nothing is scattered back;
+- any other step of one token (the guard's select) gathers its operands into
+  candidate order.
+
+When each categorical hole drew one token, no value has a map, and the plan
+keeps the resolved steps for the next call of the same shape (`PROGRAMS`).
+
+The loss is computed once per stored row of the prediction and then mapped
+to the candidates.  Rows are scored in chunks of `CHUNK_CELLS // n`, and the
+row loop allocates no array past the first chunk of each shape: the arrays
+that chunk's steps and gathers allocate are kept on the plan, keyed by
+candidate count and chunk width (its workspace), and later chunks and calls
+write into them with `out=`.  While a call scores chunks of more cells than
+`BUFSIZE`, numpy's ufunc buffer size is set to it, so a ufunc that
+broadcasts an operand copies it through a small iterator buffer, not one of
+8192 elements.  The guard picks its branch by a bitwise select on the int64
 views of the two branches, which gives `np.where`'s bits (NaN payloads and
 -0.0 too) without a mispredicted branch per cell; real holes are scored as
 float64, so both branches are float64.  Its comparison is copied to a 0/1
 int64 mask first, a step of its own, as a multiply by a bool mask would cast
 it through a buffer numpy allocates per call.  The squared errors are written
 transposed, one row per spec row under a row holding the running total, and
-summed by `np.add.reduce` down the rows: for n >= 2 numpy adds them row by
-row, which is the scalar loop's left-to-right sum, so each loss is that
-sequential sum at any chunk size, bit for bit.  For n = 1 the same reduction
-runs down one contiguous column, where numpy sums pairwise and rounds
-differently, so a population of one (the argmax program) is summed by
-`np.add.accumulate`, a `cumsum`, instead.
+summed by `np.add.reduce` down the rows: for two or more stored rows numpy
+adds them row by row, which is the scalar loop's left-to-right sum, so each
+loss is that sequential sum at any chunk size, bit for bit.  For one stored
+row (the argmax program, or any population whose prediction no candidate
+varies) the same reduction runs down one column, where numpy sums pairwise
+and rounds differently, so it is summed by `np.add.accumulate`, a `cumsum`,
+instead.
 """
 
 from __future__ import annotations
@@ -197,6 +218,16 @@ CHUNK_CELLS = 1 << 15
 # program), an enumeration two (its whole candidate chunks and its last one).
 WORKSPACES = 4
 
+# A plan keeps the resolved steps of this many calls in which each categorical hole drew one token (see
+# `eval_population_losses`); a training run uses two once its distributions have settled.
+PROGRAMS = 8
+
+# numpy's ufunc buffer size, in elements, while a call scores chunks of more cells than this: numpy
+# allocates a buffer of up to this many elements for each operand that a ufunc call broadcasts (8192 by
+# default, 64 KB of float64, on every chunk).  A multiple of 16, as numpy requires; measured on (50, w)
+# broadcasts, 256 runs as fast as any larger size, and 16 no faster.
+BUFSIZE = 256
+
 _UFUNCS = {
     "==": np.equal,
     ">": np.greater,
@@ -235,17 +266,20 @@ def _select(mask, x, y, out=None):
 class Plan:
     """A sketch compiled against a spec, for `eval_population_losses`.
 
-    A call holds a list of values, each a 2-D array over (candidates, spec rows) whose axes have length 1
-    where the value does not vary.  Values 0 .. arity-1 are the input columns of the current row chunk,
-    cut from `columns` (the spec's inputs, one contiguous row per input; `slots` holds them whole, for a
-    call scored in one chunk); value arity + h is real hole h's candidate values; the rest are, in `slots`
-    order, the literals (held there) and the step results (None there).  A step `(out, hole, fns, args,
-    dtype)` sets value `out` to a function of `fns` applied to the values at `args`: `fns[0]` when `hole`
-    is None, else, per candidate, the function of the token it drew for that categorical hole, into an
-    array of `dtype`.  Value `out` is the prediction.
+    A call holds a list of values, each a 2-D array of stored rows over spec rows, with a column axis of
+    length 1 where the value does not vary by row, and a layout `(rows, map)`: candidate i reads stored
+    row `map[i]`.  The map is None for one stored row, which every candidate reads, and for n rows in
+    candidate order (see the module docstring).  Values 0 .. arity-1 are the input columns of the current
+    row chunk, cut from `columns` (the spec's inputs, one contiguous row per input; `slots` holds them
+    whole, for a call scored in one chunk); value arity + h is real hole h's values; the rest are, in
+    `slots` order, the literals (held there) and the step results (None there).  A step `(out, hole, fns,
+    args, dtype)` sets value `out` to a function of `fns` applied to the values at `args`: `fns[0]` when
+    `hole` is None, else, per candidate, the function of the token it drew for that categorical hole, into
+    an array of `dtype`.  Value `out` is the prediction.
 
-    A plan owns the scratch buffers its calls write into (`workspaces`, see `_workspace`), so one plan
-    must not be scored from two threads at once; compile one per thread."""
+    A plan owns the scratch buffers its calls write into (`workspaces`, see `_workspace`) and the steps of
+    recent calls as resolved (`programs`), so one plan must not be scored from two threads at once;
+    compile one per thread."""
 
     holes: tuple
     columns: np.ndarray
@@ -254,6 +288,7 @@ class Plan:
     steps: tuple
     out: int
     workspaces: dict = field(default_factory=dict, repr=False)
+    programs: dict = field(default_factory=dict, repr=False)
 
 
 def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
@@ -306,85 +341,230 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
 
     hole_values: one array per hole, in hole-table order; int arrays of
     category indices for cond/op holes, int or float arrays of concrete
-    values for real holes (scored as float64).  All arrays share one length
-    n.  Returns losses, shape (n), a new array that later calls leave alone.
-    A SketchError names a hole whose array does not fit it.
+    values for real holes (scored as float64).  The population has n
+    candidates, the length of the longest array; every array has length n,
+    or length 1, a value that applies to every candidate.  Returns losses,
+    shape (n), a new array that later calls leave alone.  A SketchError
+    names a hole whose array does not fit it.
     """
     if len(plan.holes) != len(hole_values):
         raise SketchError(f"expected {len(plan.holes)} value arrays, got {len(hole_values)}")
     hole_values = list(map(np.asarray, hole_values))
     lengths = set(map(len, hole_values))
-    if len(lengths) > 1:
-        raise SketchError("hole value arrays differ in length")
-    n = lengths.pop() if lengths else 1
+    n = max(lengths) if lengths else 1
+    if len(lengths) > 1 and lengths != {1, n}:
+        raise SketchError(f"hole value arrays differ in length: each must have length 1 or {n}")
     arity, rows = plan.columns.shape
     values = list(plan.slots)
-    drawn = {}
+    layouts = [_ONE_ROW] * len(values)
+    every = (n, None) if n != 1 else _ONE_ROW  # one row per candidate, in candidate order
+    drawn = {None: 0}  # a step that is no hole applies its one function
+    one_token = True  # whether each categorical hole's candidates all drew one token
     for hole, v in zip(plan.holes, hole_values):
         if hole.tokens is not None:
-            drawn[hole.index] = _drawn_tokens(hole, v)
+            drawn[hole.index] = tokens = _drawn_tokens(hole, v, n)
+            one_token = one_token and tokens.__class__ is int
         elif v.ndim == 1 and v.dtype.kind in "iuf":
             values[arity + hole.index] = v.astype(np.float64, copy=False)[:, None]
+            if len(v) != 1:
+                layouts[arity + hole.index] = every
         else:
             raise SketchError(f"hole {hole.index} is real but got {v.ndim}-D {v.dtype} values")
+    # Each value's layout, and so each step's way of running, is settled here, once per call (see `_resolve`).
+    # When each categorical hole drew one token, no layout has a map, and the program depends only on n and
+    # on which real holes vary; the plan keeps the last PROGRAMS of those.
+    key = (n, *layouts[arity : arity + len(plan.holes)]) if one_token else None
+    known = plan.programs.get(key) if one_token else None
+    if known is None:
+        program = [_resolve(step, drawn, layouts, n, every) for step in plan.steps]
+        known = program, layouts[plan.out]
+        if one_token:
+            if len(plan.programs) >= PROGRAMS:
+                del plan.programs[next(iter(plan.programs))]  # the oldest
+            plan.programs[key] = known
+    program, (count, index) = known  # the prediction's stored rows, and which one each candidate reads
     chunk = max(1, CHUNK_CELLS // max(n, 1))
-    total = np.empty(n)
+    total = np.empty(count)
     with np.errstate(all="ignore"):
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            bufs, squares, running = plan.workspaces.get((n, hi - lo)) or _workspace(plan, n, hi - lo)
-            if chunk < rows:  # else the plan's slots hold every row
-                values[:arity] = plan.columns[:, None, lo:hi]
-            for (out, hole, fns, args, dtype), buf in zip(plan.steps, bufs):
-                if hole is None:
-                    values[out] = buf[0] = fns[0](*[values[a] for a in args], out=buf[0])
-                else:
-                    values[out] = _apply(fns, drawn[hole], values[args[0]], values[args[1]], n, dtype, buf)
-            # A sequential sum, whatever the chunks (see the module docstring): rows 1.. of `squares` are the
-            # chunk's squared errors, one row per spec row, and from the second chunk on its row 0 is the
-            # running total.  A non-finite prediction makes its candidate's loss non-finite, so the one
-            # check below covers both.
-            body = squares[1:]
-            np.subtract(values[plan.out].T, plan.outputs[lo:hi, None], out=body)
-            np.multiply(body, body, out=body)
-            if lo:
-                squares[0] = total
-            terms = squares if lo else body
-            if running is None:
-                np.add.reduce(terms, axis=0, out=total)
-            else:  # n = 1, where the reduction would be pairwise
-                total[:] = np.add.accumulate(terms, axis=0, out=running[: len(terms)])[-1]
+        # No array of a call has more cells than one chunk of n candidates, so a buffer of BUFSIZE
+        # elements is only smaller than numpy's when a chunk is larger.  numpy 2 restores the size
+        # with the error state, older versions need it put back by hand.
+        bufsize = np.setbufsize(BUFSIZE) if n * min(chunk, rows) > BUFSIZE else None
+        try:
+            for lo in range(0, rows, chunk):
+                hi = min(lo + chunk, rows)
+                bufs, squares, running = plan.workspaces.get((n, hi - lo)) or _workspace(plan, n, hi - lo)
+                if chunk < rows:  # else the plan's slots hold every row
+                    values[:arity] = plan.columns[:, None, lo:hi]
+                for (out, hole, fns, args, dtype), how, buf in zip(plan.steps, program, bufs):
+                    if how is None:  # the token's function, of one row per candidate or of n = 1 row
+                        values[out] = fns[drawn[hole]](*[values[a] for a in args], out=buf[0])
+                    elif how.__class__ is int:  # the token's function of `how` stored rows
+                        values[out] = fns[drawn[hole]](*[values[a] for a in args], out=buf[0][:how])
+                    elif how[0] is _RUNS:
+                        values[out] = _runs(how, values[args[0]], values[args[1]], n, buf)
+                    elif how[0] is _TABLE:
+                        values[out] = _fill_table(how, values[args[0]], values[args[1]], buf[0])
+                    else:  # _GATHER: the token's function in candidate order
+                        operands = _gathered(how, [values[a] for a in args], n, buf)
+                        values[out] = fns[drawn[hole]](*operands, out=buf[0])
+                # A sequential sum, whatever the chunks (see the module docstring): rows 1.. of `squares` are the
+                # chunk's squared errors, one row per spec row and one column per stored prediction row, and
+                # from the second chunk on its row 0 is the running total.  A non-finite prediction makes its
+                # loss non-finite, so the one check below covers both.
+                body = squares[1:, :count]
+                np.subtract(values[plan.out].T, plan.outputs[lo:hi, None], out=body)
+                np.multiply(body, body, out=body)
+                if lo:
+                    squares[0, :count] = total
+                terms = squares[:, :count] if lo else body
+                if count != 1:
+                    np.add.reduce(terms, axis=0, out=total)
+                else:  # one stored row, where the reduction would be pairwise
+                    if running is None:
+                        running = plan.workspaces[n, hi - lo][2] = np.empty((hi - lo + 1, 1))
+                    total[:] = np.add.accumulate(terms, axis=0, out=running[: len(terms)])[-1]
+        finally:
+            if bufsize is not None:
+                np.setbufsize(bufsize)
         total /= rows
         # A finite sum of the losses shows that each is finite, with no pass over them that allocates.
         if not math.isfinite(np.add.reduce(total)):
             total[~np.isfinite(total)] = penalty
-    return total
+    if index is not None:
+        return total.take(index)
+    return total if count == n else total.repeat(n)
 
 
-def _workspace(plan: Plan, n: int, width: int) -> tuple:
+# The layout of a value that is the same for every candidate: one stored row, which each candidate reads.
+_ONE_ROW = (1, None)
+
+# How a step that is not the function of its operands' stored rows runs (see `_resolve`).
+_TABLE, _GATHER, _RUNS = "table", "gather", "runs"
+
+
+def _resolve(step: tuple, drawn: dict, layouts: list, n: int, every: tuple):
+    """How a plan step runs in this call, for the row loop, and the layout of its result, which it puts in
+    `layouts` (see `Plan`).  `drawn` holds, per categorical hole, the token every candidate took or
+    `(indices, counts)` (see `_drawn_tokens`), and 0 for a step that is no hole; `every` is the layout of
+    one row per candidate.
+
+    - One token, and the operands that vary share one layout: the token's function of the stored rows,
+      in that layout; None when there are n of them, else their count.
+    - Else a step of one token (the guard's select) runs in candidate order (`_GATHER`), on its operands'
+      rows gathered by their maps, `(operand, rows)` pairs.
+    - A categorical step with at most one operand that varies, and at most n combinations of a token and
+      that operand's rows, is a table of each token's function of each row (`_TABLE`, see
+      `_fill_table`); its map is composed from the hole's indices and the operand's map.
+    - Any other categorical step runs in token order (`_RUNS`, see `_runs`), each token's function of its
+      run of the operand rows gathered into that order, and maps its result by the inverse permutation.
+    """
+    out, hole, fns, args, dtype = step
+    tokens = drawn[hole]
+    if tokens.__class__ is int:
+        layout = _ONE_ROW  # the layout of the operands that vary, while they share one
+        for a in args:
+            s = layouts[a]
+            if s is not _ONE_ROW and s is not layout:
+                if layout is not _ONE_ROW:
+                    break
+                layout = s
+        else:
+            layouts[out] = layout
+            return None if layout[0] == n else layout[0]
+        layouts[out] = every
+        ops = map(layouts.__getitem__, args)
+        return _GATHER, [(j, s[1]) for j, s in enumerate(ops) if s is not _ONE_ROW and s is not every]
+    a, b = layouts[args[0]], layouts[args[1]]  # a categorical step is binary
+    shaped = b if a is _ONE_ROW else a
+    if len(fns) * shaped[0] <= n and (a is _ONE_ROW or b is _ONE_ROW):
+        # Row t * rows + r of the table is token t's function of the operand's row r.
+        layouts[out] = len(fns) * shaped[0], tokens[0] if shaped is _ONE_ROW else tokens[0] * shaped[0] + shaped[1]
+        return _TABLE, fns, shaped[0]
+    indices, counts = tokens
+    order = indices.argsort(kind="stable")
+    # The inverse permutation by one scatter, in O(n): a second sort would cost O(n log n).
+    inverse = np.empty(n, order.dtype)
+    inverse[order] = np.arange(n)
+    layouts[out] = n, inverse
+    runs, start = [], 0
+    for tok, count in enumerate(counts):
+        if count:
+            runs.append((fns[tok], start, start + count))
+            start += count
+    a_rows = None if a is _ONE_ROW else order if a is every else a[1][order]
+    b_rows = None if b is _ONE_ROW else order if b is every else b[1][order]
+    return _RUNS, runs, a_rows, b_rows
+
+
+def _fill_table(how: tuple, a, b, res: np.ndarray) -> np.ndarray:
+    """A `_TABLE` step on one row chunk: each token's function of each row of the operands, one of which
+    is a single row, into the first rows of `res`."""
+    _, fns, rows = how
+    table = res[: len(fns) * rows]
+    for fn, part in zip(fns, table.reshape(len(fns), rows, res.shape[1])):
+        fn(a, b, out=part)
+    return table
+
+
+def _gathered(how: tuple, operands: list, n: int, buf: list) -> list:
+    """A `_GATHER` step's operands on one row chunk, in candidate order: each `(j, rows)` pair of `how`
+    gathers operand j by its rows into `buf[1 + j]`, an (n, width) array allocated the first time."""
+    for j, rows in how[1]:
+        o = operands[j]
+        if buf[1 + j] is None:
+            buf[1 + j] = np.empty((n, o.shape[1]), o.dtype)
+        operands[j] = o.take(rows, axis=0, out=buf[1 + j], mode="clip")
+    return operands
+
+
+def _runs(how: tuple, a, b, n: int, buf: list) -> np.ndarray:
+    """A `_RUNS` step on one row chunk: the operands' rows `a_rows` and `b_rows` (None for a one-row
+    operand) gathered into token order, and each token's function of its run `(function, start, stop)`,
+    into the step's result buffer `buf[0]`; `buf[1]` and `buf[2]` hold the gathered operands, (n, width)
+    arrays allocated the first time and left there for the next chunk."""
+    _, runs, a_rows, b_rows = how
+    res = buf[0]
+    if a_rows is not None:
+        if buf[1] is None:
+            buf[1] = np.empty((n, a.shape[1]), a.dtype)
+        a = a.take(a_rows, axis=0, out=buf[1], mode="clip")
+    if b_rows is not None:
+        if buf[2] is None:
+            buf[2] = np.empty((n, b.shape[1]), b.dtype)
+        b = b.take(b_rows, axis=0, out=buf[2], mode="clip")
+    for f, start, stop in runs:
+        f(a if a_rows is None else a[start:stop], b if b_rows is None else b[start:stop], out=res[start:stop])
+    return res
+
+
+def _workspace(plan: Plan, n: int, width: int) -> list:
     """The scratch buffers of a row chunk of `width` rows scored for `n` candidates, kept on the plan for
-    the last `WORKSPACES` such pairs: `(bufs, squares, running)`.  `bufs` holds one list per step, all None
-    until the first chunk of this shape fills it with the arrays the step allocated (its result, and at a
-    categorical hole its gathered operands and runs), which later chunks write into.  `squares` is the
-    (width + 1, n) buffer of the sequential sum and `running`, for n = 1, the buffer of its `cumsum`."""
+    the last `WORKSPACES` such pairs: `[bufs, squares, running]`.  `bufs` holds one list per step: its
+    result buffer, n rows of `width` columns (1 for a step that reads no input), then one buffer per
+    operand for the operand gathered into the result's order, None until a chunk gathers it.  `squares`
+    is the (width + 1, n) buffer of the sequential sum, whose first columns a prediction of fewer stored
+    rows uses, and `running`, allocated when a prediction has one stored row, the buffer of its `cumsum`."""
     if len(plan.workspaces) >= WORKSPACES:
         del plan.workspaces[next(iter(plan.workspaces))]  # the oldest
-    running = np.empty((width + 1, 1)) if n == 1 else None
-    bufs = [[None] * (4 if hole is not None else 1) for _, hole, _, _, _ in plan.steps]
-    plan.workspaces[n, width] = workspace = bufs, np.empty((width + 1, n)), running
+    wide = [True] * len(plan.columns) + [False] * (len(plan.slots) - len(plan.columns))  # reads an input
+    bufs = []
+    for out, _, _, args, dtype in plan.steps:
+        wide[out] = any(wide[a] for a in args)
+        bufs.append([np.empty((n, width if wide[out] else 1), dtype)] + [None] * len(args))
+    plan.workspaces[n, width] = workspace = [bufs, np.empty((width + 1, max(n, 1))), None]
     return workspace
 
 
-def _drawn_tokens(hole, indices: np.ndarray) -> tuple:
-    """Which candidates drew which token of categorical `hole`: `(order, inverse, spans)`, where `order`
-    sorts the candidates by token, `inverse` undoes it, and `spans` holds `(token, start, stop)` of each
-    drawn token's run in that order; `order` is None when every candidate drew one token.  A SketchError
-    names the hole if an index is not an integer in 0..arity-1.  A population of one (the argmax program)
-    has one token, and is not partitioned."""
+def _drawn_tokens(hole, indices: np.ndarray, n: int):
+    """The token every candidate drew for categorical `hole`, given one index per candidate (n of them)
+    or one index for all; else `(indices, counts)`, the indices as intp and how many candidates drew each
+    token.  A SketchError names the hole if an index is not an integer in 0..arity-1.  A population of one
+    (the argmax program) takes its token after a range check, with no count."""
     arity = len(hole.tokens)
     integral = indices.dtype.kind in "iu"
     if integral and indices.shape == (1,) and 0 <= indices.item() < arity:
-        return None, None, ((indices.item(), 0, 1),)
+        return indices.item()
     try:
         counts = np.bincount(indices, minlength=arity).tolist() if integral else None
     except (TypeError, ValueError):  # a negative index, or an unsigned type past int64
@@ -394,40 +574,6 @@ def _drawn_tokens(hole, indices: np.ndarray) -> tuple:
         if len(bad):
             raise SketchError(f"hole {hole.index}: category index {bad[0]} out of range 0..{arity - 1}")
         raise SketchError(f"hole {hole.index} is categorical but got {indices.dtype} values")
-    n = len(indices)
     if n in counts:
-        return None, None, ((counts.index(n), 0, n),)
-    order = indices.argsort(kind="stable")
-    spans, start = [], 0
-    for tok, count in enumerate(counts):
-        if count:
-            spans.append((tok, start, start + count))
-            start += count
-    # The inverse permutation by one scatter, in O(n): a second sort would cost O(n log n).
-    inverse = np.empty(n, order.dtype)
-    inverse[order] = np.arange(n)
-    return order, inverse, spans
-
-
-def _apply(fns: tuple, drawn: tuple, a, b, n: int, dtype, buf: list):
-    """Each drawn token's function applied to `a` and `b` on the candidates that drew it: the candidate
-    rows of `a` and `b` are gathered in token order, each token's run is computed into its run of `runs`,
-    and `runs` is put back in candidate order, into an (n, width) array of `dtype`.  When every candidate
-    drew one token its function is applied to the whole operands.  `buf` is `[result, a_runs, b_runs,
-    runs]`, each None until this call allocates it; the arrays are left there for the next chunk."""
-    order, inverse, spans = drawn
-    res, a_runs, b_runs, runs = buf
-    if res is None:
-        res = buf[0] = np.empty((n, max(a.shape[1], b.shape[1])), dtype)
-    if order is None:
-        return fns[spans[0][0]](a, b, out=res)
-    a_rows, b_rows = len(a) == n, len(b) == n  # which operands vary by candidate
-    if a_rows:
-        a = buf[1] = a.take(order, axis=0, out=a_runs, mode="clip")
-    if b_rows:
-        b = buf[2] = b.take(order, axis=0, out=b_runs, mode="clip")
-    if runs is None:
-        runs = buf[3] = np.empty_like(res)
-    for tok, start, stop in spans:
-        fns[tok](a[start:stop] if a_rows else a, b[start:stop] if b_rows else b, out=runs[start:stop])
-    return runs.take(inverse, axis=0, out=res, mode="clip")
+        return counts.index(n)
+    return indices.astype(np.intp, copy=False), counts

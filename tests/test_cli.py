@@ -8,7 +8,7 @@ import sketchgrad as sg
 from sketchgrad import engine
 from sketchgrad.cli import main
 
-from conftest import ONEVAR_SKETCH, ONEVAR_TRUTH
+from conftest import ONEVAR_SKETCH, ONEVAR_TRUTH, TWOVAR_SKETCH
 
 
 def run_cli(*args):
@@ -331,6 +331,20 @@ def test_enumerate_real_count_mismatch(workdir):
     )
     assert code == 2
     assert stderr.startswith("CONFIG:")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+def test_enumerate_rejects_a_non_finite_real(workdir, twovar_spec, bad):
+    (workdir / "twovar.sketch").write_text(TWOVAR_SKETCH)
+    sg.save_spec(twovar_spec, workdir / "spec2.csv")
+    code, stdout, stderr = run_cli(
+        "enumerate",
+        "--sketch", str(workdir / "twovar.sketch"),
+        "--spec", str(workdir / "spec2.csv"),
+        "--reals", f"{bad},2",
+    )
+    value = "nan" if bad == "nan" else "inf"  # 1e400 reads as inf
+    assert (code, stdout, stderr) == (2, "", f"CONFIG: hole 1: [Real] value {value} is not finite\n")
 
 
 def test_enumerate_spec_arity_mismatch(workdir, twovar_spec):

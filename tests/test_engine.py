@@ -571,6 +571,13 @@ def test_enumerate_real_count_mismatch(onevar_sketch, onevar_spec):
         sg.enumerate_discrete(onevar_sketch, [1.0], onevar_spec)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e400")])
+def test_enumerate_rejects_a_non_finite_real_naming_its_hole(onevar_sketch, onevar_spec, bad):
+    # The onevar sketch's [Real] holes are holes 1, 2 and 5.
+    with pytest.raises(sg.SketchError, match=r"^hole 2: \[Real\] value -?(nan|inf) is not finite$"):
+        sg.enumerate_discrete(onevar_sketch, [3.5, bad, 2.1], onevar_spec)
+
+
 def test_enumerate_tie_order_is_lexicographic():
     # Guard always false regardless of token: then-branch never runs, every
     # cond token ties; ties must come out in index order.

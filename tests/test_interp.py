@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import struct
@@ -163,6 +164,38 @@ def test_batch_losses_cover_division_blowups(twovar_spec):
         assert sg.eval_spec_loss(program, twovar_spec) == batch[i]
 
 
+@pytest.mark.parametrize("n", [64, 63, 15])
+def test_a_chain_of_op_holes_over_shared_operands_matches_scalar_path(n):
+    # With its real pinned, [Real] [OP] x1 [OP] x2 [OP] x1 has 4**3 = 64 values per row.  For 64 candidates
+    # each step is a table, whose map is composed through the chain.  For 63 the last step has more token
+    # combinations than candidates and falls back to a row per candidate, gathered from the table before
+    # it; for 15 the last two do, the last one gathered from the token order of the one before.  The
+    # candidates come in no particular order, so every map matters.
+    sketch = sg.parse_sketch("fn f(x1: f32, x2: f32) -> f32 { return [Real] [OP] x1 [OP] x2 [OP] x1; }")
+    rng = np.random.default_rng(n)
+    spec = sg.SpecSet(rng.uniform(1.0, 10.0, (5, 2)), rng.uniform(-10.0, 10.0, 5))
+    tokens = np.array(list(itertools.product(range(4), repeat=3)))[rng.permutation(64)[:n]]
+    losses = sg.eval_population_losses(sg.compile_sketch(sketch, spec), [np.array([1.5]), *tokens.T])
+    for loss, combo in zip(losses.tolist(), tokens.tolist()):
+        expected = sg.eval_spec_loss(sg.instantiate(sketch, sg.Assignment((1.5, *combo))), spec)
+        assert struct.pack("<d", loss) == struct.pack("<d", expected), combo
+
+
+def test_a_guard_over_token_tables_matches_scalar_path():
+    # The comparison (3 tokens), the body (4) and the else branch (4, its real given once for all) are each
+    # a table, which the select gathers into candidate order through three maps.  Every combination of
+    # tokens comes twice, in no particular order.
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] 1.5 { return x [OP] 2.0; } return [Real] [OP] x; }")
+    rng = np.random.default_rng(9)
+    spec = sg.SpecSet(rng.choice([0.5, 1.5, 2.5], (7, 1)), rng.uniform(-5.0, 5.0, 7))
+    combos = np.array(list(itertools.product(range(3), range(4), range(4))) * 2)[rng.permutation(96)]
+    cond, body, ret = combos.T
+    losses = sg.eval_population_losses(sg.compile_sketch(sketch, spec), [cond, body, np.array([-0.5]), ret])
+    for loss, (c, b, r) in zip(losses.tolist(), combos.tolist()):
+        expected = sg.eval_spec_loss(sg.instantiate(sketch, sg.Assignment((c, b, -0.5, r))), spec)
+        assert struct.pack("<d", loss) == struct.pack("<d", expected), (c, b, r)
+
+
 def test_population_losses_are_bit_identical_across_row_chunks(monkeypatch, twovar_sketch):
     # 10 000 rows of a two-input spec, scored in chunks of 1 row, 7 rows and the default size: the running
     # total enters each chunk's sum as its first term, so every loss is the same sequential sum.
@@ -283,19 +316,26 @@ def _check_population_losses_match_scalar_path(data, texts):
     )
     ties = st.sampled_from([v for vec in spec.inputs for v in vec])
     reals = st.one_of(_moderate, _moderate, _small, ties, literals, _overflowing, _finite)
-    n = data.draw(st.integers(1, 8))
+    # Up to 64 candidates, so that token tables form (a table has at most n rows) and also fall back to a
+    # row per candidate when their combinations outnumber the candidates.  A hole given one value applies
+    # it to every candidate, so its steps can share rows across candidates.
+    size = data.draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))
     columns = []
     for hole in sketch.holes:
         values = reals if hole.kind == "real" else st.integers(0, hole.arity - 1)
-        columns.append(data.draw(st.lists(values, min_size=n, max_size=n)))
+        length = data.draw(st.sampled_from([1, size]))
+        columns.append(data.draw(st.lists(values, min_size=length, max_size=length)))
+    n = max(map(len, columns), default=1)
     arrays = [np.array(col, dtype=np.float64 if h.kind == "real" else np.int64) for h, col in zip(sketch.holes, columns)]
     plan = sg.compile_sketch(sketch, spec)
     batch = sg.eval_population_losses(plan, arrays)
-    assert batch.shape == ((n,) if sketch.holes else (1,))
+    assert batch.shape == (n,)
+    expected = {}  # per distinct assignment, its scalar loss
     for i, loss in enumerate(batch.tolist()):
-        program = sg.instantiate(sketch, sg.Assignment(tuple(col[i] for col in columns)))
-        expected = sg.eval_spec_loss(program, spec)
-        assert struct.pack("<d", loss) == struct.pack("<d", expected), (i, loss, expected)
+        values = tuple(col[i] if len(col) == n else col[0] for col in columns)
+        if values not in expected:
+            expected[values] = sg.eval_spec_loss(sg.instantiate(sketch, sg.Assignment(values)), spec)
+        assert struct.pack("<d", loss) == struct.pack("<d", expected[values]), (i, loss, expected[values])
     # The same population scored in row chunks, of one row (CHUNK_CELLS 1) and of 7 // n rows (7).
     for chunk_cells in (1, 7):
         with pytest.MonkeyPatch.context() as patch:
@@ -411,13 +451,18 @@ def test_population_losses_are_the_sequential_sum(monkeypatch, n, chunk_cells):
     if chunk_cells is not None:
         monkeypatch.setattr(interp, "CHUNK_CELLS", chunk_cells)
     losses = sg.eval_population_losses(sg.compile_sketch(sketch, spec), values)
-    differs = False
+    differs = []  # the reals whose sequential sum is not the pairwise one
     for loss, r in zip(losses.tolist(), reals.tolist()):
         squares = [(x + r) * (x + r) for x in xs.tolist()]
         expected = _sequential_sum(squares) / 301
         assert struct.pack("<d", loss) == struct.pack("<d", expected)
-        differs |= expected != np.sum(squares) / 301  # np.sum of a 1-D array is pairwise
+        if expected != np.sum(squares) / 301:  # np.sum of a 1-D array is pairwise
+            differs.append(r)
     assert differs
+    # One real for every candidate, and one token drawn by all: the prediction is one stored row for the n
+    # candidates, so it is summed by the rule for one row, whatever n is.
+    shared = sg.eval_population_losses(sg.compile_sketch(sketch, spec), [values[0], np.array(differs[:1])])
+    assert shared.tobytes() == np.repeat(losses[reals == differs[0]][:1], n).tobytes()
 
 
 def _wide_spec_and_values(sketch, n_counts):
@@ -431,10 +476,8 @@ def test_a_scoring_call_allocates_no_buffers_per_chunk(twovar_sketch, n):
     # The second call on a plan reuses the first call's buffers: 10 000 rows x 50 candidates is 16
     # chunks, each of which allocated several MB of temporaries before the workspace was kept, and the
     # argmax program (n = 1) is one chunk whose every step allocated a row.  What is left is numpy's own
-    # iterator buffers, of up to `np.getbufsize()` elements for each operand that a ufunc call broadcasts
-    # across a chunk narrower than that (two for `[Real] [OP] x2`: 127 KB at the default 8192), and the
-    # call's small arrays, less than one chunk's float64 buffer: a single array per chunk, or a few rows
-    # per call, would cross that.
+    # iterator buffers (see the test below) and the call's small arrays, less than one chunk's float64
+    # buffer: a single array per chunk, or a few rows per call, would cross that.
     spec, populations = _wide_spec_and_values(twovar_sketch, (n,))
     plan = sg.compile_sketch(twovar_sketch, spec)
     assert interp.CHUNK_CELLS // 50 < len(spec) // 4
@@ -446,6 +489,24 @@ def test_a_scoring_call_allocates_no_buffers_per_chunk(twovar_sketch, n):
     finally:
         tracemalloc.stop()
     assert peak < interp.CHUNK_CELLS * 8, peak
+
+
+def test_a_repeat_wide_call_holds_numpy_buffers_small(twovar_sketch):
+    # numpy allocates an iterator buffer for each operand that a ufunc call broadcasts across a chunk, of
+    # up to its buffer size in elements: 8192 by default, 127 KB per call for `[Real] [OP] x2` alone.  The
+    # scorer sets the size to interp.BUFSIZE while it scores chunks larger than that.
+    spec, populations = _wide_spec_and_values(twovar_sketch, (50,))
+    plan = sg.compile_sketch(twovar_sketch, spec)
+    sg.eval_population_losses(plan, populations[50])
+    bufsize = np.getbufsize()
+    tracemalloc.start()
+    try:
+        sg.eval_population_losses(plan, populations[50])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, peak
+    assert np.getbufsize() == bufsize  # put back after the call
 
 
 def test_the_guard_select_allocates_nothing_on_a_repeat_call(monkeypatch, twovar_sketch):
@@ -496,6 +557,6 @@ def test_workspace_stays_bounded_over_many_candidate_counts(twovar_sketch, twova
     for n in [*range(1, 40), 50, 1, 50, 3]:
         values = _population_values(twovar_sketch, rng, n)
         losses = sg.eval_population_losses(plan, values)
-        assert len(plan.workspaces) <= interp.WORKSPACES
+        assert len(plan.workspaces) <= interp.WORKSPACES and len(plan.programs) <= interp.PROGRAMS
         fresh = sg.eval_population_losses(sg.compile_sketch(twovar_sketch, twovar_spec), values)
         assert losses.tobytes() == fresh.tobytes(), n
