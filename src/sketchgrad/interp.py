@@ -9,11 +9,11 @@ The scalar interpreter (`eval_program`, `eval_spec_loss`) runs one program on
 one input; it is the reference.  The population scorer runs a `Plan`, which
 `compile_sketch` resolves once per sketch and spec into a flat step list.
 Each value a step reads or writes is held as stored rows plus a map from
-candidate to stored row, and each value's layout is settled once per call,
+candidate to stored row, and how each step runs is settled once per call,
 before the row loop (`_resolve`):
 
 - a value that no candidate varies is one row (an input column, a literal, a
-  real hole given one value, and what is computed from these by one token);
+  real hole given one value, and what one token computes from these);
 - a step of one token whose varying operands share a layout keeps it;
 - a categorical step whose other operand is one row, and whose tokens times
   the varying operand's rows are at most n, is a table of each token's
@@ -26,23 +26,19 @@ before the row loop (`_resolve`):
 - any other step of one token (the guard's select) gathers its operands into
   candidate order.
 
-When each categorical hole drew one token, no value has a map, and the plan
-keeps the resolved steps for the next call of the same shape (`PROGRAMS`).
-
 The loss is computed once per stored row of the prediction and then mapped
 to the candidates.  Rows are scored in chunks of `CHUNK_CELLS // n`, and the
-row loop allocates no array past the first chunk of each shape: the arrays
-that chunk's steps and gathers allocate are kept on the plan, keyed by
-candidate count and chunk width (its workspace), and later chunks and calls
-write into them with `out=`.  While a call scores chunks of more cells than
-`BUFSIZE`, numpy's ufunc buffer size is set to it, so a ufunc that
-broadcasts an operand copies it through a small iterator buffer, not one of
-8192 elements.  The guard picks its branch by a bitwise select on the int64
-views of the two branches, which gives `np.where`'s bits (NaN payloads and
--0.0 too) without a mispredicted branch per cell; real holes are scored as
-float64, so both branches are float64.  Its comparison is copied to a 0/1
-int64 mask first, a step of its own, as a multiply by a bool mask would cast
-it through a buffer numpy allocates per call.  The squared errors are written
+row loop allocates no array past the first chunk of each shape: each step's
+result buffer, and the buffers its gathers allocate on the first chunk, are
+kept on the plan, keyed by candidate count and chunk width (its workspace).
+While a call scores chunks of more cells than `BUFSIZE`, numpy's ufunc
+buffer size is set to it, so a ufunc that broadcasts or casts an operand
+goes through a small iterator buffer, not one of 8192 elements.  The guard
+picks its branch by a bitwise select on the int64 views of the two branches,
+which gives `np.where`'s bits (NaN payloads and -0.0 too) without a
+mispredicted branch per cell; real holes are scored as float64, so both
+branches are float64, and the comparison writes its 0/1 results as int64,
+the mask the select multiplies by.  The squared errors are written
 transposed, one row per spec row under a row holding the running total, and
 summed by `np.add.reduce` down the rows: for two or more stored rows numpy
 adds them row by row, which is the scalar loop's left-to-right sum, so each
@@ -57,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -218,10 +215,6 @@ CHUNK_CELLS = 1 << 15
 # program), an enumeration two (its whole candidate chunks and its last one).
 WORKSPACES = 4
 
-# A plan keeps the resolved steps of this many calls in which each categorical hole drew one token (see
-# `eval_population_losses`); a training run uses two once its distributions have settled.
-PROGRAMS = 8
-
 # numpy's ufunc buffer size, in elements, while a call scores chunks of more cells than this: numpy
 # allocates a buffer of up to this many elements for each operand that a ufunc call broadcasts (8192 by
 # default, 64 KB of float64, on every chunk).  A multiple of 16, as numpy requires; measured on (50, w)
@@ -239,20 +232,11 @@ _UFUNCS = {
 }
 
 
-def _int_mask(mask, out=None):
-    """A bool `mask` as 0/1 int64, into `out` (a new array when None), for `_select`: an assignment casts
-    with no buffer, where a multiply by the bool mask casts through one numpy allocates per call."""
-    if out is None:
-        out = np.empty(mask.shape, np.int64)
-    out[...] = mask
-    return out
-
-
 def _select(mask, x, y, out=None):
     """`np.where(mask, x, y)` on float64 `x` and `y`, bit for bit (NaN payloads and -0.0 included), into
     `out` (a new array when None), with no branch per cell: on the int64 views of the floats,
-    y ^ ((x ^ y) * mask), where the mask is 0 or 1.  Give it `_int_mask`'s int64 mask: a bool one gives
-    the same bits, through a cast buffer."""
+    y ^ ((x ^ y) * mask), where the mask is 0 or 1.  Give it an int64 mask, as a plan's comparison step
+    writes: a bool one gives the same bits, through a cast buffer."""
     if out is None:
         out = np.empty(np.broadcast_shapes(mask.shape, x.shape, y.shape))
     bits, y = out.view(np.int64), y.view(np.int64)
@@ -273,13 +257,13 @@ class Plan:
     row chunk, cut from `columns` (the spec's inputs, one contiguous row per input; `slots` holds them
     whole, for a call scored in one chunk); value arity + h is real hole h's values; the rest are, in
     `slots` order, the literals (held there) and the step results (None there).  A step `(out, hole, fns,
-    args, dtype)` sets value `out` to a function of `fns` applied to the values at `args`: `fns[0]` when
-    `hole` is None, else, per candidate, the function of the token it drew for that categorical hole, into
-    an array of `dtype`.  Value `out` is the prediction.
+    args, dtype, operands)` sets value `out` to a function of `fns` applied to the values at `args` (two
+    or three of them, which `operands` picks from the list of values): `fns[0]` when `hole` is None, else,
+    per candidate, the function of the token it drew for that categorical hole, into an array of `dtype`.
+    Value `out` is the prediction.
 
-    A plan owns the scratch buffers its calls write into (`workspaces`, see `_workspace`) and the steps of
-    recent calls as resolved (`programs`), so one plan must not be scored from two threads at once;
-    compile one per thread."""
+    A plan owns the scratch buffers its calls write into (`workspaces`, see `_workspace`), so one plan must
+    not be scored from two threads at once; compile one per thread."""
 
     holes: tuple
     columns: np.ndarray
@@ -288,7 +272,6 @@ class Plan:
     steps: tuple
     out: int
     workspaces: dict = field(default_factory=dict, repr=False)
-    programs: dict = field(default_factory=dict, repr=False)
 
 
 def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
@@ -311,13 +294,14 @@ def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
 
     def step(hole, fns: tuple, dtype, *args: int) -> int:
         slots.append(None)
-        steps.append((len(slots) - 1, hole, fns, args, dtype))
+        steps.append((len(slots) - 1, hole, fns, args, dtype, itemgetter(*args)))
         return len(slots) - 1
 
     def apply(slot, a: int, b: int) -> int:
-        """A comparison or operator slot: a token, or a hole that applies the token each candidate drew."""
+        """A comparison or operator slot: a token, or a hole that applies the token each candidate drew.  A
+        comparison writes its 0/1 results as int64, the mask that `_select` multiplies by."""
         tokens = (slot,) if isinstance(slot, str) else slot.tokens
-        dtype = bool if tokens[0] in CondHole.tokens else np.float64
+        dtype = np.int64 if tokens[0] in CondHole.tokens else np.float64
         return step(None if isinstance(slot, str) else slot.index, tuple(_UFUNCS[t] for t in tokens), dtype, a, b)
 
     def chain(c: Chain) -> int:
@@ -329,7 +313,7 @@ def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
     out = chain(sketch.ret)
     if sketch.guard is not None:
         g = sketch.guard
-        mask = step(None, (_int_mask,), np.int64, apply(g.cmp, operand(g.lhs), operand(g.rhs)))
+        mask = apply(g.cmp, operand(g.lhs), operand(g.rhs))
         out = step(None, (_select,), np.float64, mask, chain(g.body), out)
     columns = _read_only(np.ascontiguousarray(spec.inputs.T))
     slots[: sketch.arity] = columns[:, None, :]  # whole rows, which a call scored in one chunk reads
@@ -344,8 +328,8 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     values for real holes (scored as float64).  The population has n
     candidates, the length of the longest array; every array has length n,
     or length 1, a value that applies to every candidate.  Returns losses,
-    shape (n), a new array that later calls leave alone.  A SketchError
-    names a hole whose array does not fit it.
+    shape (n), a new array that later calls leave alone (empty when n is 0).
+    A SketchError names a hole whose array does not fit it.
     """
     if len(plan.holes) != len(hole_values):
         raise SketchError(f"expected {len(plan.holes)} value arrays, got {len(hole_values)}")
@@ -353,37 +337,28 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     lengths = set(map(len, hole_values))
     n = max(lengths) if lengths else 1
     if len(lengths) > 1 and lengths != {1, n}:
-        raise SketchError(f"hole value arrays differ in length: each must have length 1 or {n}")
+        raise SketchError(f"hole value arrays differ in length {sorted(lengths)}: each must have length 1 or n")
     arity, rows = plan.columns.shape
     values = list(plan.slots)
     layouts = [_ONE_ROW] * len(values)
-    every = (n, None) if n != 1 else _ONE_ROW  # one row per candidate, in candidate order
+    every = (n, None)  # one row per candidate, in candidate order
     drawn = {None: 0}  # a step that is no hole applies its one function
-    one_token = True  # whether each categorical hole's candidates all drew one token
     for hole, v in zip(plan.holes, hole_values):
         if hole.tokens is not None:
-            drawn[hole.index] = tokens = _drawn_tokens(hole, v, n)
-            one_token = one_token and tokens.__class__ is int
+            drawn[hole.index] = _drawn_tokens(hole, v, n)
         elif v.ndim == 1 and v.dtype.kind in "iuf":
             values[arity + hole.index] = v.astype(np.float64, copy=False)[:, None]
             if len(v) != 1:
                 layouts[arity + hole.index] = every
         else:
             raise SketchError(f"hole {hole.index} is real but got {v.ndim}-D {v.dtype} values")
+    if not n:
+        return np.empty(0)
     # Each value's layout, and so each step's way of running, is settled here, once per call (see `_resolve`).
-    # When each categorical hole drew one token, no layout has a map, and the program depends only on n and
-    # on which real holes vary; the plan keeps the last PROGRAMS of those.
-    key = (n, *layouts[arity : arity + len(plan.holes)]) if one_token else None
-    known = plan.programs.get(key) if one_token else None
-    if known is None:
-        program = [_resolve(step, drawn, layouts, n, every) for step in plan.steps]
-        known = program, layouts[plan.out]
-        if one_token:
-            if len(plan.programs) >= PROGRAMS:
-                del plan.programs[next(iter(plan.programs))]  # the oldest
-            plan.programs[key] = known
-    program, (count, index) = known  # the prediction's stored rows, and which one each candidate reads
-    chunk = max(1, CHUNK_CELLS // max(n, 1))
+    # In a population of one, every value is one row and every step its token's function of them.
+    program = _resolve(plan.steps, drawn, layouts, n, every) if n != 1 else [None] * len(plan.steps)
+    count, index = layouts[plan.out]  # the prediction's stored rows, and which one each candidate reads
+    chunk = max(1, CHUNK_CELLS // n)
     total = np.empty(count)
     with np.errstate(all="ignore"):
         # No array of a call has more cells than one chunk of n candidates, so a buffer of BUFSIZE
@@ -396,18 +371,23 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
                 bufs, squares, running = plan.workspaces.get((n, hi - lo)) or _workspace(plan, n, hi - lo)
                 if chunk < rows:  # else the plan's slots hold every row
                     values[:arity] = plan.columns[:, None, lo:hi]
-                for (out, hole, fns, args, dtype), how, buf in zip(plan.steps, program, bufs):
+                for (out, hole, fns, _, _, operands), how, buf in zip(plan.steps, program, bufs):
                     if how is None:  # the token's function, of one row per candidate or of n = 1 row
-                        values[out] = fns[drawn[hole]](*[values[a] for a in args], out=buf[0])
+                        values[out] = fns[drawn[hole]](*operands(values), out=buf[0])
                     elif how.__class__ is int:  # the token's function of `how` stored rows
-                        values[out] = fns[drawn[hole]](*[values[a] for a in args], out=buf[0][:how])
-                    elif how[0] is _RUNS:
-                        values[out] = _runs(how, values[args[0]], values[args[1]], n, buf)
-                    elif how[0] is _TABLE:
-                        values[out] = _fill_table(how, values[args[0]], values[args[1]], buf[0])
-                    else:  # _GATHER: the token's function in candidate order
-                        operands = _gathered(how, [values[a] for a in args], n, buf)
-                        values[out] = fns[drawn[hole]](*operands, out=buf[0])
+                        values[out] = fns[drawn[hole]](*operands(values), out=buf[0][:how])
+                    else:  # each `(j, picks)` gathers operand j into an (n, width) buffer kept for later
+                        gathers, counts = how
+                        gathered = list(operands(values))
+                        for j, picks in gathers:
+                            o = gathered[j]
+                            if buf[1 + j] is None:
+                                buf[1 + j] = np.empty((n, o.shape[1]), o.dtype)
+                            gathered[j] = o.take(picks, axis=0, out=buf[1 + j], mode="clip")
+                        if counts is None:  # in candidate order
+                            values[out] = fns[drawn[hole]](*gathered, out=buf[0])
+                        else:
+                            values[out] = _runs(fns, counts, *gathered, buf[0])
                 # A sequential sum, whatever the chunks (see the module docstring): rows 1.. of `squares` are the
                 # chunk's squared errors, one row per spec row and one column per stored prediction row, and
                 # from the second chunk on its row 0 is the running total.  A non-finite prediction makes its
@@ -439,103 +419,84 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
 # The layout of a value that is the same for every candidate: one stored row, which each candidate reads.
 _ONE_ROW = (1, None)
 
-# How a step that is not the function of its operands' stored rows runs (see `_resolve`).
-_TABLE, _GATHER, _RUNS = "table", "gather", "runs"
 
-
-def _resolve(step: tuple, drawn: dict, layouts: list, n: int, every: tuple):
-    """How a plan step runs in this call, for the row loop, and the layout of its result, which it puts in
-    `layouts` (see `Plan`).  `drawn` holds, per categorical hole, the token every candidate took or
+def _resolve(steps: tuple, drawn: dict, layouts: list, n: int, every: tuple) -> list:
+    """How each plan step runs in this call, for the row loop, in step order; each step's result layout goes
+    into `layouts` (see `Plan`).  `drawn` holds, per categorical hole, the token every candidate took or
     `(indices, counts)` (see `_drawn_tokens`), and 0 for a step that is no hole; `every` is the layout of
-    one row per candidate.
+    one row per candidate.  A step runs as:
 
     - One token, and the operands that vary share one layout: the token's function of the stored rows,
       in that layout; None when there are n of them, else their count.
-    - Else a step of one token (the guard's select) runs in candidate order (`_GATHER`), on its operands'
-      rows gathered by their maps, `(operand, rows)` pairs.
+    - Else `(gathers, counts)`: the row loop gathers operand j by the stored rows `picks` of each `(j,
+      picks)` pair in `gathers`, then applies the token's function (`counts` None), or each token's
+      function to its run of `counts[t]` rows (see `_runs`).
+    - A step of one token (the guard's select) gathers the operands that have a map into candidate order.
     - A categorical step with at most one operand that varies, and at most n combinations of a token and
-      that operand's rows, is a table of each token's function of each row (`_TABLE`, see
-      `_fill_table`); its map is composed from the hole's indices and the operand's map.
-    - Any other categorical step runs in token order (`_RUNS`, see `_runs`), each token's function of its
-      run of the operand rows gathered into that order, and maps its result by the inverse permutation.
+      that operand's rows, gathers nothing: it is a table, a run of each token's function of all of the
+      operand's rows.  Its map is composed from the hole's indices and the operand's map.
+    - Any other categorical step gathers each operand that varies into token order, through its composed
+      map, and runs each token's function on the candidates that drew it.  Its map is the inverse
+      permutation.
+
+    One loop, with no comprehension: at a few spec rows, a call per step costs more than its arithmetic.
     """
-    out, hole, fns, args, dtype = step
-    tokens = drawn[hole]
-    if tokens.__class__ is int:
-        layout = _ONE_ROW  # the layout of the operands that vary, while they share one
-        for a in args:
-            s = layouts[a]
-            if s is not _ONE_ROW and s is not layout:
-                if layout is not _ONE_ROW:
-                    break
-                layout = s
-        else:
-            layouts[out] = layout
-            return None if layout[0] == n else layout[0]
-        layouts[out] = every
-        ops = map(layouts.__getitem__, args)
-        return _GATHER, [(j, s[1]) for j, s in enumerate(ops) if s is not _ONE_ROW and s is not every]
-    a, b = layouts[args[0]], layouts[args[1]]  # a categorical step is binary
-    shaped = b if a is _ONE_ROW else a
-    if len(fns) * shaped[0] <= n and (a is _ONE_ROW or b is _ONE_ROW):
-        # Row t * rows + r of the table is token t's function of the operand's row r.
-        layouts[out] = len(fns) * shaped[0], tokens[0] if shaped is _ONE_ROW else tokens[0] * shaped[0] + shaped[1]
-        return _TABLE, fns, shaped[0]
-    indices, counts = tokens
-    order = indices.argsort(kind="stable")
-    # The inverse permutation by one scatter, in O(n): a second sort would cost O(n log n).
-    inverse = np.empty(n, order.dtype)
-    inverse[order] = np.arange(n)
-    layouts[out] = n, inverse
-    runs, start = [], 0
-    for tok, count in enumerate(counts):
+    program = []
+    for out, hole, fns, args, _, _ in steps:
+        tokens = drawn[hole]
+        if tokens.__class__ is int:
+            layout = _ONE_ROW  # the layout of the operands that vary, while they share one
+            for a in args:
+                s = layouts[a]
+                if s is not _ONE_ROW and s is not layout:
+                    if layout is not _ONE_ROW:
+                        break
+                    layout = s
+            else:
+                layouts[out] = layout
+                program.append(None if layout[0] == n else layout[0])
+                continue
+            layouts[out] = every
+            gathers = []
+            for j, a in enumerate(args):
+                if layouts[a][1] is not None:
+                    gathers.append((j, layouts[a][1]))
+            program.append((gathers, None))
+            continue
+        a, b = layouts[args[0]], layouts[args[1]]  # a categorical step is binary
+        shaped = b if a is _ONE_ROW else a
+        if len(fns) * shaped[0] <= n and (a is _ONE_ROW or b is _ONE_ROW):
+            # Row t * rows + r of the table is token t's function of the operand's row r.
+            indices = tokens[0].astype(np.intp, copy=False)  # an unsigned index times an int would be a float
+            layouts[out] = len(fns) * shaped[0], indices if shaped is _ONE_ROW else indices * shaped[0] + shaped[1]
+            program.append(((), [shaped[0]] * len(fns)))
+            continue
+        order = tokens[0].argsort(kind="stable")
+        # The inverse permutation by one scatter, in O(n): a second sort would cost O(n log n).
+        inverse = np.empty(n, order.dtype)
+        inverse[order] = np.arange(n)
+        layouts[out] = n, inverse
+        gathers = []
+        if a is not _ONE_ROW:
+            gathers.append((0, order if a is every else a[1][order]))
+        if b is not _ONE_ROW:
+            gathers.append((1, order if b is every else b[1][order]))
+        program.append((gathers, tokens[1]))
+    return program
+
+
+def _runs(fns: tuple, counts: list, a, b, out: np.ndarray) -> np.ndarray:
+    """Each token's function of its run of the operands, `counts[t]` rows for token t, into the same rows of
+    `out`, which are returned.  An operand of n rows (one per row of `out`, gathered into token order) is
+    read a run at a time, any other whole: a single row, or the rows of a table's operand."""
+    a_runs, b_runs = len(a) == len(out), len(b) == len(out)
+    start = 0
+    for f, count in zip(fns, counts):
         if count:
-            runs.append((fns[tok], start, start + count))
-            start += count
-    a_rows = None if a is _ONE_ROW else order if a is every else a[1][order]
-    b_rows = None if b is _ONE_ROW else order if b is every else b[1][order]
-    return _RUNS, runs, a_rows, b_rows
-
-
-def _fill_table(how: tuple, a, b, res: np.ndarray) -> np.ndarray:
-    """A `_TABLE` step on one row chunk: each token's function of each row of the operands, one of which
-    is a single row, into the first rows of `res`."""
-    _, fns, rows = how
-    table = res[: len(fns) * rows]
-    for fn, part in zip(fns, table.reshape(len(fns), rows, res.shape[1])):
-        fn(a, b, out=part)
-    return table
-
-
-def _gathered(how: tuple, operands: list, n: int, buf: list) -> list:
-    """A `_GATHER` step's operands on one row chunk, in candidate order: each `(j, rows)` pair of `how`
-    gathers operand j by its rows into `buf[1 + j]`, an (n, width) array allocated the first time."""
-    for j, rows in how[1]:
-        o = operands[j]
-        if buf[1 + j] is None:
-            buf[1 + j] = np.empty((n, o.shape[1]), o.dtype)
-        operands[j] = o.take(rows, axis=0, out=buf[1 + j], mode="clip")
-    return operands
-
-
-def _runs(how: tuple, a, b, n: int, buf: list) -> np.ndarray:
-    """A `_RUNS` step on one row chunk: the operands' rows `a_rows` and `b_rows` (None for a one-row
-    operand) gathered into token order, and each token's function of its run `(function, start, stop)`,
-    into the step's result buffer `buf[0]`; `buf[1]` and `buf[2]` hold the gathered operands, (n, width)
-    arrays allocated the first time and left there for the next chunk."""
-    _, runs, a_rows, b_rows = how
-    res = buf[0]
-    if a_rows is not None:
-        if buf[1] is None:
-            buf[1] = np.empty((n, a.shape[1]), a.dtype)
-        a = a.take(a_rows, axis=0, out=buf[1], mode="clip")
-    if b_rows is not None:
-        if buf[2] is None:
-            buf[2] = np.empty((n, b.shape[1]), b.dtype)
-        b = b.take(b_rows, axis=0, out=buf[2], mode="clip")
-    for f, start, stop in runs:
-        f(a if a_rows is None else a[start:stop], b if b_rows is None else b[start:stop], out=res[start:stop])
-    return res
+            stop = start + count
+            f(a[start:stop] if a_runs else a, b[start:stop] if b_runs else b, out=out[start:stop])
+            start = stop
+    return out if start == len(out) else out[:start]
 
 
 def _workspace(plan: Plan, n: int, width: int) -> list:
@@ -549,7 +510,7 @@ def _workspace(plan: Plan, n: int, width: int) -> list:
         del plan.workspaces[next(iter(plan.workspaces))]  # the oldest
     wide = [True] * len(plan.columns) + [False] * (len(plan.slots) - len(plan.columns))  # reads an input
     bufs = []
-    for out, _, _, args, dtype in plan.steps:
+    for out, _, _, args, dtype, _ in plan.steps:
         wide[out] = any(wide[a] for a in args)
         bufs.append([np.empty((n, width if wide[out] else 1), dtype)] + [None] * len(args))
     plan.workspaces[n, width] = workspace = [bufs, np.empty((width + 1, max(n, 1))), None]
@@ -558,13 +519,13 @@ def _workspace(plan: Plan, n: int, width: int) -> list:
 
 def _drawn_tokens(hole, indices: np.ndarray, n: int):
     """The token every candidate drew for categorical `hole`, given one index per candidate (n of them)
-    or one index for all; else `(indices, counts)`, the indices as intp and how many candidates drew each
-    token.  A SketchError names the hole if an index is not an integer in 0..arity-1.  A population of one
-    (the argmax program) takes its token after a range check, with no count."""
+    or one index for all; else `(indices, counts)`, the indices and how many candidates drew each token.
+    A SketchError names the hole if an index is not an integer in 0..arity-1.  A population of one (the
+    argmax program) takes its token after a range check, with no count."""
     arity = len(hole.tokens)
     integral = indices.dtype.kind in "iu"
-    if integral and indices.shape == (1,) and 0 <= indices.item() < arity:
-        return indices.item()
+    if integral and indices.shape == (1,) and 0 <= (token := indices.item()) < arity:
+        return token
     try:
         counts = np.bincount(indices, minlength=arity).tolist() if integral else None
     except (TypeError, ValueError):  # a negative index, or an unsigned type past int64
@@ -576,4 +537,4 @@ def _drawn_tokens(hole, indices: np.ndarray, n: int):
         raise SketchError(f"hole {hole.index} is categorical but got {indices.dtype} values")
     if n in counts:
         return counts.index(n)
-    return indices.astype(np.intp, copy=False), counts
+    return indices, counts

@@ -404,7 +404,7 @@ def test_guard_select_is_np_where_bit_for_bit(rows, mask_shape, x_shape, y_shape
     assert interp._select(mask, x, y, out) is out
     assert out.tobytes() == np.where(mask, x, y).tobytes()
     assert interp._select(mask, x, y).tobytes() == out.tobytes()
-    assert interp._select(interp._int_mask(mask), x, y).tobytes() == out.tobytes()  # the mask a plan passes
+    assert interp._select(mask.astype(np.int64), x, y).tobytes() == out.tobytes()  # the mask a plan passes
     assert np.isnan(out).any() and np.isinf(out).any() and np.signbit(out[out == 0.0]).any()
 
 
@@ -463,6 +463,26 @@ def test_population_losses_are_the_sequential_sum(monkeypatch, n, chunk_cells):
     # candidates, so it is summed by the rule for one row, whatever n is.
     shared = sg.eval_population_losses(sg.compile_sketch(sketch, spec), [values[0], np.array(differs[:1])])
     assert shared.tobytes() == np.repeat(losses[reals == differs[0]][:1], n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Only categorical holes, so every value would be one stored row, read by no candidate.
+        "fn f(x: f32) -> f32 { if x [COND] 2.0 { return x [OP] 1.0; } return x; }",
+        "fn f(x: f32) -> f32 { if x [COND] [Real] { return [Real] [OP] x; } return x [OP] [Real]; }",
+    ],
+)
+def test_an_empty_population_has_no_losses(text):
+    sketch = sg.parse_sketch(text)
+    plan = sg.compile_sketch(sketch, sg.SpecSet([[1.0], [3.0]], [2.0, 6.0]))
+    dtypes = [np.float64 if h.kind == "real" else np.int64 for h in sketch.holes]
+    for _ in range(2):  # before and after the plan holds a workspace
+        losses = sg.eval_population_losses(plan, [np.array([], dtype=d) for d in dtypes])
+        assert losses.shape == (0,) and losses.dtype == np.float64
+        sg.eval_population_losses(plan, [np.array([1], dtype=d) for d in dtypes])
+    with pytest.raises(sg.SketchError, match="differ in length"):
+        sg.eval_population_losses(plan, [np.array([], dtype=dtypes[0])] + [np.array([1], dtype=d) for d in dtypes[1:]])
 
 
 def _wide_spec_and_values(sketch, n_counts):
@@ -557,6 +577,6 @@ def test_workspace_stays_bounded_over_many_candidate_counts(twovar_sketch, twova
     for n in [*range(1, 40), 50, 1, 50, 3]:
         values = _population_values(twovar_sketch, rng, n)
         losses = sg.eval_population_losses(plan, values)
-        assert len(plan.workspaces) <= interp.WORKSPACES and len(plan.programs) <= interp.PROGRAMS
+        assert len(plan.workspaces) <= interp.WORKSPACES
         fresh = sg.eval_population_losses(sg.compile_sketch(twovar_sketch, twovar_spec), values)
         assert losses.tobytes() == fresh.tobytes(), n
