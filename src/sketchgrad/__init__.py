@@ -13,9 +13,7 @@ from .dists import (
     ThetaError,
     categorical_gradient,
     gaussian_gradient,
-    load_thetas,
     sample_categorical_many,
-    save_thetas,
     softmax,
     standardize_fitness,
 )
@@ -48,7 +46,7 @@ from .interp import (
     eval_program,
     eval_spec_loss,
 )
-from .io import load_config, load_spec, save_spec, write_loss_csv
+from .io import load_config, load_spec, load_thetas, save_spec, save_thetas, write_loss_csv
 from .sketch import (
     Assignment,
     Chain,

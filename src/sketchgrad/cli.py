@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dists import ThetaError, load_thetas, save_thetas
+from .dists import ThetaError
 from .engine import (
     ConfigError,
     DivergenceError,
@@ -23,7 +23,7 @@ from .engine import (
     train,
 )
 from .interp import SpecError, SpecSet, eval_program, eval_spec_loss
-from .io import load_config, load_spec, read_table, save_spec, write_loss_csv
+from .io import load_config, load_spec, load_thetas, read_table, read_text, save_spec, save_thetas, write_loss_csv
 from .sketch import SketchError, format_real, parse_sketch, print_program
 
 
@@ -34,15 +34,9 @@ class _Failure(Exception):
         self.code = code
 
 
-def _read_text(path, category: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _Failure(category, f"cannot read {path}: {exc}")
-
-
 def _load_sketch(path):
-    return parse_sketch(_read_text(path, "PARSE"))
+    with read_text(path, SketchError, "sketch file") as fh:
+        return parse_sketch(fh.read())
 
 
 def _load_program(path):
@@ -90,10 +84,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_show(args) -> int:
     sketch = _load_sketch(args.sketch)
-    try:
-        thetas = load_thetas(args.theta, sketch)
-    except OSError as exc:
-        raise _Failure("IO", f"cannot read {args.theta}: {exc}")
+    thetas = load_thetas(args.theta, sketch)
     print(print_program(argmax_program(sketch, thetas)))
     for hole, theta in zip(sketch.holes, thetas):
         if hole.tokens is None:

@@ -186,9 +186,7 @@ def standardize_fitness(raw_losses) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Theta persistence: a JSON array, one entry per hole, in hole-table order.
-# Floats are written with shortest round-trip decimals, so save -> load is
-# bit exact.
+# Theta documents: a JSON array, one entry per hole, in hole-table order, saved and loaded by `io`.
 
 
 def thetas_to_doc(thetas) -> list[dict]:
@@ -244,25 +242,6 @@ def _number(value, name: str) -> float:
 
 def _json(value) -> str:
     return json.dumps(value, default=repr)
-
-
-def save_thetas(thetas, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(thetas_to_doc(thetas), fh, indent=2)
-        fh.write("\n")
-
-
-def load_thetas(path, sketch=None) -> list:
-    """Load thetas; if a sketch is given, validate kinds and arities against it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ThetaError(f"malformed theta document: {exc}") from exc
-    thetas = thetas_from_doc(doc)
-    if sketch is not None:
-        check_thetas(thetas, sketch)
-    return thetas
 
 
 def check_thetas(thetas, sketch) -> None:

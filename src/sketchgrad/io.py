@@ -1,4 +1,4 @@
-"""File formats: specification CSV, training-config JSON, loss-log CSV.
+"""File formats (spec CSV, config JSON, theta JSON, loss log) and `read_text`, which reads every input file.
 
 Spec files are CSV with header ``in_0,...,in_{k-1},out`` and one row per
 input-output pair; the inputs files that `gen-spec` reads drop the ``out``
@@ -14,9 +14,11 @@ import dataclasses
 import json
 import math
 from array import array
+from contextlib import contextmanager
 
 import numpy as np
 
+from .dists import ThetaError, check_thetas, thetas_from_doc, thetas_to_doc
 from .engine import ConfigError, TrainConfig, TrainRecord
 from .interp import SpecError, SpecSet
 from .sketch import format_real
@@ -25,10 +27,32 @@ __all__ = [
     "load_spec",
     "save_spec",
     "load_config",
+    "load_thetas",
+    "save_thetas",
     "write_loss_csv",
     "SpecError",
     "ConfigError",
 ]
+
+
+@contextmanager
+def read_text(path, error: type[Exception], what: str):
+    """`path` open as UTF-8 text, a leading BOM skipped; failing to open or read it raises `error`."""
+    try:  # universal newlines, not newline="": a lone CR ends a sketch line, and CSV numbers read the same
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path, error: type[Exception], what: str):
+    """The JSON document at `path`; bad syntax, a too-long integer or too-deep nesting raises `error`."""
+    with read_text(path, error, what) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc
 
 
 def _parse_cell(text: str, row: int, column: int) -> float:
@@ -57,9 +81,9 @@ def read_table(path, arity: int | None = None) -> tuple[np.ndarray, array]:
     what = "spec file" if arity is None else "inputs file"
     values = array("d")  # every cell, row after row, as raw doubles
     lines = array("q")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+    with read_text(path, SpecError, what) as fh:
+        reader = csv.reader(fh)
+        try:
             header = [cell.strip() for cell in next(filter(None, reader), [])]
             if not header:
                 raise SpecError(f"{what} {path} is empty")
@@ -81,8 +105,8 @@ def read_table(path, arity: int | None = None) -> tuple[np.ndarray, array]:
                     cells = [_parse_cell(cell, reader.line_num, c) for c, cell in enumerate(row)]
                 values.extend(cells)
                 lines.append(reader.line_num)
-    except OSError as exc:
-        raise SpecError(f"cannot read {what} {path}: {exc}") from exc
+        except csv.Error as exc:  # a field past the csv module's size limit, say
+            raise SpecError(f"row {reader.line_num}: {exc}") from None
     if not values:
         raise SpecError(f"{what} has a header but no rows")
     return np.frombuffer(values, dtype=np.float64).reshape(-1, len(header)), lines
@@ -103,13 +127,7 @@ _REQUIRED_KEYS = tuple(f.name for f in _FIELDS if f.default is dataclasses.MISSI
 
 def load_config(path) -> TrainConfig:
     """Read a training config; missing optional keys take their defaults."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    doc = read_json(path, ConfigError, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     known = {f.name for f in _FIELDS}
@@ -120,6 +138,20 @@ def load_config(path) -> TrainConfig:
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     return TrainConfig(**doc)
+
+
+def save_thetas(thetas, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(thetas_to_doc(thetas), fh, indent=2)
+        fh.write("\n")
+
+
+def load_thetas(path, sketch=None) -> list:
+    """Load thetas; if a sketch is given, validate kinds and arities against it."""
+    thetas = thetas_from_doc(read_json(path, ThetaError, "theta file"))
+    if sketch is not None:
+        check_thetas(thetas, sketch)
+    return thetas
 
 
 def write_loss_csv(records: list[TrainRecord], path, log_every: int = 10) -> None:

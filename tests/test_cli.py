@@ -1,11 +1,15 @@
 import json
+import random
+import re
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import sketchgrad as sg
-from sketchgrad import engine
+from sketchgrad import cli, engine
 from sketchgrad.cli import main
 
 from conftest import ONEVAR_SKETCH, ONEVAR_TRUTH, TWOVAR_SKETCH
@@ -409,6 +413,12 @@ def test_gen_spec_reads_quoted_cells_and_skips_blank_lines(workdir, onevar_spec)
         ("in_0\n1.0\n\n2.0,3.0\n", "row 4: expected 1 columns, got 2"),
         ("in_0\n1.0\ninf\n", "row 3, column 0: non-finite value 'inf'"),
         ("in_0,in_1\n1.0,2.0\n", "bad header ['in_0', 'in_1']: expected in_0"),
+        # The csv module's own errors name the file line too.
+        pytest.param(
+            "in_0\n1.0\n\n" + "1" * 200_000 + "\n",
+            "row 4: field larger than field limit (131072)",
+            id="oversized-field-after-a-blank-line",
+        ),
     ],
 )
 def test_gen_spec_rejects_bad_inputs(workdir, text, message):
@@ -456,3 +466,158 @@ def test_enumerate_top_builds_only_the_programs_it_prints(workdir, capsys, monke
     code = main([*args, "--reals", "3.5,4.2,2.1", "--top", "2"])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 and len(built) == 2
+
+
+# ---------------------------------------------------------------------------
+# Every input file is read by one reader, and every way a read can fail ends in a prefixed error.
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "data"
+BOM = "\ufeff".encode()
+PREFIXES = ("PARSE:", "SPEC:", "CONFIG:", "IO:", "TRAIN:")
+
+# One command per subcommand, on the files that `_inputs` writes; `_args` makes each file a path.
+TRAIN = ("train", "--sketch", "sketch.txt", "--spec", "spec.csv", "--config", "config.json", "--out", "run")
+SHOW = ("show", "--sketch", "sketch.txt", "--theta", "theta.json")
+EVAL = ("eval", "--program", "truth.txt", "--spec", "spec.csv")
+ENUMERATE = ("enumerate", "--sketch", "sketch.txt", "--spec", "spec.csv", "--reals", "3.5,4.2,2.1")
+GEN_SPEC = ("gen-spec", "--program", "truth.txt", "--inputs", "inputs.csv", "--out", "g.csv")
+FILE_FLAGS = {"--sketch", "--spec", "--config", "--out", "--theta", "--program", "--inputs"}
+
+
+def _inputs(workdir):
+    """Adds the files that `workdir` lacks for the commands above.  Its sketch, program and spec are the
+    demo one-input files and the spec that `gen-spec` makes of them; its config is a short run's."""
+    (workdir / "inputs.csv").write_bytes((DEMOS / "onevar_inputs.csv").read_bytes())
+    (workdir / "theta.json").write_text(json.dumps(_GOOD_THETAS))
+
+
+def _args(workdir, command, flag=None, name=None):
+    """`command` with each file argument a path in `workdir`, and `flag`'s file replaced by `name`."""
+    args = list(command)
+    if flag is not None:
+        args[args.index(flag) + 1] = name
+    return [str(workdir / a) if before in FILE_FLAGS else a for before, a in zip([None, *args], args)]
+
+
+def _run(capsys, args):
+    code = main(args)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_SKETCH = ONEVAR_SKETCH.encode()
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_HUGE_INT_CONFIG = b'{"learning_rate": 0.1, "iterations": ' + b"1" * 5001 + b"}"
+_LONG = b"1" * 200_000  # past the csv module's field size limit
+_HUGE_MU_THETA = json.dumps(_GOOD_THETAS).replace('"mu": 3.5', '"mu": ' + "1" * 5001).encode()
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, start",
+    [
+        pytest.param(TRAIN, "--sketch", b"\xff" + _SKETCH, "PARSE: cannot read", id="train-sketch-utf8"),
+        pytest.param(EVAL, "--program", b"\xff" + ONEVAR_TRUTH.encode(), "PARSE: cannot read", id="eval-program-utf8"),
+        pytest.param(ENUMERATE, "--sketch", b"\xff" + _SKETCH, "PARSE: cannot read", id="enumerate-sketch-utf8"),
+        pytest.param(TRAIN, "--spec", b"\xffin_0,out\n1,2\n", "SPEC: cannot read", id="train-spec-utf8"),
+        pytest.param(GEN_SPEC, "--inputs", b"\xffin_0\n1\n", "SPEC: cannot read", id="gen-spec-inputs-utf8"),
+        pytest.param(SHOW, "--theta", b"\xff[]", "IO: cannot read", id="show-theta-utf8"),
+        pytest.param(TRAIN, "--config", _DEEP, "CONFIG: malformed", id="train-config-deep"),
+        pytest.param(SHOW, "--theta", _DEEP, "IO: malformed", id="show-theta-deep"),
+        pytest.param(TRAIN, "--config", _HUGE_INT_CONFIG, "CONFIG: malformed", id="train-config-huge-int"),
+        pytest.param(SHOW, "--theta", _HUGE_MU_THETA, "IO: malformed", id="show-theta-huge-int"),
+        pytest.param(TRAIN, "--spec", b"in_0,out\n" + _LONG + b",2\n", "SPEC: row 2", id="train-spec-long-field"),
+        pytest.param(GEN_SPEC, "--inputs", b"in_0\n" + _LONG + b"\n", "SPEC: row 2", id="gen-spec-inputs-long-field"),
+    ],
+)
+def test_an_unreadable_input_file_exits_2_with_its_prefix(workdir, capsys, command, flag, data, start):
+    _inputs(workdir)
+    (workdir / "bad").write_bytes(data)
+    code, stdout, stderr = _run(capsys, _args(workdir, command, flag, "bad"))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(start) and stderr.count("\n") == 1 and "Traceback" not in stderr, stderr[:300]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        pytest.param(SHOW, "--sketch", id="sketch"),
+        pytest.param(EVAL, "--spec", id="spec"),
+        pytest.param(GEN_SPEC, "--inputs", id="inputs"),
+        pytest.param(TRAIN, "--config", id="config"),
+        pytest.param(SHOW, "--theta", id="theta"),
+    ],
+)
+def test_a_byte_order_mark_is_skipped_on_input_and_never_written(workdir, capsys, command, flag):
+    _inputs(workdir)
+    plain = _args(workdir, command)
+    name = plain[plain.index(flag) + 1]
+    Path(name + ".bom").write_bytes(BOM + Path(name).read_bytes())
+    written = lambda: {p.name: p.read_bytes() for p in [workdir / "g.csv", *workdir.glob("run/*")] if p.exists()}
+    expected = _run(capsys, plain), written()
+    assert expected[0][0] == 0, expected
+    assert _run(capsys, _args(workdir, command, flag, name + ".bom")) == expected[0]
+    assert written() == expected[1]
+    assert not any(data.startswith(BOM) for data in expected[1].values())
+
+
+# Every file argument of every subcommand.
+_FILE_ARGS = [
+    (TRAIN, "--sketch"), (TRAIN, "--spec"), (TRAIN, "--config"),
+    (SHOW, "--sketch"), (SHOW, "--theta"),
+    (EVAL, "--program"), (EVAL, "--spec"),
+    (ENUMERATE, "--sketch"), (ENUMERATE, "--spec"),
+    (GEN_SPEC, "--program"), (GEN_SPEC, "--inputs"),
+]
+
+
+def _insert(data, rng, piece):
+    at = rng.randrange(len(data) + 1)
+    return data[:at] + piece + data[at:]
+
+
+def _flip(data, rng):
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    return bytes(data)
+
+
+def _huge_numeral(data, rng):
+    numerals = list(re.finditer(rb"\d+", data))
+    if not numerals:
+        return _insert(data, rng, b"9" * 5001)
+    m = rng.choice(numerals)
+    return data[: m.start()] + b"9" * rng.choice([400, 5001]) + data[m.end() :]
+
+
+_MUTATIONS = {
+    "truncate": lambda data, rng: data[: rng.randrange(len(data))],
+    "flip": _flip,
+    "invalid-utf8": lambda data, rng: _insert(data, rng, rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80"])),
+    "bom": lambda data, rng: BOM + data,
+    "crlf": lambda data, rng: data.replace(b"\n", b"\r\n"),
+    "deep": lambda data, rng: _insert(data, rng, b"[" * 100_000),
+    "huge-numeral": _huge_numeral,
+    "long-line": lambda data, rng: _insert(data, rng, _LONG),
+}
+
+
+@pytest.mark.parametrize("command, flag", _FILE_ARGS, ids=[f"{c[0]}{f}" for c, f in _FILE_ARGS])
+def test_mutated_input_files_end_in_success_or_a_prefixed_error(workdir, capsys, monkeypatch, command, flag):
+    # A mutated config or sketch could ask for a long run: training stops after 5 iterations and
+    # enumeration refuses more than 1 000 programs.  Neither cap changes how a file is read.
+    short = lambda config: replace(config, iterations=min(config.iterations, 5))
+    monkeypatch.setattr(cli, "train", lambda sketch, spec, config: engine.train(sketch, spec, short(config)))
+    monkeypatch.setattr(cli, "enumerate_discrete", lambda *args: engine.enumerate_discrete(*args, cap=1000))
+    _inputs(workdir)
+    (workdir / "config.json").write_bytes((DEMOS / "onevar_config.json").read_bytes())
+    args = _args(workdir, command)
+    original = Path(args[args.index(flag) + 1]).read_bytes()
+    rng = random.Random(0)
+    for kind, mutate in _MUTATIONS.items():
+        for trial in range(3):
+            (workdir / "mutant").write_bytes(mutate(original, rng))
+            code, _, stderr = _run(capsys, _args(workdir, command, flag, "mutant"))
+            case = f"{kind} #{trial}: exit {code}, stderr {stderr[:300]!r}"
+            assert code in (0, 2, 3) and "Traceback" not in stderr, case
+            assert code == 0 or stderr.startswith(PREFIXES), case
