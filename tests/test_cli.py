@@ -133,6 +133,21 @@ def test_config_number_past_the_float_range_exits_2_with_config_prefix(workdir):
     assert stdout == "" and not (workdir / "out").exists()
 
 
+def test_config_population_past_its_bound_exits_2_with_config_prefix(workdir):
+    population = 10**30
+    (workdir / "huge.json").write_text(json.dumps({"learning_rate": 0.1, "iterations": 5, "population": population}))
+    code, stdout, stderr = run_cli(
+        "train",
+        "--sketch", str(workdir / "sketch.txt"),
+        "--spec", str(workdir / "spec.csv"),
+        "--config", str(workdir / "huge.json"),
+        "--out", str(workdir / "out"),
+    )
+    assert code == 2
+    assert stderr == f"CONFIG: population must be at most {engine.MAX_CANDIDATES}, got {population}\n"
+    assert stdout == "" and not (workdir / "out").exists()
+
+
 def test_train_reports_the_last_trained_step(workdir):
     # The restart patience of this run runs out on its final iteration.
     (workdir / "long.json").write_text(json.dumps({"learning_rate": 0.1, "iterations": 4158}))

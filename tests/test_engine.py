@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import sketchgrad as sg
-from sketchgrad import dists, engine
+from sketchgrad import dists, engine, interp
 from sketchgrad.engine import RESTART_PATIENCE, make_optimizer, restart_state
 from sketchgrad.interp import CHUNK_CELLS
 
@@ -578,6 +579,29 @@ def test_enumerate_rejects_a_non_finite_real_naming_its_hole(onevar_sketch, onev
         sg.enumerate_discrete(onevar_sketch, [3.5, bad, 2.1], onevar_spec)
 
 
+@pytest.mark.parametrize(
+    "penalty, message",
+    [
+        (-5.0, "penalty must be positive, got -5.0"),
+        (0.0, "penalty must be positive, got 0.0"),
+        (math.nan, "penalty must be finite, got nan"),
+        (math.inf, "penalty must be finite, got inf"),
+        ("1e3", "penalty must be a number, got '1e3'"),
+    ],
+)
+def test_enumerate_rejects_a_penalty_as_train_config_does(penalty, message):
+    # With the real pinned to 0.0, `x / 0.0` is the one program the penalty scores.  A negative penalty
+    # would rank it above the exact fits, and a NaN one would put a NaN in the ranking.
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { return x [OP] [Real]; }")
+    spec = sg.SpecSet.from_pairs([((1.0,), 1.0), ((2.0,), 2.0)])
+    with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
+        sg.enumerate_discrete(sketch, [0.0], spec, penalty=penalty)
+    with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
+        _config(penalty=penalty)
+    ranked = sg.enumerate_discrete(sketch, [0.0], spec, penalty=5)
+    assert [(a.values[0], loss) for a, loss in ranked] == [(0, 0.0), (1, 0.0), (2, 2.5), (3, 5.0)]
+
+
 def test_enumerate_tie_order_is_lexicographic():
     # Guard always false regardless of token: then-branch never runs, every
     # cond token ties; ties must come out in index order.
@@ -728,6 +752,114 @@ def test_discrete_only_training_matches_enumeration_oracle(onevar_spec):
         assert res.final_loss == ranked[0][1] == 0.0
 
 
+def _reference_ranking(sketch, reals, spec, penalty=sg.NONFINITE_PENALTY):
+    """The ranking's arrays from the scalar interpreter: every combination in lexicographic order, scored by
+    `eval_spec_loss` and sorted by (loss, flat index)."""
+    pinned = iter(reals)
+    choices = [range(h.arity) if h.tokens else (next(pinned),) for h in sketch.holes]
+    losses = [
+        sg.eval_spec_loss(sg.instantiate(sketch, sg.Assignment(combo)), spec, penalty)
+        for combo in itertools.product(*choices)
+    ]
+    order = sorted(range(len(losses)), key=lambda i: (losses[i], i))
+    return np.array(order, dtype=np.intp), np.array([losses[i] for i in order], dtype=np.float64)
+
+
+# Sketch, pinned reals and spec rows (one input each) for the aligned-enumeration differential below.
+_ALIGNED_CASES = {
+    # [Real] holes between categorical ones, so pinned reals sit inside the block and before it.
+    "pinned reals between categorical holes": (
+        "fn f(x: f32) -> f32 { if x [COND] [Real] { return [Real] [OP] x [OP] [Real]; } return x [OP] [Real] [OP] x; }",
+        [2.5, 1.5, 3.0, 0.5],
+        [0.5, 2.5, 3.0, 4.0, 7.25],
+    ),
+    "zero categorical holes": ("fn f(x: f32) -> f32 { return [Real] * x + [Real]; }", [2.0, -1.0], [1.0, 2.0, 3.0]),
+    "no holes": ("fn f(x: f32) -> f32 { return x * 2.0; }", [], [1.0, 2.0, 3.5]),
+    # Division by a zero real, and 0 / 0 on the row x = 0: most programs tie at the penalty.
+    "penalty ties from /": (
+        "fn f(x: f32) -> f32 { return x [OP] [Real] [OP] x [OP] [Real]; }",
+        [0.0, 0.0],
+        [0.0, 1.0, 2.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ALIGNED_CASES))
+@pytest.mark.parametrize(
+    "calls", ["one candidate", "part of a hole", "a block of holes", "the whole space", "rows past the cells"]
+)
+def test_aligned_enumeration_matches_the_scalar_reference_bit_for_bit(monkeypatch, case, calls):
+    text, reals, xs = _ALIGNED_CASES[case]
+    sketch = sg.parse_sketch(text)
+    spec = sg.SpecSet.from_pairs(((x,), 3.0 * x - 1.0) for x in xs)
+    space = math.prod(h.arity or 1 for h in sketch.holes)
+    # CHUNK_CELLS // rows candidates per call at most: 1; 3, so that a trailing [OP] hole gives 3 of its
+    # 4 tokens to one call and 1 to the next; 40, so that a block of several holes (16 combinations, with
+    # pinned reals among them) varies in a call, with 2 tokens of the hole before it; all of them; and 1
+    # again, with the scorer chunking the rows.
+    per_call = {"one candidate": 1, "part of a hole": 3, "a block of holes": 40, "the whole space": space}
+    monkeypatch.setattr(interp, "CHUNK_CELLS", per_call[calls] * len(xs) if calls in per_call else 2)
+    penalty = 1e6
+    ranked = sg.enumerate_discrete(sketch, reals, spec, penalty=penalty)
+    order, losses = _reference_ranking(sketch, reals, spec, penalty)
+    assert ranked.order.tobytes() == order.tobytes()
+    assert ranked.losses.tobytes() == losses.tobytes()
+    if case == "penalty ties from /":
+        assert np.count_nonzero(losses == penalty) > space // 2
+
+
+def test_rank_is_a_stable_argsort():
+    # Losses that share their high bits but differ in the low ones, in both index orders, make the key sort's
+    # order need its stable fix; runs of ties, zeros and lengths around a power of two check the index bits.
+    rng = np.random.default_rng(0)
+    base = np.repeat(rng.random(64) * 10.0**rng.integers(-3, 12, 64), 9)
+    near = (base.view(np.int64) + rng.integers(-8, 8, base.size)).view(np.float64)  # a few ulps apart
+    cases = [np.array([2.0]), np.zeros(5), np.full(7, 1e12), base, near, np.concatenate([near, base, [0.0] * 3])]
+    cases += [rng.permutation(near)[:n] for n in (255, 256, 257)]
+    for losses in cases:
+        expected = np.argsort(losses, kind="stable")
+        order, ranked = engine._rank(losses.copy())
+        assert order.tobytes() == expected.tobytes()
+        assert ranked.tobytes() == losses[expected].tobytes()
+
+
+ORACLE_SKETCH = """\
+fn oracle_prog(x1: f32, x2: f32) -> f32
+{
+    if x1 [COND] x2
+    {
+        return [Real] [OP] x1 [OP] x2 [OP] x1;
+    }
+
+    return [Real] [OP] x2 [OP] x1 [OP] x2 [OP] [Real];
+}
+"""
+
+
+def test_enumerating_the_oracle_sketch_makes_six_calls_aligned_to_the_product(monkeypatch):
+    # 11 holes: [COND], [Real], 3 x [OP], [Real], 4 x [OP], [Real]; 3 * 4**7 = 49 152 programs.  At 4 rows a
+    # call holds at most 2**15 // 4 = 8192 candidates: holes 3 .. 10 vary inside it (4096 combinations) and
+    # hole 2 gives it 2 of its 4 tokens, so the [COND] is one value per call.
+    assert interp.CHUNK_CELLS == 2**15
+    sketch = sg.parse_sketch(ORACLE_SKETCH)
+    spec = sg.SpecSet.from_pairs([((5.0, 2.0), 9.5), ((6.0, 1.5), 11.0), ((1.0, 4.0), 0.5), ((2.5, 3.0), 1.25)])
+    calls = []
+    score = engine.eval_population_losses
+
+    def counted(plan, hole_values, penalty):
+        calls.append([np.asarray(v) for v in hole_values])
+        return score(plan, hole_values, penalty)
+
+    monkeypatch.setattr(engine, "eval_population_losses", counted)
+    ranked = sg.enumerate_discrete(sketch, [1.5, 2.5, 0.5], spec)
+    assert len(ranked) == 3 * 4**7
+    assert len(calls) == 6
+    assert [c[0].tolist() for c in calls] == [[0], [0], [1], [1], [2], [2]]  # the leading [COND]
+    for k, values in enumerate(calls):
+        assert [len(v) for v in values] == [1, 1] + [8192] * 3 + [1] + [8192] * 4 + [1]
+        assert np.unique(values[2]).tolist() == [2 * (k % 2), 2 * (k % 2) + 1]
+
+
 def test_loss_spikes_detector():
     base = [1.0] * 3000
     base[2100] = 10.0  # 10x the local median
@@ -768,6 +900,16 @@ def test_loss_spikes_rejects_bad_arguments(kw, message):
     with pytest.raises(ValueError) as err:
         sg.loss_spikes([1.0] * 10 + [9.0], **{"window": 3, "factor": 1.0, "start": 0, **kw})
     assert str(err.value) == message
+
+
+def test_config_bounds_the_population():
+    # Checked before anything is drawn: a population of 10**30 would end in numpy's "Maximum allowed
+    # dimension exceeded", and one of 10**9 would allocate gigabytes per iteration.
+    assert _config(population=engine.MAX_CANDIDATES).population == engine.MAX_CANDIDATES
+    for population in (engine.MAX_CANDIDATES + 1, 10**30):
+        message = f"population must be at most {engine.MAX_CANDIDATES}, got {population}"
+        with pytest.raises(sg.ConfigError, match=f"^{message}$"):
+            _config(population=population)
 
 
 def test_config_is_frozen_and_replace_checks_again():
