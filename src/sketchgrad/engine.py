@@ -551,8 +551,9 @@ def _enumerated_losses(sketch: Sketch, choices: tuple, spec: SpecSet, penalty: f
     block = math.prod(shape[lead:])
     size = min(chunk // inner * inner, block)
     # Row d of a leading hole's array is its choice d as a length-1 array.  A categorical block hole's column
-    # is its digit of the block's flat index, built once in the smallest integer type that holds it, and a
-    # call reads a slice of it; a pinned real is its one value, never unraveled.
+    # is its digit of the block's flat index, built once and read by each call as a slice; it takes the
+    # smallest integer type that holds it, as writing fresh pages costs more than the scorer's casts of it.
+    # A pinned real is its one value, never unraveled.
     rows = [np.array(c)[:, None] for c in choices[:lead]]
 
     def digits(j: int) -> np.ndarray:
@@ -589,6 +590,7 @@ def _rank(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order |= ranked.view(np.int64)
     order.sort()
     order &= low
+    # Every index is in range; under the default mode="raise", numpy writes `out` through a temporary copy.
     np.take(losses, order, out=ranked, mode="clip")
     if np.less(ranked[1:], ranked[:-1]).any():
         fix = ranked.argsort(kind="stable")
