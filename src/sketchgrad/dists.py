@@ -8,6 +8,10 @@ log-probability (the score function, so its expectation is the gradient of
 expected fitness), or by the gradient of its softmax probability as in the
 printed update rule; the Gaussian mean uses the fixed-sigma closed form
 (1 / n*sigma) * sum(F_i * eps_i).
+
+What the search reads from a vector of scorer losses is here too: the
+fitness a training step ascends (`standardize_fitness`) and the order an
+enumeration ranks its programs in (`_rank`).
 """
 
 from __future__ import annotations
@@ -183,6 +187,34 @@ def standardize_fitness(raw_losses) -> np.ndarray:
     std = math.sqrt(np.add.reduce(x * x) / x.size)
     x /= std + STANDARDIZE_EPS
     return x
+
+
+def _rank(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of `losses` in ascending loss order, ties in ascending index order, and the losses
+    in that order: a stable argsort's order, bit for bit, for losses that hold no NaN and no -0.0, as the
+    scorer's do.  `losses` is overwritten.
+
+    The int64 bits of positive floats sort as the floats do, so one unstable sort of int64 keys, each
+    loss's bits with its flat index in place of the low ones, orders the losses up to those low bits, and
+    equal losses by index.  A stable sort of that almost sorted order, which is cheap, then orders the
+    losses that differ only in their low bits.  On the 49 152 losses of an enumeration the two sorts take
+    about a third of the time of one stable argsort."""
+    n = len(losses)
+    low = (1 << (n - 1).bit_length()) - 1  # the bits that hold a flat index
+    order, ranked = np.arange(n), np.empty(n)
+    bits = losses.view(np.int64)
+    np.bitwise_and(bits, ~low, out=ranked.view(np.int64))
+    order |= ranked.view(np.int64)
+    order.sort()
+    order &= low
+    # Every index is in range; under the default mode="raise", numpy writes `out` through a temporary copy.
+    np.take(losses, order, out=ranked, mode="clip")
+    if np.less(ranked[1:], ranked[:-1]).any():
+        fix = ranked.argsort(kind="stable")
+        np.take(order, fix, out=bits, mode="clip")  # `losses` is in `ranked` now
+        np.take(ranked, fix, out=order.view(np.float64), mode="clip")
+        order, ranked = bits, order.view(np.float64)
+    return order, ranked
 
 
 # ---------------------------------------------------------------------------

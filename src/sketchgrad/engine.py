@@ -10,17 +10,19 @@ arrays to the next, and theta objects exist only at the edges.  The argmax
 program (most probable token per categorical hole, mean per real hole) is
 scored every iteration by the same scorer, as a population of one, and the
 best one seen is kept; `train` instantiates a concrete program only for the
-best and the final state.  `enumerate_discrete` scores the whole discrete
-space with the same scorer too, in calls aligned to the product of the
-holes' choices: the trailing holes vary inside a call, as many of them as
-fit the `interp.CHUNK_CELLS // rows` candidates a call may hold, and each
-hole before them is one value per call.  It returns a `Ranking`: the ranked
-flat indices and losses as arrays, with each (assignment, loss) pair built
-when it is read.
-Calls go through this module's name `eval_population_losses`, looked up at
-call time, so a wrapper put there sees every one.  The scalar interpreter
-(`interp.eval_spec_loss`) is not on these paths: it is the reference they are
-tested against.
+best and the final state.  Scorer calls go through this module's name
+`eval_population_losses`, looked up at call time, so a wrapper put there sees
+every one.
+
+`enumerate_discrete` scores the whole discrete space, a Cartesian product,
+without the population scorer: `_product_losses` walks the same plan once
+per chunk of spec rows, with an array axis per hole, so each chain of the
+sketch is computed once per token combination and the losses come out as a
+tensor of the product's shape (see its docstring).  It is called through
+this module's name too.  `enumerate_discrete` returns a `Ranking`: the
+ranked flat indices and losses as arrays, with each (assignment, loss) pair
+built when it is read.  The scalar interpreter (`interp.eval_spec_loss`) is
+on neither path: it is the reference both are tested against.
 
 Because the best program is kept, a search that has settled can be
 restarted at no cost: when the argmax loss has not improved by
@@ -32,7 +34,6 @@ and the search cannot leave the basin it is in; a restart is the way out.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import typing
@@ -53,10 +54,11 @@ from .dists import (
     _categorical_accumulator,
     _categorical_draws,
     _gaussian_accumulator,
+    _rank,
     check_thetas,
     standardize_fitness,
 )
-from .interp import NONFINITE_PENALTY, Plan, SpecSet, _read_only, compile_sketch, eval_population_losses
+from .interp import NONFINITE_PENALTY, Plan, SpecSet, _read_only, _select, compile_sketch, eval_population_losses
 from .sketch import Assignment, Sketch, SketchError, instantiate
 
 OPTIMIZER_SGD = "sgd"
@@ -408,14 +410,6 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     )
 
 
-def _columns(choices, flat, dtype=None) -> typing.Iterator[np.ndarray]:
-    """Each hole's values in the combinations at `flat`, one array per hole and one hole at a time, so a
-    caller that converts each in turn holds one object array at once: flat index k is the k-th combination
-    of `choices` in lexicographic order.  dtype object keeps the choices themselves."""
-    shape = tuple(map(len, choices))
-    return (np.array(c, dtype)[i] for c, i in zip(choices, np.unravel_index(flat, shape) if shape else ()))
-
-
 @dataclass(frozen=True, eq=False)  # __eq__ below: the generated one would compare arrays
 class Ranking(Sequence):
     """A read-only sequence of `(Assignment, loss)` pairs in ascending loss order, held as arrays: `order`,
@@ -490,7 +484,10 @@ class Ranking(Sequence):
         return int(at[0]) if self.losses[at[0]].item() == loss else None
 
     def _pairs(self, flat: np.ndarray, losses: np.ndarray) -> list:
-        columns = [c.tolist() for c in _columns(self.choices, flat, object)]
+        # Each hole's values in the combinations at `flat`, the k-th combination in lexicographic order being
+        # flat index k; an object array keeps the choices themselves, and each is a list before the next is built.
+        digits = np.unravel_index(flat, tuple(map(len, self.choices))) if self.choices else ()
+        columns = [np.array(c, object)[i].tolist() for c, i in zip(self.choices, digits)]
         rows = zip(*columns) if columns else [()] * len(flat)
         return list(zip(map(Assignment, rows), losses.tolist()))
 
@@ -504,100 +501,82 @@ def enumerate_discrete(
 ) -> Ranking:
     """Exhaustively score every categorical combination, reals pinned.
 
-    real_values supplies one finite number per [Real] hole, in hole order
-    (else a SketchError naming the hole).  `penalty` replaces a non-finite
-    loss and must be finite and positive, as in `TrainConfig` (else a
-    ConfigError).  Returns a `Ranking` of (assignment, loss) pairs in
-    ascending loss order, whose pairs are built when they are read; ties
-    break lexicographically on the category indices.  Raises
+    real_values supplies one finite real number, not a bool, per [Real]
+    hole, in hole order (else a SketchError naming the hole).  `penalty`
+    replaces a non-finite loss and must be finite and positive, as in
+    `TrainConfig` (else a ConfigError).  Returns a `Ranking` of (assignment,
+    loss) pairs in ascending loss order, whose pairs are built when they are
+    read; ties break lexicographically on the category indices.  Raises
     EnumerationError if the discrete space exceeds `cap`.
     """
     penalty = _checked_penalty(penalty)
-    real_values = [float(v) for v in real_values]
+    real_values = list(real_values)
     n_reals = sum(not h.tokens for h in sketch.holes)
     if len(real_values) != n_reals:
         raise SketchError(f"sketch has {n_reals} [Real] holes but {len(real_values)} values given")
     # Each hole's choices: its token indices, or the one value a real hole is pinned to.
     reals = iter(real_values)
-    choices = tuple(tuple(range(h.arity)) if h.tokens else (next(reals),) for h in sketch.holes)
-    for hole, values in zip(sketch.holes, choices):
-        if not hole.tokens and not math.isfinite(values[0]):
-            raise SketchError(f"hole {hole.index}: [Real] value {values[0]} is not finite")
+    choices = tuple(tuple(range(h.arity)) if h.tokens else (_pinned(h, next(reals)),) for h in sketch.holes)
     space = math.prod(map(len, choices))
     if space > cap:
         raise EnumerationError(f"{space} discrete programs exceed the cap of {cap}")
-    # The scorer's plan, with the buffers it keeps, is freed before the ranking allocates: the two do not add up.
-    order, ranked = _rank(_enumerated_losses(sketch, choices, spec, penalty))
+    # The plan and the walk's arrays are freed before the ranking allocates: the two do not add up.
+    order, ranked = _rank(_product_losses(compile_sketch(sketch, spec), choices, penalty))
     return Ranking(choices, _read_only(order), _read_only(ranked))
 
 
-def _enumerated_losses(sketch: Sketch, choices: tuple, spec: SpecSet, penalty: float) -> np.ndarray:
+def _pinned(hole, value) -> float:
+    """`value` as the float that [Real] `hole` is pinned to, by `_field`'s rule for a float: a real number that is
+    not a bool, and finite once read as a float (an integer past the float range is not); else a SketchError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SketchError(f"hole {hole.index}: [Real] value must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise SketchError(f"hole {hole.index}: [Real] value {value} is not finite")
+    return value
+
+
+def _product_losses(plan: Plan, choices: tuple, penalty: float) -> np.ndarray:
     """The loss of every combination of `choices` (one tuple per hole: its token indices, or the one value
-    a real hole is pinned to), in lexicographic order.
+    a real hole is pinned to), in lexicographic order: a walk over the plan's steps by broadcasting.
 
-    Calls follow the product.  The trailing holes whose choices multiply to at most the `chunk` of
-    candidates a call may hold (`inner` combinations) vary inside every call, and so does the hole before
-    them, by as many of its choices as fit: from `lead` on, the holes form a block, of which each call
-    scores `size` combinations.  A hole before the block is one value per call, a length-1 array, so the
-    scorer computes what it decides once (a constant [COND] is one row) and partitions nothing by it."""
-    plan = compile_sketch(sketch, spec)
-    shape = tuple(map(len, choices))
-    chunk = max(1, interp.CHUNK_CELLS // len(spec))
-    first, inner = len(shape), 1
-    while first and inner * shape[first - 1] <= chunk:
-        first -= 1
-        inner *= shape[first]
-    lead = max(first - 1, 0)
-    block = math.prod(shape[lead:])
-    size = min(chunk // inner * inner, block)
-    # Row d of a leading hole's array is its choice d as a length-1 array.  A categorical block hole's column
-    # is its digit of the block's flat index, built once and read by each call as a slice; it takes the
-    # smallest integer type that holds it, as writing fresh pages costs more than the scorer's casts of it.
-    # A pinned real is its one value, never unraveled.
-    rows = [np.array(c)[:, None] for c in choices[:lead]]
-
-    def digits(j: int) -> np.ndarray:
-        cycle = np.arange(shape[j], dtype=np.min_scalar_type(shape[j] - 1))[:, None]
-        return np.broadcast_to(cycle, (math.prod(shape[lead:j]), shape[j], math.prod(shape[j + 1 :]))).reshape(-1)
-
-    holes = sketch.holes[lead:]
-    columns = [digits(h.index) if h.tokens else np.array(choices[h.index]) for h in holes]
-    losses = np.empty(math.prod(shape))
-    for start, prefix in zip(range(0, len(losses), block), itertools.product(*map(range, shape[:lead]))):
-        fixed = [r[d] for r, d in zip(rows, prefix)]
-        for lo in range(0, block, size):
-            hi = min(lo + size, block)
-            called = [c[lo:hi] if h.tokens else c for h, c in zip(holes, columns)]
-            losses[start + lo : start + hi] = eval_population_losses(plan, fixed + called, penalty)
-    return losses
-
-
-def _rank(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of `losses` in ascending loss order, ties in ascending index order, and the losses
-    in that order: a stable argsort's order, bit for bit, for losses that hold no NaN and no -0.0, as the
-    scorer's do.  `losses` is overwritten.
-
-    The int64 bits of positive floats sort as the floats do, so one unstable sort of int64 keys, each
-    loss's bits with its flat index in place of the low ones, orders the losses up to those low bits, and
-    equal losses by index.  A stable sort of that almost sorted order, which is cheap, then orders the
-    losses that differ only in their low bits.  On the 49 152 losses of an enumeration the two sorts take
-    about a third of the time of one stable argsort."""
-    n = len(losses)
-    low = (1 << (n - 1).bit_length()) - 1  # the bits that hold a flat index
-    order, ranked = np.arange(n), np.empty(n)
-    bits = losses.view(np.int64)
-    np.bitwise_and(bits, ~low, out=ranked.view(np.int64))
-    order |= ranked.view(np.int64)
-    order.sort()
-    order &= low
-    # Every index is in range; under the default mode="raise", numpy writes `out` through a temporary copy.
-    np.take(losses, order, out=ranked, mode="clip")
-    if np.less(ranked[1:], ranked[:-1]).any():
-        fix = ranked.argsort(kind="stable")
-        np.take(order, fix, out=bits, mode="clip")  # `losses` is in `ranked` now
-        np.take(ranked, fix, out=order.view(np.float64), mode="clip")
-        order, ranked = bits, order.view(np.float64)
-    return order, ranked
+    Each value is an array whose axis 0 is the spec rows of a chunk and axis 1 + h is hole h's, of length
+    1 where the value does not depend on the hole (a literal or a pinned real is one value).  A categorical
+    step puts token t's function in slice t of its hole's axis, so a chain is computed once per token
+    combination.  Each row and cell of the guard's mask picks the branch whose squared error the row adds
+    into those cells of the product-shaped total, so each loss is the scalar loop's sequential sum.  A
+    chunk holds as many rows as keep each of its arrays within `CHUNK_CELLS` cells, and at least one."""
+    arity, rows = plan.columns.shape
+    ones = (1,) * (1 + len(choices))  # a value that depends on no row and no hole
+    values = [None] * arity + [np.full(ones, c[0]) for c in choices]  # a categorical hole's slot is never read
+    values += [s if s is None else s.reshape(ones) for s in plan.slots[len(values) :]] + [np.zeros(ones, bool)]
+    steps, (mask, *branches) = plan.steps, (-1, plan.out)  # unguarded: the last value, a mask never true
+    if steps and steps[-1][2][0] is _select:  # the guard: its mask and branches are read, not selected
+        steps, (mask, *branches) = steps[:-1], steps[-1][3]
+    cells = [1] * len(values)  # each value's cells per spec row
+    for out, _, fns, args, _, _ in steps:
+        cells[out] = len(fns) * math.prod(cells[a] for a in args)
+    chunk = max(1, interp.CHUNK_CELLS // max(cells))
+    total = np.empty((1, *map(len, choices)))
+    with np.errstate(all="ignore"):
+        for lo in range(0, rows, chunk):
+            y = plan.outputs[lo : lo + chunk].reshape(-1, *ones[1:])
+            values[:arity] = plan.columns[:, lo : lo + chunk].reshape(arity, *y.shape)
+            for out, hole, fns, _, _, operands in steps:
+                a, b = operands(values)
+                values[out] = fns[0](a, b) if hole is None else np.concatenate([f(a, b) for f in fns], 1 + hole)
+            squares = [(d := values[b] - y) * d for b in branches]
+            m = values[mask]  # one row, or a row per spec row
+            for at in np.ndindex(m.shape[1:]):  # each cell of the mask, and the cells of the total it picks for
+                view = total[(slice(None), *(slice(i, i + 1 if n > 1 else None) for i, n in zip(at, m.shape[1:])))]
+                for r in range(len(y)):  # the scalar loop's sum, which starts at 0.0
+                    np.add(view if lo or r else 0.0, squares[0 if m[(r % len(m), *at)] else -1][r : r + 1], out=view)
+        total /= rows
+        total[~np.isfinite(total)] = penalty
+    return total.reshape(-1)
 
 
 def loss_spikes(mean_losses, window: int = 101, factor: float = 3.0, start: int = 1000) -> list[int]:

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import hashlib
 import itertools
 import math
@@ -7,15 +8,22 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sketchgrad as sg
 from sketchgrad import dists, engine, interp
 from sketchgrad.engine import RESTART_PATIENCE, make_optimizer, restart_state
 from sketchgrad.interp import CHUNK_CELLS
+
+from conftest import TWOVAR_SKETCH
+from test_interp import _finite, _literals, _moderate, _overflowing, _small
+from test_sketch import sketch_texts
 
 
 def _config(**kw):
@@ -580,6 +588,30 @@ def test_enumerate_rejects_a_non_finite_real_naming_its_hole(onevar_sketch, onev
 
 
 @pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "hole 2: [Real] value must be a number, got True"),
+        ("a", "hole 2: [Real] value must be a number, got 'a'"),
+        (None, "hole 2: [Real] value must be a number, got None"),
+        (10**400, "hole 2: [Real] value inf is not finite"),
+        (-(10**400), "hole 2: [Real] value -inf is not finite"),
+    ],
+    ids=["bool", "str", "None", "10**400", "-10**400"],
+)
+def test_enumerate_takes_a_real_by_the_train_config_rule(onevar_sketch, onevar_spec, bad, message):
+    # As a TrainConfig float field: a real number that is not a bool, and an integer past the float range is
+    # not finite.  A bool was read as 1.0, and the others ended in a bare ValueError, TypeError or OverflowError.
+    with pytest.raises(sg.SketchError, match=f"^{re.escape(message)}$"):
+        sg.enumerate_discrete(onevar_sketch, [3.5, bad, 2.1], onevar_spec)
+    with pytest.raises(sg.ConfigError):
+        _config(mu_init=bad)
+    pinned = [np.float32(3.5), 4, fractions.Fraction(21, 10)]  # numbers.Real, each read as a float
+    ranked = sg.enumerate_discrete(onevar_sketch, pinned, onevar_spec)
+    assert ranked == sg.enumerate_discrete(onevar_sketch, [3.5, 4.0, 2.1], onevar_spec)
+    assert [type(ranked[0][0].values[i]) for i in (1, 2, 5)] == [float] * 3  # the [Real] holes
+
+
+@pytest.mark.parametrize(
     "penalty, message",
     [
         (-5.0, "penalty must be positive, got -5.0"),
@@ -765,9 +797,10 @@ def _reference_ranking(sketch, reals, spec, penalty=sg.NONFINITE_PENALTY):
     return np.array(order, dtype=np.intp), np.array([losses[i] for i in order], dtype=np.float64)
 
 
-# Sketch, pinned reals and spec rows (one input each) for the aligned-enumeration differential below.
+# Sketch, pinned reals and spec rows (one input each, or a tuple of inputs) for the enumeration differential
+# below.
 _ALIGNED_CASES = {
-    # [Real] holes between categorical ones, so pinned reals sit inside the block and before it.
+    # [Real] holes between categorical ones, so length-1 axes sit between the token axes.
     "pinned reals between categorical holes": (
         "fn f(x: f32) -> f32 { if x [COND] [Real] { return [Real] [OP] x [OP] [Real]; } return x [OP] [Real] [OP] x; }",
         [2.5, 1.5, 3.0, 0.5],
@@ -781,31 +814,111 @@ _ALIGNED_CASES = {
         [0.0, 0.0],
         [0.0, 1.0, 2.0],
     ),
+    # The mask varies by row and by token; two rows make `==` fire.
+    "a [COND] comparing two inputs": (
+        "fn f(x: f32, z: f32) -> f32 { if x [COND] z { return x [OP] z; } return z [OP] x [OP] [Real]; }",
+        [1.5],
+        [(1.0, 2.0), (2.0, 2.0), (3.0, 1.0), (0.5, 0.5), (4.0, -1.0)],
+    ),
+    # The mask is one truth value per row, and x = 2.0 ties the threshold.
+    "a fixed comparison token over [OP] branches": (
+        "fn f(x: f32) -> f32 { if x > [Real] { return [Real] [OP] x; } return x [OP] [Real] [OP] 2.0; }",
+        [2.0, 1.5, 0.5],
+        [0.5, 2.0, 3.0, 4.0],
+    ),
+    # Literals on both sides of an [OP], a step that reads no row, and a division by the literal 0.0.
+    "a chain with a literal": (
+        "fn f(x: f32) -> f32 { if x [COND] 1.0 { return 2.5 [OP] [Real]; } return x [OP] 0.0 [OP] [Real]; }",
+        [3.0, -2.0],
+        [0.0, 1.0, 2.0],
+    ),
 }
 
 
+def _cells_per_row(sketch) -> int:
+    """The most cells per spec row of any value the product walk makes: a chain's last value varies by each
+    of its [OP] holes, and a [COND] mask by its tokens."""
+    chains = [sketch.ret] + ([sketch.guard.body] if sketch.guard else [])
+    cells = [math.prod(op.arity for op in chain.ops if not isinstance(op, str)) for chain in chains]
+    if sketch.guard and isinstance(sketch.guard.cmp, sg.CondHole):
+        cells.append(sketch.guard.cmp.arity)
+    return max(cells)
+
+
 @pytest.mark.parametrize("case", sorted(_ALIGNED_CASES))
-@pytest.mark.parametrize(
-    "calls", ["one candidate", "part of a hole", "a block of holes", "the whole space", "rows past the cells"]
-)
-def test_aligned_enumeration_matches_the_scalar_reference_bit_for_bit(monkeypatch, case, calls):
+@pytest.mark.parametrize("chunks", ["one row per chunk", "a boundary inside the spec", "the whole spec"])
+def test_aligned_enumeration_matches_the_scalar_reference_bit_for_bit(monkeypatch, case, chunks):
     text, reals, xs = _ALIGNED_CASES[case]
     sketch = sg.parse_sketch(text)
-    spec = sg.SpecSet.from_pairs(((x,), 3.0 * x - 1.0) for x in xs)
+    inputs = [x if isinstance(x, tuple) else (x,) for x in xs]
+    spec = sg.SpecSet.from_pairs((x, 3.0 * x[0] - 1.0) for x in inputs)
     space = math.prod(h.arity or 1 for h in sketch.holes)
-    # CHUNK_CELLS // rows candidates per call at most: 1; 3, so that a trailing [OP] hole gives 3 of its
-    # 4 tokens to one call and 1 to the next; 40, so that a block of several holes (16 combinations, with
-    # pinned reals among them) varies in a call, with 2 tokens of the hole before it; all of them; and 1
-    # again, with the scorer chunking the rows.
-    per_call = {"one candidate": 1, "part of a hole": 3, "a block of holes": 40, "the whole space": space}
-    monkeypatch.setattr(interp, "CHUNK_CELLS", per_call[calls] * len(xs) if calls in per_call else 2)
+    # The walk scores max(1, CHUNK_CELLS // cells) rows per chunk, where `cells` is the most cells per row of
+    # any value: one row per chunk (CHUNK_CELLS 1); two rows, so that each spec of three or more rows has a
+    # chunk boundary inside it; every row.
+    cells_per_chunk = {"one row per chunk": 1, "a boundary inside the spec": 2 * _cells_per_row(sketch)}
+    monkeypatch.setattr(interp, "CHUNK_CELLS", cells_per_chunk.get(chunks, 10 * space * len(xs)))
+    sliced = []
+    compile_sketch = engine.compile_sketch
+
+    def recording(sketch, spec):  # each chunk reads its outputs as one slice
+        plan = compile_sketch(sketch, spec)
+
+        class Outputs(np.ndarray):
+            def __getitem__(self, key):
+                sliced.append(key)
+                return np.asarray(plan.outputs)[key]
+
+        return dataclasses.replace(plan, outputs=plan.outputs.view(Outputs))
+
+    monkeypatch.setattr(engine, "compile_sketch", recording)
     penalty = 1e6
     ranked = sg.enumerate_discrete(sketch, reals, spec, penalty=penalty)
     order, losses = _reference_ranking(sketch, reals, spec, penalty)
     assert ranked.order.tobytes() == order.tobytes()
     assert ranked.losses.tobytes() == losses.tobytes()
+    expected = {"one row per chunk": range(len(xs)), "a boundary inside the spec": range(0, len(xs), 2)}
+    assert [key.start for key in sliced] == list(expected.get(chunks, [0]))
     if case == "penalty ties from /":
         assert np.count_nonzero(losses == penalty) > space // 2
+
+
+# Differential check of the product walk over generated sketches, as the scorer's in test_interp.py: every
+# ranking equals the scalar reference's bit for bit, in one chunk of rows, in chunks of one row (CHUNK_CELLS
+# 1) and in chunks of 7 // cells rows.  The pinned reals are drawn as the scorer's reals are there.
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_the_scalar_reference_on_generated_sketches(data):
+    _check_enumeration_matches_the_scalar_reference(data, sketch_texts())
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_the_scalar_reference_on_guarded_sketches(data):
+    _check_enumeration_matches_the_scalar_reference(data, sketch_texts(guard=st.just("[COND]")))
+
+
+def _check_enumeration_matches_the_scalar_reference(data, texts):
+    sketch = sg.parse_sketch(data.draw(texts))
+    assume(math.prod(h.arity or 1 for h in sketch.holes) <= 256)
+    literals = st.sampled_from(_literals(sketch) or [0.0])
+    inputs = st.one_of(_moderate, _moderate, _small, literals)
+    rows = data.draw(st.integers(1, 40))
+    spec = sg.SpecSet.from_pairs(
+        (tuple(data.draw(inputs) for _ in sketch.params), data.draw(_moderate)) for _ in range(rows)
+    )
+    ties = st.sampled_from([v for vec in spec.inputs.tolist() for v in vec])
+    reals = st.one_of(_moderate, _moderate, _small, ties, literals, _overflowing, _finite)
+    pinned = [data.draw(reals) for hole in sketch.holes if hole.tokens is None]
+    order, losses = _reference_ranking(sketch, pinned, spec)
+    for chunk_cells in (interp.CHUNK_CELLS, 1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interp, "CHUNK_CELLS", chunk_cells)
+            ranked = sg.enumerate_discrete(sketch, pinned, spec)
+        assert ranked.order.tobytes() == order.tobytes(), chunk_cells
+        assert ranked.losses.tobytes() == losses.tobytes(), chunk_cells
 
 
 def test_rank_is_a_stable_argsort():
@@ -836,28 +949,48 @@ fn oracle_prog(x1: f32, x2: f32) -> f32
 """
 
 
-def test_enumerating_the_oracle_sketch_makes_six_calls_aligned_to_the_product(monkeypatch):
-    # 11 holes: [COND], [Real], 3 x [OP], [Real], 4 x [OP], [Real]; 3 * 4**7 = 49 152 programs.  At 4 rows a
-    # call holds at most 2**15 // 4 = 8192 candidates: holes 3 .. 10 vary inside it (4096 combinations) and
-    # hole 2 gives it 2 of its 4 tokens, so the [COND] is one value per call.
-    assert interp.CHUNK_CELLS == 2**15
+def test_enumerating_the_oracle_sketch_walks_the_product_once(monkeypatch):
+    # 11 holes: [COND], [Real], 3 x [OP], [Real], 4 x [OP], [Real]; 3 * 4**7 = 49 152 programs, scored by one
+    # walk over the plan through engine's name for it, and by no call of the population scorer.
     sketch = sg.parse_sketch(ORACLE_SKETCH)
     spec = sg.SpecSet.from_pairs([((5.0, 2.0), 9.5), ((6.0, 1.5), 11.0), ((1.0, 4.0), 0.5), ((2.5, 3.0), 1.25)])
-    calls = []
-    score = engine.eval_population_losses
+    calls, walks = [], []
+    walk = engine._product_losses
 
-    def counted(plan, hole_values, penalty):
-        calls.append([np.asarray(v) for v in hole_values])
-        return score(plan, hole_values, penalty)
+    def counted(plan, choices, penalty):
+        walks.append([len(c) for c in choices])
+        return walk(plan, choices, penalty)
 
-    monkeypatch.setattr(engine, "eval_population_losses", counted)
+    monkeypatch.setattr(engine, "eval_population_losses", lambda *args: calls.append(args))
+    monkeypatch.setattr(engine, "_product_losses", counted)
     ranked = sg.enumerate_discrete(sketch, [1.5, 2.5, 0.5], spec)
     assert len(ranked) == 3 * 4**7
-    assert len(calls) == 6
-    assert [c[0].tolist() for c in calls] == [[0], [0], [1], [1], [2], [2]]  # the leading [COND]
-    for k, values in enumerate(calls):
-        assert [len(v) for v in values] == [1, 1] + [8192] * 3 + [1] + [8192] * 4 + [1]
-        assert np.unique(values[2]).tolist() == [2 * (k % 2), 2 * (k % 2) + 1]
+    assert calls == []
+    assert walks == [[3, 1, 4, 4, 4, 1, 4, 4, 4, 4, 1]]
+
+
+@pytest.mark.parametrize(
+    "text, reals, rows",
+    [(TWOVAR_SKETCH, [2.0, 2.0], 5_000), (ORACLE_SKETCH, [1.5, 2.5, 0.5], 2_000)],
+    ids=["two-input sketch", "oracle sketch"],
+)
+def test_a_wide_enumeration_holds_row_chunks_and_the_product(text, reals, rows):
+    # The walk holds the product-shaped total and, per chunk of rows, arrays of at most CHUNK_CELLS cells; the
+    # ranking adds its arrays of the product's size.  768 programs fit in CHUNK_CELLS cells, 49 152 do not.
+    sketch = sg.parse_sketch(text)
+    x = np.random.default_rng(0).uniform(1.0, 10.0, (rows, 2))
+    spec = sg.SpecSet(x, np.where(x[:, 0] > x[:, 1], 2.0 * x[:, 0] + x[:, 1], 2.0 / x[:, 1] - x[:, 0]))
+    space = math.prod(h.arity or 1 for h in sketch.holes)
+    tracemalloc.start()
+    try:
+        ranked = sg.enumerate_discrete(sketch, reals, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == space
+    held = 10 * 8 * max(interp.CHUNK_CELLS, space)
+    ranking = 3 * 8 * space  # the ranked order and losses, and the stable sort's order
+    assert peak < held + ranking + spec.inputs.nbytes, (peak, held, ranking)  # the plan copies the inputs
 
 
 def test_loss_spikes_detector():
