@@ -14,15 +14,10 @@ best and the final state.  Scorer calls go through this module's name
 `eval_population_losses`, looked up at call time, so a wrapper put there sees
 every one.
 
-`enumerate_discrete` scores the whole discrete space, a Cartesian product,
-without the population scorer: `_product_losses` walks the same plan once
-per chunk of spec rows, with an array axis per hole, so each chain of the
-sketch is computed once per token combination and the losses come out as a
-tensor of the product's shape (see its docstring).  It is called through
-this module's name too.  `enumerate_discrete` returns a `Ranking`: the
-ranked flat indices and losses as arrays, with each (assignment, loss) pair
-built when it is read.  The scalar interpreter (`interp.eval_spec_loss`) is
-on neither path: it is the reference both are tested against.
+`enumerate_discrete` ranks the whole discrete space, which interp's product
+walk scores, called through this module's name `eval_product_losses` (looked
+up at call time too).  The scalar interpreter (`interp.eval_spec_loss`) is on
+neither path: it is the reference both are tested against.
 
 Because the best program is kept, a search that has settled can be
 restarted at no cost: when the argmax loss has not improved by
@@ -58,7 +53,7 @@ from .dists import (
     check_thetas,
     standardize_fitness,
 )
-from .interp import NONFINITE_PENALTY, Plan, SpecSet, _read_only, _select, compile_sketch, eval_population_losses
+from .interp import NONFINITE_PENALTY, SpecSet, _read_only, compile_sketch, eval_population_losses, eval_product_losses
 from .sketch import Assignment, Sketch, SketchError, instantiate
 
 OPTIMIZER_SGD = "sgd"
@@ -341,7 +336,7 @@ def argmax_program(sketch: Sketch, thetas) -> Sketch:
     return instantiate(sketch, Assignment(tuple(column.item() for column in columns)))
 
 
-def train_step(plan: Plan, state: TrainState, config: TrainConfig, streams):
+def train_step(plan: interp.Plan, state: TrainState, config: TrainConfig, streams):
     """One iteration: the state after `state`, and its record.  `plan` is the sketch compiled against the
     spec (see `compile_sketch`), `streams` holds one Generator per hole (see `hole_streams`).  Raises
     DivergenceError when the step leaves a non-finite parameter."""
@@ -416,7 +411,7 @@ class Ranking(Sequence):
     the ranked flat indices into the lexicographic product of `choices` (one tuple of values per hole, in
     hole order), and `losses`, the ranked losses.  An index or a slice builds only the pairs it returns,
     and iteration builds every pair once and keeps them; in a pair a category index is an int, a real is
-    the object given for it and a loss is a float.  `in`, `count` and `index` find a pair from the arrays
+    the float it was pinned to and a loss is a float.  `in`, `count` and `index` find a pair from the arrays
     and build none.  A ranking equals any sequence of the same pairs."""
 
     choices: tuple
@@ -511,17 +506,17 @@ def enumerate_discrete(
     """
     penalty = _checked_penalty(penalty)
     real_values = list(real_values)
-    n_reals = sum(not h.tokens for h in sketch.holes)
-    if len(real_values) != n_reals:
-        raise SketchError(f"sketch has {n_reals} [Real] holes but {len(real_values)} values given")
+    real_holes = [h for h in sketch.holes if not h.tokens]
+    if len(real_values) != len(real_holes):
+        raise SketchError(f"sketch has {len(real_holes)} [Real] holes but {len(real_values)} values given")
+    pinned = {h.index: _pinned(h, v) for h, v in zip(real_holes, real_values)}
     # Each hole's choices: its token indices, or the one value a real hole is pinned to.
-    reals = iter(real_values)
-    choices = tuple(tuple(range(h.arity)) if h.tokens else (_pinned(h, next(reals)),) for h in sketch.holes)
+    choices = tuple(tuple(range(h.arity)) if h.tokens else (pinned[h.index],) for h in sketch.holes)
     space = math.prod(map(len, choices))
     if space > cap:
         raise EnumerationError(f"{space} discrete programs exceed the cap of {cap}")
     # The plan and the walk's arrays are freed before the ranking allocates: the two do not add up.
-    order, ranked = _rank(_product_losses(compile_sketch(sketch, spec), choices, penalty))
+    order, ranked = _rank(eval_product_losses(compile_sketch(sketch, spec), list(pinned.values()), penalty))
     return Ranking(choices, _read_only(order), _read_only(ranked))
 
 
@@ -537,46 +532,6 @@ def _pinned(hole, value) -> float:
     if not math.isfinite(value):
         raise SketchError(f"hole {hole.index}: [Real] value {value} is not finite")
     return value
-
-
-def _product_losses(plan: Plan, choices: tuple, penalty: float) -> np.ndarray:
-    """The loss of every combination of `choices` (one tuple per hole: its token indices, or the one value
-    a real hole is pinned to), in lexicographic order: a walk over the plan's steps by broadcasting.
-
-    Each value is an array whose axis 0 is the spec rows of a chunk and axis 1 + h is hole h's, of length
-    1 where the value does not depend on the hole (a literal or a pinned real is one value).  A categorical
-    step puts token t's function in slice t of its hole's axis, so a chain is computed once per token
-    combination.  Each row and cell of the guard's mask picks the branch whose squared error the row adds
-    into those cells of the product-shaped total, so each loss is the scalar loop's sequential sum.  A
-    chunk holds as many rows as keep each of its arrays within `CHUNK_CELLS` cells, and at least one."""
-    arity, rows = plan.columns.shape
-    ones = (1,) * (1 + len(choices))  # a value that depends on no row and no hole
-    values = [None] * arity + [np.full(ones, c[0]) for c in choices]  # a categorical hole's slot is never read
-    values += [s if s is None else s.reshape(ones) for s in plan.slots[len(values) :]] + [np.zeros(ones, bool)]
-    steps, (mask, *branches) = plan.steps, (-1, plan.out)  # unguarded: the last value, a mask never true
-    if steps and steps[-1][2][0] is _select:  # the guard: its mask and branches are read, not selected
-        steps, (mask, *branches) = steps[:-1], steps[-1][3]
-    cells = [1] * len(values)  # each value's cells per spec row
-    for out, _, fns, args, _, _ in steps:
-        cells[out] = len(fns) * math.prod(cells[a] for a in args)
-    chunk = max(1, interp.CHUNK_CELLS // max(cells))
-    total = np.empty((1, *map(len, choices)))
-    with np.errstate(all="ignore"):
-        for lo in range(0, rows, chunk):
-            y = plan.outputs[lo : lo + chunk].reshape(-1, *ones[1:])
-            values[:arity] = plan.columns[:, lo : lo + chunk].reshape(arity, *y.shape)
-            for out, hole, fns, _, _, operands in steps:
-                a, b = operands(values)
-                values[out] = fns[0](a, b) if hole is None else np.concatenate([f(a, b) for f in fns], 1 + hole)
-            squares = [(d := values[b] - y) * d for b in branches]
-            m = values[mask]  # one row, or a row per spec row
-            for at in np.ndindex(m.shape[1:]):  # each cell of the mask, and the cells of the total it picks for
-                view = total[(slice(None), *(slice(i, i + 1 if n > 1 else None) for i, n in zip(at, m.shape[1:])))]
-                for r in range(len(y)):  # the scalar loop's sum, which starts at 0.0
-                    np.add(view if lo or r else 0.0, squares[0 if m[(r % len(m), *at)] else -1][r : r + 1], out=view)
-        total /= rows
-        total[~np.isfinite(total)] = penalty
-    return total.reshape(-1)
 
 
 def loss_spikes(mean_losses, window: int = 101, factor: float = 3.0, start: int = 1000) -> list[int]:

@@ -6,11 +6,13 @@ crash the search.  Candidates whose predictions (or accumulated error) go
 non-finite are scored with a large penalty constant instead.
 
 The scalar interpreter (`eval_program`, `eval_spec_loss`) runs one program on
-one input; it is the reference.  The population scorer runs a `Plan`, which
-`compile_sketch` resolves once per sketch and spec into a flat step list.
-Each value a step reads or writes is held as stored rows plus a map from
-candidate to stored row, and how each step runs is settled once per call,
-before the row loop (`_resolve`):
+one input; it is the reference.  `compile_sketch` resolves a sketch and spec
+once into a `Plan`, a flat step list that only this module reads.  The product
+walk (`eval_product_losses`) scores every token combination and reads the
+guard's select step without running it; the population scorer runs every step
+for sampled candidates, holding each value as stored rows plus a map from
+candidate to stored row; how each step runs is settled once per call, before
+the row loop (`_resolve`):
 
 - a value that no candidate varies is one row (an input column, a literal, a
   real hole given one value, and what one token computes from these);
@@ -211,8 +213,7 @@ def eval_spec_loss(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PE
 CHUNK_CELLS = 1 << 15
 
 # A plan keeps scratch buffers for this many (candidate count, chunk width) pairs, the most recent ones; a
-# training run uses at most three (the population's whole chunks and its last one, and the argmax
-# program), an enumeration two (its whole candidate chunks and its last one).
+# training run uses at most three (the population's whole chunks and its last one, and the argmax program).
 WORKSPACES = 4
 
 # numpy's ufunc buffer size, in elements, while a call scores chunks of more cells than this: numpy
@@ -248,10 +249,10 @@ def _select(mask, x, y, out=None):
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """A sketch compiled against a spec, for `eval_population_losses`.
+    """A sketch compiled against a spec, for `eval_population_losses` and `eval_product_losses`.
 
-    A call holds a list of values, each a 2-D array of stored rows over spec rows, with a column axis of
-    length 1 where the value does not vary by row, and a layout `(rows, map)`: candidate i reads stored
+    A scorer call holds a list of values, each a 2-D array of stored rows over spec rows, with a column axis
+    of length 1 where the value does not vary by row, and a layout `(rows, map)`: candidate i reads stored
     row `map[i]`.  The map is None for one stored row, which every candidate reads, and for n rows in
     candidate order (see the module docstring).  Values 0 .. arity-1 are the input columns of the current
     row chunk, cut from `columns` (the spec's inputs, one contiguous row per input; `slots` holds them
@@ -260,7 +261,7 @@ class Plan:
     args, dtype, operands)` sets value `out` to a function of `fns` applied to the values at `args` (two
     or three of them, which `operands` picks from the list of values): `fns[0]` when `hole` is None, else,
     per candidate, the function of the token it drew for that categorical hole, into an array of `dtype`.
-    Value `out` is the prediction.
+    Value `out` is the prediction: in a guarded sketch, the guard's `_select` step, which the product walk reads.
 
     A plan owns the scratch buffers its calls write into (`workspaces`, see `_workspace`), so one plan must
     not be scored from two threads at once; compile one per thread."""
@@ -414,6 +415,46 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     if index is not None:
         return total.take(index)
     return total if count == n else total.repeat(n)
+
+
+def eval_product_losses(plan: Plan, reals, penalty: float):
+    """The loss of each assignment of the categorical holes' tokens, in lexicographic order, with `reals` pinned (a
+    float per [Real] hole, in hole order, else a SketchError).  Each value is an array whose axis 0 is a chunk's
+    spec rows and axis 1 + h is hole h's, of length 1 where it does not depend on the hole.  A categorical step puts
+    token t's function in slice t of its hole's axis, so a chain is computed once per token combination.  Per row
+    and cell, the guard's mask picks the branch whose squared error the row adds into those cells of the total: each
+    loss is the scalar loop's sequential sum.  Chunks hold one row, or as many as fit in `CHUNK_CELLS`."""
+    if len(reals) != sum(not h.tokens for h in plan.holes):
+        raise SketchError("expected one real per [Real] hole")
+    pinned = iter(reals)  # a categorical hole's slot is never read
+    arity, rows = plan.columns.shape
+    ones = (1,) * (1 + len(plan.holes))  # a value that depends on no row and no hole
+    values = [None] * arity + [None if h.tokens else np.full(ones, next(pinned)) for h in plan.holes]
+    values += [s if s is None else s.reshape(ones) for s in plan.slots[len(values) :]] + [np.zeros(ones, bool)]
+    steps, (mask, *branches) = plan.steps, (-1, plan.out)  # unguarded: the last value, a mask never true
+    if steps and steps[-1][2][0] is _select:  # the guard: its mask and branches are read, not selected
+        steps, (mask, *branches) = steps[:-1], steps[-1][3]
+    cells = [1] * len(values)  # each value's cells per spec row
+    for out, _, fns, args, _, _ in steps:
+        cells[out] = len(fns) * math.prod(cells[a] for a in args)
+    chunk = max(1, CHUNK_CELLS // max(cells))
+    total = np.empty((1, *(h.arity or 1 for h in plan.holes)))
+    with np.errstate(all="ignore"):
+        for lo in range(0, rows, chunk):
+            y = plan.outputs[lo : lo + chunk].reshape(-1, *ones[1:])
+            values[:arity] = plan.columns[:, lo : lo + chunk].reshape(arity, *y.shape)
+            for out, hole, fns, _, _, operands in steps:
+                a, b = operands(values)
+                values[out] = fns[0](a, b) if hole is None else np.concatenate([f(a, b) for f in fns], 1 + hole)
+            squares = [(d := values[b] - y) * d for b in branches]
+            m = values[mask]  # one row, or a row per spec row
+            for at in np.ndindex(m.shape[1:]):  # each cell of the mask, and the cells of the total it picks for
+                view = total[(slice(None), *(slice(i, i + 1 if n > 1 else None) for i, n in zip(at, m.shape[1:])))]
+                for r in range(len(y)):  # the scalar loop's sum, which starts at 0.0
+                    np.add(view if lo or r else 0.0, squares[0 if m[(r % len(m), *at)] else -1][r : r + 1], out=view)
+        total /= rows
+        total[~np.isfinite(total)] = penalty
+    return total.reshape(-1)
 
 
 # The layout of a value that is the same for every candidate: one stored row, which each candidate reads.

@@ -9,6 +9,7 @@ evaluable program.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -408,10 +409,13 @@ def print_program(sketch: Sketch) -> str:
 def _filled(hole: Hole, value) -> object:
     """What fills `hole` for `value`: a literal for a real hole, the token at a category index otherwise."""
     if hole.tokens is None:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise SketchError(f"hole {hole.index} is {hole.token} but got {value!r}")
-        return Lit(float(value))
-    if isinstance(value, bool) or not isinstance(value, int):
+        try:
+            return Lit(float(value))
+        except OverflowError:  # an integer past the float range (a float inf or nan is a literal, and taken)
+            raise SketchError(f"hole {hole.index}: [Real] value is past the float range") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise SketchError(f"hole {hole.index} is categorical but got {value!r}")
     if not 0 <= value < hole.arity:
         raise SketchError(f"hole {hole.index}: category index {value} out of range 0..{hole.arity - 1}")

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import fractions
 import hashlib
@@ -955,18 +956,33 @@ def test_enumerating_the_oracle_sketch_walks_the_product_once(monkeypatch):
     sketch = sg.parse_sketch(ORACLE_SKETCH)
     spec = sg.SpecSet.from_pairs([((5.0, 2.0), 9.5), ((6.0, 1.5), 11.0), ((1.0, 4.0), 0.5), ((2.5, 3.0), 1.25)])
     calls, walks = [], []
-    walk = engine._product_losses
+    walk = engine.eval_product_losses
 
-    def counted(plan, choices, penalty):
-        walks.append([len(c) for c in choices])
-        return walk(plan, choices, penalty)
+    def counted(plan, reals, penalty):
+        walks.append(([h.arity or 1 for h in plan.holes], reals))
+        return walk(plan, reals, penalty)
 
     monkeypatch.setattr(engine, "eval_population_losses", lambda *args: calls.append(args))
-    monkeypatch.setattr(engine, "_product_losses", counted)
+    monkeypatch.setattr(engine, "eval_product_losses", counted)
     ranked = sg.enumerate_discrete(sketch, [1.5, 2.5, 0.5], spec)
     assert len(ranked) == 3 * 4**7
     assert calls == []
-    assert walks == [[3, 1, 4, 4, 4, 1, 4, 4, 4, 4, 1]]
+    assert walks == [([3, 1, 4, 4, 4, 1, 4, 4, 4, 4, 1], [1.5, 2.5, 0.5])]
+
+
+def test_engine_reads_no_field_of_a_plan():
+    # interp alone knows a plan's format: engine passes plans to interp's two walks and reads none of their
+    # fields, the guard's select function or the chunk size, and of interp's private names imports only
+    # `_read_only`.
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    read = [n.attr for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "plan"]
+    assert read == []
+    names = {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert names.isdisjoint({"_select", "CHUNK_CELLS"})
+    imported = [a.name for n in nodes if isinstance(n, ast.ImportFrom) and n.module == "interp" for a in n.names]
+    assert [name for name in imported if name.startswith("_")] == ["_read_only"]
 
 
 @pytest.mark.parametrize(

@@ -264,6 +264,15 @@ def test_population_losses_reject_a_bad_real_array(onevar_sketch, onevar_spec, b
         sg.eval_population_losses(sg.compile_sketch(onevar_sketch, onevar_spec), values)
 
 
+@pytest.mark.parametrize("reals", [[], [3.5, 4.2], [3.5, 4.2, 2.1, 0.0]], ids=["none", "too few", "too many"])
+def test_product_losses_take_one_real_per_real_hole(onevar_sketch, onevar_spec, reals):
+    # The onevar sketch has three [Real] holes; the walk pins each to one value and enumerates every token.
+    plan = sg.compile_sketch(onevar_sketch, onevar_spec)
+    with pytest.raises(sg.SketchError, match=re.escape("expected one real per [Real] hole")):
+        interp.eval_product_losses(plan, reals, 1e12)
+    assert interp.eval_product_losses(plan, [3.5, 4.2, 2.1], 1e12).shape == (3 * 4 * 4,)
+
+
 def test_batch_losses_zero_hole_program(onevar_truth, onevar_spec):
     batch = sg.eval_population_losses(sg.compile_sketch(onevar_truth, onevar_spec), [])
     assert batch.shape == (1,)

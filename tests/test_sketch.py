@@ -1,5 +1,8 @@
+import fractions
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +157,38 @@ def test_instantiate_rejects_bad_assignments(onevar_sketch, values, fragment):
     with pytest.raises(sg.SketchError) as err:
         sg.instantiate(onevar_sketch, sg.Assignment(values))
     assert fragment in str(err.value)
+
+
+# Each value fills the [Real] hole 1 of `x [OP] [Real]` as the literal printed, and category index 0 as the
+# token printed, or else is a SketchError with the message fragment given: a real hole takes a real number that
+# is not a bool, as enumerate_discrete and TrainConfig do, with float inf and nan too (a literal may be either),
+# and a category index takes an integral number that is not a bool.
+@pytest.mark.parametrize(
+    "value, as_real, as_index",
+    [
+        (np.float32(1.5), "x - 1.5", "hole 0 is categorical but got"),
+        (fractions.Fraction(1, 2), "x - 0.5", "hole 0 is categorical but got"),
+        (np.int64(1), "x - 1.0", "x - 2.5"),
+        (np.uint8(3), "x - 3.0", "x / 2.5"),
+        (10**400, "hole 1: [Real] value is past the float range", "hole 0: category index"),
+        (-(10**400), "hole 1: [Real] value is past the float range", "hole 0: category index"),
+        (math.inf, "x - inf", "hole 0 is categorical but got"),
+        (-math.inf, "x - -inf", "hole 0 is categorical but got"),
+        (math.nan, "x - nan", "hole 0 is categorical but got"),
+        (True, "hole 1 is [Real] but got True", "hole 0 is categorical but got True"),
+        ("a", "hole 1 is [Real] but got 'a'", "hole 0 is categorical but got 'a'"),
+        (None, "hole 1 is [Real] but got None", "hole 0 is categorical but got None"),
+    ],
+    ids=["float32", "Fraction", "int64", "uint8", "10**400", "-10**400", "inf", "-inf", "nan", "bool", "str", "None"],
+)
+def test_instantiate_reads_hole_values_by_the_enumeration_rule(value, as_real, as_index):
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { return x [OP] [Real]; }")
+    for values, expected in (((1, value), as_real), ((value, 2.5), as_index)):
+        if expected.startswith("hole"):
+            with pytest.raises(sg.SketchError, match=re.escape(expected)):
+                sg.instantiate(sketch, sg.Assignment(values))
+        else:
+            assert f"    return {expected};" in sg.print_program(sg.instantiate(sketch, sg.Assignment(values)))
 
 
 def test_real_hole_accepts_int_value():
