@@ -12,19 +12,20 @@ printed update rule; the Gaussian mean uses the fixed-sigma closed form
 What the search reads from a vector of scorer losses is here too: the
 fitness a training step ascends (`standardize_fitness`) and the order an
 enumeration ranks its programs in (`_rank`).
+
+A theta checks its own numbers, through `sketch.read_number`, so a theta built
+in code follows the same rule as one loaded from a theta document.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .sketch import KIND_REAL
+from .sketch import KIND_REAL, read_number, show
 
 SCORE_SOFTMAX = "softmax_grad"
 SCORE_LOG_SOFTMAX = "log_softmax_grad"
@@ -58,11 +59,10 @@ class CategoricalTheta:
     logits: np.ndarray
 
     def __post_init__(self):
-        logits = np.array(self.logits, dtype=np.float64)
-        if logits.ndim != 1 or logits.size < 2:
+        entries = list(self.logits) if np.iterable(self.logits) else []
+        if len(entries) < 2:
             raise ThetaError("logits must be a vector of at least two entries")
-        if not np.isfinite(logits).all():
-            raise ThetaError("logits must be finite")
+        logits = np.array([read_number(v, f"logits[{j}]", ThetaError, finite=True) for j, v in enumerate(entries)])
         logits.flags.writeable = False
         object.__setattr__(self, "logits", logits)
 
@@ -85,9 +85,7 @@ class GaussianTheta:
     sigma: float
 
     def __post_init__(self):
-        mu, sigma = float(self.mu), float(self.sigma)
-        if not (math.isfinite(mu) and math.isfinite(sigma)):
-            raise ThetaError(f"mu and sigma must be finite, got {mu} and {sigma}")
+        mu, sigma = (read_number(getattr(self, name), name, ThetaError, finite=True) for name in ("mu", "sigma"))
         if not sigma > 0.0:
             raise ThetaError(f"sigma must be positive, got {sigma}")
         object.__setattr__(self, "mu", mu)
@@ -247,33 +245,18 @@ def thetas_from_doc(doc) -> list:
             if kind == "cat":
                 if keys != {"kind", "logits"}:
                     raise ThetaError(f"'cat' entries carry exactly 'logits', got {sorted(keys)}")
-                logits = entry["logits"]
-                if not isinstance(logits, list):
-                    raise ThetaError(f"logits must be an array of numbers, got {_json(logits)}")
-                thetas.append(CategoricalTheta([_number(v, f"logits[{j}]") for j, v in enumerate(logits)]))
+                if not isinstance(entry["logits"], list):
+                    raise ThetaError(f"logits must be an array of numbers, got {show(entry['logits'])}")
+                thetas.append(CategoricalTheta(entry["logits"]))
             elif kind == "real":
                 if keys != {"kind", "mu", "sigma"}:
                     raise ThetaError(f"'real' entries carry exactly 'mu' and 'sigma', got {sorted(keys)}")
-                thetas.append(GaussianTheta(_number(entry["mu"], "mu"), _number(entry["sigma"], "sigma")))
+                thetas.append(GaussianTheta(entry["mu"], entry["sigma"]))
             else:
-                raise ThetaError(f"unknown kind {kind!r}")
+                raise ThetaError(f"unknown kind {show(kind)}")
         except ThetaError as exc:
             raise ThetaError(f"entry {i}: {exc}") from None
     return thetas
-
-
-def _number(value, name: str) -> float:
-    """A JSON number as a float; a ThetaError naming `name` for anything else, a bool or null included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ThetaError(f"{name} must be a number, got {_json(value)}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer past the float range
-        raise ThetaError(f"{name} must be finite, got an integer of {len(str(value))} digits") from None
-
-
-def _json(value) -> str:
-    return json.dumps(value, default=repr)
 
 
 def check_thetas(thetas, sketch) -> None:

@@ -30,7 +30,6 @@ and the search cannot leave the basin it is in; a restart is the way out.
 from __future__ import annotations
 
 import math
-import numbers
 import typing
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -54,7 +53,7 @@ from .dists import (
     standardize_fitness,
 )
 from .interp import NONFINITE_PENALTY, SpecSet, _read_only, compile_sketch, eval_population_losses, eval_product_losses
-from .sketch import Assignment, Sketch, SketchError, instantiate
+from .sketch import Assignment, Sketch, SketchError, instantiate, read_number, show
 
 OPTIMIZER_SGD = "sgd"
 OPTIMIZER_ADAM = "adam"
@@ -73,9 +72,6 @@ SPIKE_CHUNK = 4096
 # The most candidates a training iteration samples (TrainConfig.population) and, by default, the most
 # programs `enumerate_discrete` ranks: a million candidates' arrays are tens of MB.
 MAX_CANDIDATES = 10**6
-
-# What a TrainConfig field annotated with each type accepts, and how an error names it.
-_FIELD_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"), str: (str, "a string")}
 
 
 class ConfigError(ValueError):
@@ -124,17 +120,17 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, kind in typing.get_type_hints(TrainConfig).items():
-            object.__setattr__(self, name, _field(name, kind, getattr(self, name)))
+            object.__setattr__(self, name, _field(name, kind, getattr(self, name), ConfigError))
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
+            raise ConfigError(f"iterations must be at least 1, got {show(self.iterations)}")
         if self.population < 2:
-            raise ConfigError(f"population must be at least 2, got {self.population}")
+            raise ConfigError(f"population must be at least 2, got {show(self.population)}")
         if self.population > MAX_CANDIDATES:
-            raise ConfigError(f"population must be at most {MAX_CANDIDATES}, got {self.population}")
+            raise ConfigError(f"population must be at most {MAX_CANDIDATES}, got {show(self.population)}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {show(self.seed)}")
         if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.optimizer not in OPTIMIZERS:
@@ -148,24 +144,19 @@ class TrainConfig:
         _checked_penalty(self.penalty)
 
 
-def _field(name: str, kind: type, value):
-    """`value` as a TrainConfig field `name` annotated `kind`, which it must hold (see TrainConfig)."""
-    accepts, what = _FIELD_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepts):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    try:
-        held = kind(value)
-    except OverflowError:  # an integer past the float range
-        held = math.inf
-    if kind is float and not math.isfinite(held):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    return held
+def _field(name: str, kind: type, value, error: type[Exception]):
+    """`value` as a TrainConfig field `name` annotated `kind`, which it must hold (see TrainConfig); else an `error`."""
+    if kind is not str:
+        return read_number(value, name, error, kind, finite=kind is float)
+    if not isinstance(value, str):
+        raise error(f"{name} must be a string, got {show(value)}")
+    return value
 
 
 def _checked_penalty(penalty) -> float:
     """`penalty` as a float, if it is a finite positive number; else a ConfigError.  A negative penalty would
     rank a program that divides by zero above an exact fit, and a NaN one would put NaN in a ranking."""
-    penalty = _field("penalty", float, penalty)
+    penalty = _field("penalty", float, penalty, ConfigError)
     if not penalty > 0:
         raise ConfigError(f"penalty must be positive, got {penalty}")
     return penalty
@@ -502,46 +493,39 @@ def enumerate_discrete(
     `TrainConfig` (else a ConfigError).  Returns a `Ranking` of (assignment,
     loss) pairs in ascending loss order, whose pairs are built when they are
     read; ties break lexicographically on the category indices.  Raises
-    EnumerationError if the discrete space exceeds `cap`.
+    EnumerationError if the discrete space exceeds `cap`, an integer (else
+    a ConfigError).
     """
     penalty = _checked_penalty(penalty)
+    cap = read_number(cap, "cap", ConfigError, int)
     real_values = list(real_values)
     real_holes = [h for h in sketch.holes if not h.tokens]
     if len(real_values) != len(real_holes):
         raise SketchError(f"sketch has {len(real_holes)} [Real] holes but {len(real_values)} values given")
-    pinned = {h.index: _pinned(h, v) for h, v in zip(real_holes, real_values)}
+    pinned = {
+        h.index: _field(f"hole {h.index}: [Real] value", float, v, SketchError) for h, v in zip(real_holes, real_values)
+    }
     # Each hole's choices: its token indices, or the one value a real hole is pinned to.
     choices = tuple(tuple(range(h.arity)) if h.tokens else (pinned[h.index],) for h in sketch.holes)
     space = math.prod(map(len, choices))
     if space > cap:
-        raise EnumerationError(f"{space} discrete programs exceed the cap of {cap}")
+        raise EnumerationError(f"{space} discrete programs exceed the cap of {show(cap)}")
     # The plan and the walk's arrays are freed before the ranking allocates: the two do not add up.
     order, ranked = _rank(eval_product_losses(compile_sketch(sketch, spec), list(pinned.values()), penalty))
     return Ranking(choices, _read_only(order), _read_only(ranked))
 
 
-def _pinned(hole, value) -> float:
-    """`value` as the float that [Real] `hole` is pinned to, by `_field`'s rule for a float: a real number that is
-    not a bool, and finite once read as a float (an integer past the float range is not); else a SketchError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SketchError(f"hole {hole.index}: [Real] value must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer past the float range
-        value = math.inf if value > 0 else -math.inf
-    if not math.isfinite(value):
-        raise SketchError(f"hole {hole.index}: [Real] value {value} is not finite")
-    return value
-
-
 def loss_spikes(mean_losses, window: int = 101, factor: float = 3.0, start: int = 1000) -> list[int]:
     """Iterations (1-based) after `start` where the mean population loss
     exceeds `factor` times the local windowed median."""
+    window, start = read_number(window, "window", ValueError, int), read_number(start, "start", ValueError, int)
+    factor = read_number(factor, "factor", ValueError)
     if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+        raise ValueError(f"window must be at least 1, got {show(window)}")
     if start < 0:
-        raise ValueError(f"start must be non-negative, got {start}")
+        raise ValueError(f"start must be non-negative, got {show(start)}")
     x = np.asarray(mean_losses, dtype=np.float64)
+    start = min(start, x.size)  # a slice bound numpy can hold
     half = window // 2
     median = np.empty(x.size)  # at t, of the window x[t - half : t + half + 1]
     n_full = max(x.size - 2 * half, 0)  # the windows at t = half .. half + n_full - 1 are whole

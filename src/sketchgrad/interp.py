@@ -80,7 +80,7 @@ class SpecSet:
     def __post_init__(self):
         try:
             inputs, outputs = np.array(self.inputs, dtype=np.float64), np.array(self.outputs, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
             raise SpecError(_ragged_row(self.inputs) or f"not a table of numbers: {exc}") from None
         if inputs.shape[:1] == (0,):
             raise SpecError("specification is empty")

@@ -5,10 +5,14 @@ followed by a mandatory unconditional return.  Incomplete positions are
 holes: ``[COND]`` (comparison token), ``[OP]`` (arithmetic token) and
 ``[Real]`` (numeric constant).  Filling every hole yields a concrete,
 evaluable program.
+
+`read_number` reads every number the package is handed (hole values, pinned
+reals, hyperparameters, thetas), and `show` names one in an error message.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from dataclasses import dataclass, field
@@ -359,6 +363,36 @@ def format_real(value: float) -> str:
     return repr(float(value))
 
 
+def show(value) -> str:
+    """`value` as an error message names it: its repr, but an integer too long for `str()` (Python's limit on the
+    digits it turns into text) by its first four digits and exponent, `~1.000e+5000`, and a container that
+    holds one by its type, `a list`."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, numbers.Integral):
+            return f"a {type(value).__name__}"
+        import decimal  # here, not at the top: importing it costs every run about 0.3 MB
+
+        return f"~{decimal.Decimal(int(value)):.3e}"
+
+
+def read_number(value, what: str, error: type[Exception], kind: type = float, finite: bool = False):
+    """`value` as a `kind`, float or int: a real number (an integral one for int) that is not a bool, and no
+    real past the float range such as 10**400; if `finite`, not inf or nan either.  Anything else is an
+    `error` naming `what`.  Every number the package is handed is read here."""
+    integral = kind is int
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise error(f"{what} must be {'an integer' if integral else 'a number'}, got {show(value)}")
+    try:
+        number = kind(value)
+    except OverflowError:
+        raise error(f"{what} is past the float range") from None
+    if finite and not math.isfinite(number):
+        raise error(f"{what} must be finite, got {show(value)}")
+    return number
+
+
 def _operand_str(node) -> str:
     if isinstance(node, Var):
         return node.name
@@ -407,19 +441,13 @@ def print_program(sketch: Sketch) -> str:
 
 
 def _filled(hole: Hole, value) -> object:
-    """What fills `hole` for `value`: a literal for a real hole, the token at a category index otherwise."""
+    """What fills `hole` for `value`: a literal for a real hole (inf or nan too), the token at a category index."""
     if hole.tokens is None:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise SketchError(f"hole {hole.index} is {hole.token} but got {value!r}")
-        try:
-            return Lit(float(value))
-        except OverflowError:  # an integer past the float range (a float inf or nan is a literal, and taken)
-            raise SketchError(f"hole {hole.index}: [Real] value is past the float range") from None
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise SketchError(f"hole {hole.index} is categorical but got {value!r}")
-    if not 0 <= value < hole.arity:
-        raise SketchError(f"hole {hole.index}: category index {value} out of range 0..{hole.arity - 1}")
-    return hole.tokens[value]
+        return Lit(read_number(value, f"hole {hole.index}: [Real] value", SketchError))
+    index = read_number(value, f"hole {hole.index}: category index", SketchError, int)
+    if not 0 <= index < hole.arity:
+        raise SketchError(f"hole {hole.index}: category index {show(index)} out of range 0..{hole.arity - 1}")
+    return hole.tokens[index]
 
 
 def instantiate(sketch: Sketch, assignment: Assignment) -> Sketch:

@@ -129,7 +129,7 @@ def test_config_number_past_the_float_range_exits_2_with_config_prefix(workdir):
         "--out", str(workdir / "out"),
     )
     assert code == 2
-    assert stderr.startswith("CONFIG: learning_rate must be finite, got 1000")
+    assert stderr.startswith("CONFIG: learning_rate is past the float range")
     assert stdout == "" and not (workdir / "out").exists()
 
 
@@ -285,12 +285,12 @@ _GOOD_THETAS = [
     "entry, field, value, message",
     [
         (2, "mu", [1], "entry 2: mu must be a number, got [1]"),
-        (2, "mu", None, "entry 2: mu must be a number, got null"),
-        (5, "sigma", "0.5", 'entry 5: sigma must be a number, got "0.5"'),
-        (0, "logits", ["a", "b", "c"], 'entry 0: logits[0] must be a number, got "a"'),
-        (4, "logits", "abcd", 'entry 4: logits must be an array of numbers, got "abcd"'),
-        (1, "mu", True, "entry 1: mu must be a number, got true"),
-        (3, "logits", [0.0, False, 4.0, 0.0], "entry 3: logits[1] must be a number, got false"),
+        (2, "mu", None, "entry 2: mu must be a number, got None"),
+        (5, "sigma", "0.5", "entry 5: sigma must be a number, got '0.5'"),
+        (0, "logits", ["a", "b", "c"], "entry 0: logits[0] must be a number, got 'a'"),
+        (4, "logits", "abcd", "entry 4: logits must be an array of numbers, got 'abcd'"),
+        (1, "mu", True, "entry 1: mu must be a number, got True"),
+        (3, "logits", [0.0, False, 4.0, 0.0], "entry 3: logits[1] must be a number, got False"),
     ],
 )
 def test_show_rejects_a_theta_entry_that_is_not_a_number(workdir, entry, field, value, message):
@@ -363,7 +363,7 @@ def test_enumerate_rejects_a_non_finite_real(workdir, twovar_spec, bad):
         "--reals", f"{bad},2",
     )
     value = "nan" if bad == "nan" else "inf"  # 1e400 reads as inf
-    assert (code, stdout, stderr) == (2, "", f"CONFIG: hole 1: [Real] value {value} is not finite\n")
+    assert (code, stdout, stderr) == (2, "", f"CONFIG: hole 1: [Real] value must be finite, got {value}\n")
 
 
 def test_enumerate_spec_arity_mismatch(workdir, twovar_spec):

@@ -70,7 +70,7 @@ def test_config_rejects_bad_values(kw):
         (dict(seed=np.bool_(True)), "seed must be an integer, got np.True_"),
         (dict(learning_rate="0.1"), "learning_rate must be a number, got '0.1'"),
         (dict(sigma=False), "sigma must be a number, got False"),
-        (dict(learning_rate=10**400), "learning_rate must be finite, got 1000"),
+        (dict(learning_rate=10**400), "learning_rate is past the float range"),
         (dict(optimizer=None), "optimizer must be a string, got None"),
     ],
 )
@@ -574,6 +574,10 @@ def test_enumerate_zero_categorical_holes():
 def test_enumerate_cap(onevar_sketch, onevar_spec):
     with pytest.raises(sg.EnumerationError):
         sg.enumerate_discrete(onevar_sketch, [1.0, 1.0, 1.0], onevar_spec, cap=10)
+    # The cap is an integer that is not a bool, else a ConfigError, as for the penalty beside it.
+    for cap, message in (("x", "cap must be an integer, got 'x'"), (True, "cap must be an integer, got True")):
+        with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
+            sg.enumerate_discrete(onevar_sketch, [1.0, 1.0, 1.0], onevar_spec, cap=cap)
 
 
 def test_enumerate_real_count_mismatch(onevar_sketch, onevar_spec):
@@ -584,7 +588,7 @@ def test_enumerate_real_count_mismatch(onevar_sketch, onevar_spec):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e400")])
 def test_enumerate_rejects_a_non_finite_real_naming_its_hole(onevar_sketch, onevar_spec, bad):
     # The onevar sketch's [Real] holes are holes 1, 2 and 5.
-    with pytest.raises(sg.SketchError, match=r"^hole 2: \[Real\] value -?(nan|inf) is not finite$"):
+    with pytest.raises(sg.SketchError, match=r"^hole 2: \[Real\] value must be finite, got -?(nan|inf)$"):
         sg.enumerate_discrete(onevar_sketch, [3.5, bad, 2.1], onevar_spec)
 
 
@@ -594,8 +598,8 @@ def test_enumerate_rejects_a_non_finite_real_naming_its_hole(onevar_sketch, onev
         (True, "hole 2: [Real] value must be a number, got True"),
         ("a", "hole 2: [Real] value must be a number, got 'a'"),
         (None, "hole 2: [Real] value must be a number, got None"),
-        (10**400, "hole 2: [Real] value inf is not finite"),
-        (-(10**400), "hole 2: [Real] value -inf is not finite"),
+        (10**400, "hole 2: [Real] value is past the float range"),
+        (-(10**400), "hole 2: [Real] value is past the float range"),
     ],
     ids=["bool", "str", "None", "10**400", "-10**400"],
 )
@@ -1015,6 +1019,7 @@ def test_loss_spikes_detector():
     spikes = sg.loss_spikes(base, start=1000)
     assert spikes == [2101]
     assert sg.loss_spikes([1.0] * 3000, start=1000) == []
+    assert sg.loss_spikes(base, start=10**400) == []  # past every iteration, and past what numpy can slice by
 
 
 def test_loss_spikes_sees_the_last_half_window():
@@ -1043,6 +1048,11 @@ def test_loss_spikes_match_a_median_per_slice():
         (dict(window=0), "window must be at least 1, got 0"),
         (dict(window=-3), "window must be at least 1, got -3"),
         (dict(start=-1), "start must be non-negative, got -1"),
+        (dict(window=1.5), "window must be an integer, got 1.5"),
+        (dict(start=2.5), "start must be an integer, got 2.5"),
+        (dict(factor="a"), "factor must be a number, got 'a'"),
+        (dict(window=True), "window must be an integer, got True"),
+        (dict(start=True), "start must be an integer, got True"),
     ],
 )
 def test_loss_spikes_rejects_bad_arguments(kw, message):

@@ -105,6 +105,10 @@ def test_specset_validation():
         sg.SpecSet(((1.0,), (1.0, 2.0)), (0.0, 0.0))
     with pytest.raises(sg.SpecError, match="non-finite"):
         sg.SpecSet(((1.0,), (math.inf,)), (0.0, 0.0))
+    with pytest.raises(sg.SpecError, match="int too large to convert to float"):
+        sg.SpecSet([[10**400]], [1.0])
+    with pytest.raises(sg.SpecError, match="int too large to convert to float"):
+        sg.SpecSet.from_pairs([((1.0,), 10**400)])
     spec = sg.SpecSet.from_pairs([((1, 2), 3)])
     assert spec.arity == 2 and len(spec) == 1
 

@@ -1,6 +1,8 @@
+import ast
 import fractions
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchgrad as sg
+from sketchgrad.dists import thetas_from_doc
 from sketchgrad.sketch import KIND_COND, KIND_OP, KIND_REAL, _tokenize
 
 from conftest import ONEVAR_LEARNED, ONEVAR_SKETCH, ONEVAR_TRUTH, TWOVAR_SKETCH
@@ -148,9 +151,9 @@ def test_instantiate_empty_assignment_is_identity(onevar_truth):
     "values, fragment",
     [
         ((1, 3.5, 4.2, 2, 2), "6 holes"),
-        ((1.5, 3.5, 4.2, 2, 2, 2.1), "categorical but got"),
+        ((1.5, 3.5, 4.2, 2, 2, 2.1), "hole 0: category index must be an integer, got 1.5"),
         ((1, 3.5, 4.2, 2, 7, 2.1), "out of range"),
-        ((1, 3.5, 4.2, 2, True, 2.1), "categorical but got"),
+        ((1, 3.5, 4.2, 2, True, 2.1), "hole 4: category index must be an integer, got True"),
     ],
 )
 def test_instantiate_rejects_bad_assignments(onevar_sketch, values, fragment):
@@ -166,18 +169,18 @@ def test_instantiate_rejects_bad_assignments(onevar_sketch, values, fragment):
 @pytest.mark.parametrize(
     "value, as_real, as_index",
     [
-        (np.float32(1.5), "x - 1.5", "hole 0 is categorical but got"),
-        (fractions.Fraction(1, 2), "x - 0.5", "hole 0 is categorical but got"),
+        (np.float32(1.5), "x - 1.5", "hole 0: category index must be an integer, got np.float32(1.5)"),
+        (fractions.Fraction(1, 2), "x - 0.5", "hole 0: category index must be an integer, got Fraction(1, 2)"),
         (np.int64(1), "x - 1.0", "x - 2.5"),
         (np.uint8(3), "x - 3.0", "x / 2.5"),
         (10**400, "hole 1: [Real] value is past the float range", "hole 0: category index"),
         (-(10**400), "hole 1: [Real] value is past the float range", "hole 0: category index"),
-        (math.inf, "x - inf", "hole 0 is categorical but got"),
-        (-math.inf, "x - -inf", "hole 0 is categorical but got"),
-        (math.nan, "x - nan", "hole 0 is categorical but got"),
-        (True, "hole 1 is [Real] but got True", "hole 0 is categorical but got True"),
-        ("a", "hole 1 is [Real] but got 'a'", "hole 0 is categorical but got 'a'"),
-        (None, "hole 1 is [Real] but got None", "hole 0 is categorical but got None"),
+        (math.inf, "x - inf", "hole 0: category index must be an integer, got inf"),
+        (-math.inf, "x - -inf", "hole 0: category index must be an integer, got -inf"),
+        (math.nan, "x - nan", "hole 0: category index must be an integer, got nan"),
+        (True, "hole 1: [Real] value must be a number, got True", "hole 0: category index must be an integer, got True"),
+        ("a", "hole 1: [Real] value must be a number, got 'a'", "hole 0: category index must be an integer, got 'a'"),
+        (None, "hole 1: [Real] value must be a number, got None", "hole 0: category index must be an integer, got None"),
     ],
     ids=["float32", "Fraction", "int64", "uint8", "10**400", "-10**400", "inf", "-inf", "nan", "bool", "str", "None"],
 )
@@ -195,6 +198,136 @@ def test_real_hole_accepts_int_value():
     s = sg.parse_sketch("fn f(x: f32) -> f32 { return [Real]; }")
     program = sg.instantiate(s, sg.Assignment((3,)))
     assert program.ret.operands[0] == sg.Lit(3.0)
+
+
+_X_OP_REAL = "fn f(x: f32) -> f32 { return x [OP] [Real]; }"
+
+# Every entry point that is handed a number, by the rule it reads the number by: its error class, what its
+# messages call the number, and a call that returns what it holds.  A finite real is a real number that is
+# not a bool and not inf, nan or past the float range; a real may be inf or nan (a literal may be either);
+# an integer is an integral number that is not a bool, which the entry point then bounds.
+_ENTRY_POINTS = {
+    "TrainConfig float field": (
+        "finite", sg.ConfigError, "learning_rate", lambda v: sg.TrainConfig(learning_rate=v, iterations=1).learning_rate
+    ),
+    "TrainConfig int field": (
+        "population",
+        sg.ConfigError,
+        "population",
+        lambda v: sg.TrainConfig(learning_rate=0.1, iterations=1, population=v).population,
+    ),
+    "enumerate_discrete real": (
+        "finite",
+        sg.SketchError,
+        "hole 1: [Real] value",
+        lambda v: sg.enumerate_discrete(
+            sg.parse_sketch(_X_OP_REAL), [v], sg.SpecSet.from_pairs([((1.0,), 1.0), ((2.0,), 2.0)])
+        ).choices[1][0],
+    ),
+    "instantiate real": (
+        "real",
+        sg.SketchError,
+        "hole 1: [Real] value",
+        lambda v: sg.instantiate(sg.parse_sketch(_X_OP_REAL), sg.Assignment((0, v))).ret.operands[1].value,
+    ),
+    "instantiate category index": (
+        "index",
+        sg.SketchError,
+        "hole 0: category index",
+        lambda v: sg.OpHole.tokens.index(sg.instantiate(sg.parse_sketch(_X_OP_REAL), sg.Assignment((v, 1.0))).ret.ops[0]),
+    ),
+    "GaussianTheta": ("finite", sg.ThetaError, "mu", lambda v: sg.GaussianTheta(v, 1.0).mu),
+    "CategoricalTheta": ("finite", sg.ThetaError, "logits[1]", lambda v: sg.CategoricalTheta([0.0, v]).logits[1].item()),
+    "theta document": (
+        "finite",
+        sg.ThetaError,
+        "entry 0: mu",
+        lambda v: thetas_from_doc([{"kind": "real", "mu": v, "sigma": 1.0}])[0].mu,
+    ),
+}
+
+_NUMBER, _INTEGER, _PAST = "must be a number, got ", "must be an integer, got ", "is past the float range"
+
+# Each value, and what each rule makes of it: the number held, or the message after what the entry point
+# calls the value.  The `population` field takes 2 .. 1 000 000, and the category index of `[OP]` 0 .. 3.
+_VALUES = {
+    "bool": (True, {"finite": _NUMBER + "True", "real": _NUMBER + "True", "population": _INTEGER + "True"}),
+    "str": ("a", {"finite": _NUMBER + "'a'", "real": _NUMBER + "'a'", "population": _INTEGER + "'a'"}),
+    "None": (None, {"finite": _NUMBER + "None", "real": _NUMBER + "None", "population": _INTEGER + "None"}),
+    "float32": (np.float32(1.5), {"finite": 1.5, "real": 1.5, "population": _INTEGER + "np.float32(1.5)"}),
+    "Fraction": (fractions.Fraction(1, 2), {"finite": 0.5, "real": 0.5, "population": _INTEGER + "Fraction(1, 2)"}),
+    "int64": (np.int64(1), {"finite": 1.0, "real": 1.0, "population": "must be at least 2, got 1", "index": 1}),
+    "10**400": (
+        10**400,
+        {
+            "finite": _PAST,
+            "real": _PAST,
+            "population": f"must be at most 1000000, got {10**400}",
+            "index": f"{10**400} out of range 0..3",
+        },
+    ),
+    "-10**400": (
+        -(10**400),
+        {
+            "finite": _PAST,
+            "real": _PAST,
+            "population": f"must be at least 2, got {-(10**400)}",
+            "index": f"{-(10**400)} out of range 0..3",
+        },
+    ),
+    "10**5000": (
+        10**5000,
+        {
+            "finite": _PAST,
+            "real": _PAST,
+            "population": "must be at most 1000000, got ~1.000e+5000",
+            "index": "~1.000e+5000 out of range 0..3",
+        },
+    ),
+    "inf": (math.inf, {"finite": "must be finite, got inf", "real": math.inf, "population": _INTEGER + "inf"}),
+    "nan": (math.nan, {"finite": "must be finite, got nan", "real": math.nan, "population": _INTEGER + "nan"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUES))
+def test_every_entry_point_reads_a_number_by_one_rule(name):
+    value, outcomes = _VALUES[name]
+    wrong = {}
+    for entry, (rule, error, what, call) in _ENTRY_POINTS.items():
+        expected = outcomes.get(rule, outcomes["population"])  # a category index's type is checked as an int field's
+        try:
+            got = call(value)
+        except error as exc:
+            got = str(exc)
+            expected = f"{what} {expected}" if isinstance(expected, str) else expected
+        except Exception as exc:  # an error of another class, such as a bare ValueError or OverflowError
+            got = exc
+        if (type(got), repr(got)) != (type(expected), repr(expected)):
+            wrong[entry] = (got, expected)
+    assert wrong == {}
+
+
+def test_a_message_names_a_value_too_long_to_print():
+    # Python turns at most 4300 digits of an int into text (sys.get_int_max_str_digits), so a message names a
+    # longer integer by its leading digits, and a container that holds one by its type.
+    with pytest.raises(sg.ThetaError, match=r"^entry 0: mu must be a number, got a list$"):
+        thetas_from_doc([{"kind": "real", "mu": [10**5000], "sigma": 1.0}])
+    with pytest.raises(sg.ThetaError, match=r"^entry 0: unknown kind ~-1\.000e\+5000$"):
+        thetas_from_doc([{"kind": -(10**5000)}])
+
+
+def test_only_sketch_names_the_number_classes():
+    # `sketch.read_number` owns the rule for a number: no other module of the package tests a value against
+    # `numbers.Real` or `numbers.Integral`.
+    named = {}
+    for path in sorted(Path(sg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("Real", "Integral"):
+                named.setdefault(path.name, set()).add(node.attr)
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                named.setdefault(path.name, set()).update(a.name for a in node.names)
+    assert named == {"sketch.py": {"Real", "Integral"}}
 
 
 def test_print_is_fixed_point_after_one_pass():
