@@ -9,12 +9,12 @@ expected fitness), or by the gradient of its softmax probability as in the
 printed update rule; the Gaussian mean uses the fixed-sigma closed form
 (1 / n*sigma) * sum(F_i * eps_i).
 
-What the search reads from a vector of scorer losses is here too: the
-fitness a training step ascends (`standardize_fitness`) and the order an
-enumeration ranks its programs in (`_rank`).
+The fitness a training step ascends, from a vector of scorer losses, is
+here too (`standardize_fitness`).
 
 A theta checks its own numbers, through `sketch.read_number`, so a theta built
-in code follows the same rule as one loaded from a theta document.
+in code follows the same rule as one loaded from a theta document (`io`), and
+so do the estimators' samples.
 """
 
 from __future__ import annotations
@@ -93,7 +93,11 @@ class GaussianTheta:
 
 
 def sample_categorical_many(theta: CategoricalTheta, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n category indices by inverse CDF; deterministic given the stream state."""
+    """Draw n category indices by inverse CDF; deterministic given the stream state.  `n` is a non-negative
+    integer that is not a bool, else a ValueError."""
+    n = read_number(n, "n", ValueError, int)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {show(n)}")
     return _categorical_draws(theta.probs, n, rng)
 
 
@@ -140,29 +144,48 @@ def categorical_gradient(theta: CategoricalTheta, samples, *, score: str) -> np.
     categorical update rule (gradient of the softmax probability), and
     `log_softmax_grad` is the REINFORCE-style score-function weighting, whose
     expectation is the gradient of expected fitness and which training uses
-    by default (`TrainConfig.categorical_score`).
+    by default (`TrainConfig.categorical_score`).  An index is an integer and
+    a fitness a finite number, neither a bool, else a ValueError.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    indices = np.array([int(i) for i, _ in samples], dtype=np.int64)
-    fitness = np.array([float(f) for _, f in samples], dtype=np.float64)
-    if indices.min() < 0 or indices.max() >= theta.arity:
+    indices, fitness = _sample_columns(samples, ("index", int), ("fitness", float))
+    if not (0 <= min(indices) and max(indices) < theta.arity):
         raise ValueError("sample index out of range")
-    return _categorical_accumulator(theta.probs, indices, fitness, score)
+    return _categorical_accumulator(theta.probs, np.array(indices, dtype=np.int64), np.array(fitness), score)
 
 
 def gaussian_gradient(theta: GaussianTheta, samples) -> float:
     """Gradient estimate for the mean: (1 / (n * sigma)) * sum(F_i * eps_i).
 
-    eps are the recorded standard-normal draws (pre-scaling).
+    eps are the recorded standard-normal draws (pre-scaling).  Each eps and
+    fitness is a finite number that is not a bool, else a ValueError.
     """
+    eps, fitness = _sample_columns(samples, ("eps", float), ("fitness", float))
+    return _gaussian_accumulator(np.array(eps), np.array(fitness), theta.sigma)
+
+
+def _sample_columns(samples, *columns: tuple[str, type]) -> list[list]:
+    """The two columns of `samples`, a non-empty iterable of pairs, as lists: column j, named and typed by
+    `columns[j]`, holds each pair's j-th value read by `sketch.read_number` as an int or a finite float."""
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
-    eps = np.array([float(e) for e, _ in samples], dtype=np.float64)
-    fitness = np.array([float(f) for _, f in samples], dtype=np.float64)
-    return _gaussian_accumulator(eps, fitness, theta.sigma)
+    pairs = [a for a, _ in samples], [b for _, b in samples]
+    return [_read_column(values, name, kind) for values, (name, kind) in zip(pairs, columns)]
+
+
+def _read_column(values: list, name: str, kind: type) -> list:
+    """`values` read as `kind`s (finite, for float); a ValueError names the first sample at fault.  An estimate
+    takes up to 10^5 samples and the reader costs about a microsecond a value, so a column of exact `kind`s, as
+    `tolist()` gives, passes in bulk (a float column if its sum is finite, as it is only when every value is),
+    and otherwise only the values that are not exact `kind`s go through the reader."""
+    if set(map(type, values)) == {kind} and (kind is int or math.isfinite(sum(values))):
+        return values
+    return [
+        v
+        if type(v) is kind and (kind is int or math.isfinite(v))
+        else read_number(v, f"sample {k}: {name}", ValueError, kind, finite=True)
+        for k, v in enumerate(values)
+    ]
 
 
 def standardize_fitness(raw_losses) -> np.ndarray:
@@ -185,78 +208,6 @@ def standardize_fitness(raw_losses) -> np.ndarray:
     std = math.sqrt(np.add.reduce(x * x) / x.size)
     x /= std + STANDARDIZE_EPS
     return x
-
-
-def _rank(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of `losses` in ascending loss order, ties in ascending index order, and the losses
-    in that order: a stable argsort's order, bit for bit, for losses that hold no NaN and no -0.0, as the
-    scorer's do.  `losses` is overwritten.
-
-    The int64 bits of positive floats sort as the floats do, so one unstable sort of int64 keys, each
-    loss's bits with its flat index in place of the low ones, orders the losses up to those low bits, and
-    equal losses by index.  A stable sort of that almost sorted order, which is cheap, then orders the
-    losses that differ only in their low bits.  On the 49 152 losses of an enumeration the two sorts take
-    about a third of the time of one stable argsort."""
-    n = len(losses)
-    low = (1 << (n - 1).bit_length()) - 1  # the bits that hold a flat index
-    order, ranked = np.arange(n), np.empty(n)
-    bits = losses.view(np.int64)
-    np.bitwise_and(bits, ~low, out=ranked.view(np.int64))
-    order |= ranked.view(np.int64)
-    order.sort()
-    order &= low
-    # Every index is in range; under the default mode="raise", numpy writes `out` through a temporary copy.
-    np.take(losses, order, out=ranked, mode="clip")
-    if np.less(ranked[1:], ranked[:-1]).any():
-        fix = ranked.argsort(kind="stable")
-        np.take(order, fix, out=bits, mode="clip")  # `losses` is in `ranked` now
-        np.take(ranked, fix, out=order.view(np.float64), mode="clip")
-        order, ranked = bits, order.view(np.float64)
-    return order, ranked
-
-
-# ---------------------------------------------------------------------------
-# Theta documents: a JSON array, one entry per hole, in hole-table order, saved and loaded by `io`.
-
-
-def thetas_to_doc(thetas) -> list[dict]:
-    doc = []
-    for theta in thetas:
-        if isinstance(theta, CategoricalTheta):
-            doc.append({"kind": "cat", "logits": [float(v) for v in theta.logits]})
-        elif isinstance(theta, GaussianTheta):
-            doc.append({"kind": "real", "mu": theta.mu, "sigma": theta.sigma})
-        else:
-            raise ThetaError(f"not a theta: {theta!r}")
-    return doc
-
-
-def thetas_from_doc(doc) -> list:
-    """The thetas a parsed theta document holds; a ThetaError naming the entry at fault for anything else."""
-    if not isinstance(doc, list):
-        raise ThetaError("theta document must be an array of per-hole entries")
-    thetas = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ThetaError(f"entry {i}: expected an object with a 'kind' field")
-        kind = entry["kind"]
-        keys = set(entry)
-        try:
-            if kind == "cat":
-                if keys != {"kind", "logits"}:
-                    raise ThetaError(f"'cat' entries carry exactly 'logits', got {sorted(keys)}")
-                if not isinstance(entry["logits"], list):
-                    raise ThetaError(f"logits must be an array of numbers, got {show(entry['logits'])}")
-                thetas.append(CategoricalTheta(entry["logits"]))
-            elif kind == "real":
-                if keys != {"kind", "mu", "sigma"}:
-                    raise ThetaError(f"'real' entries carry exactly 'mu' and 'sigma', got {sorted(keys)}")
-                thetas.append(GaussianTheta(entry["mu"], entry["sigma"]))
-            else:
-                raise ThetaError(f"unknown kind {show(kind)}")
-        except ThetaError as exc:
-            raise ThetaError(f"entry {i}: {exc}") from None
-    return thetas
 
 
 def check_thetas(thetas, sketch) -> None:

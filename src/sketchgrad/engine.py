@@ -16,8 +16,10 @@ every one.
 
 `enumerate_discrete` ranks the whole discrete space, which interp's product
 walk scores, called through this module's name `eval_product_losses` (looked
-up at call time too).  The scalar interpreter (`interp.eval_spec_loss`) is on
-neither path: it is the reference both are tested against.
+up at call time too); `_rank` sorts the losses into the arrays a `Ranking`
+holds.  The scalar interpreter (`interp.eval_spec_loss`) is on neither path:
+it is the reference both are tested against.  Both paths take a penalty for
+non-finite losses by interp's rule (`checked_penalty`).
 
 Because the best program is kept, a search that has settled can be
 restarted at no cost: when the argmax loss has not improved by
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import typing
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -48,11 +50,18 @@ from .dists import (
     _categorical_accumulator,
     _categorical_draws,
     _gaussian_accumulator,
-    _rank,
     check_thetas,
     standardize_fitness,
 )
-from .interp import NONFINITE_PENALTY, SpecSet, _read_only, compile_sketch, eval_population_losses, eval_product_losses
+from .interp import (
+    NONFINITE_PENALTY,
+    SpecSet,
+    _read_only,
+    checked_penalty,
+    compile_sketch,
+    eval_population_losses,
+    eval_product_losses,
+)
 from .sketch import Assignment, Sketch, SketchError, instantiate, read_number, show
 
 OPTIMIZER_SGD = "sgd"
@@ -141,7 +150,13 @@ class TrainConfig:
             raise ConfigError("adam betas must lie in [0, 1)")
         if not self.adam_eps > 0:
             raise ConfigError("adam_eps must be positive")
-        _checked_penalty(self.penalty)
+        checked_penalty(self.penalty, ConfigError)
+
+    def __repr__(self) -> str:
+        # The generated repr, but with each field shown as an error message shows it: a seed too long for
+        # `repr` would end the call in a bare ValueError.
+        shown = ", ".join(f"{f.name}={show(getattr(self, f.name))}" for f in fields(self))
+        return f"{type(self).__qualname__}({shown})"
 
 
 def _field(name: str, kind: type, value, error: type[Exception]):
@@ -151,15 +166,6 @@ def _field(name: str, kind: type, value, error: type[Exception]):
     if not isinstance(value, str):
         raise error(f"{name} must be a string, got {show(value)}")
     return value
-
-
-def _checked_penalty(penalty) -> float:
-    """`penalty` as a float, if it is a finite positive number; else a ConfigError.  A negative penalty would
-    rank a program that divides by zero above an exact fit, and a NaN one would put NaN in a ranking."""
-    penalty = _field("penalty", float, penalty, ConfigError)
-    if not penalty > 0:
-        raise ConfigError(f"penalty must be positive, got {penalty}")
-    return penalty
 
 
 @dataclass(frozen=True)
@@ -248,8 +254,13 @@ def hole_streams(seed: int, n_holes: int) -> list[np.random.Generator]:
     """One independent random stream per hole, derived from the master seed.
 
     Sampling happens before the evaluation phase, so the draws cannot depend
-    on evaluation order.
+    on evaluation order.  Both arguments are non-negative integers that are
+    not bools, else a ValueError.
     """
+    seed, n_holes = read_number(seed, "seed", ValueError, int), read_number(n_holes, "n_holes", ValueError, int)
+    for name, value in (("seed", seed), ("n_holes", n_holes)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {show(value)}")
     root = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(max(n_holes, 1))]
 
@@ -396,6 +407,34 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     )
 
 
+def _rank(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of `losses` in ascending loss order, ties in ascending index order, and the losses
+    in that order: a stable argsort's order, bit for bit, for losses that hold no NaN and no -0.0, as the
+    scorer's do.  `losses` is overwritten.
+
+    The int64 bits of positive floats sort as the floats do, so one unstable sort of int64 keys, each
+    loss's bits with its flat index in place of the low ones, orders the losses up to those low bits, and
+    equal losses by index.  A stable sort of that almost sorted order, which is cheap, then orders the
+    losses that differ only in their low bits.  On the 49 152 losses of an enumeration the two sorts take
+    about a third of the time of one stable argsort."""
+    n = len(losses)
+    low = (1 << (n - 1).bit_length()) - 1  # the bits that hold a flat index
+    order, ranked = np.arange(n), np.empty(n)
+    bits = losses.view(np.int64)
+    np.bitwise_and(bits, ~low, out=ranked.view(np.int64))
+    order |= ranked.view(np.int64)
+    order.sort()
+    order &= low
+    # Every index is in range; under the default mode="raise", numpy writes `out` through a temporary copy.
+    np.take(losses, order, out=ranked, mode="clip")
+    if np.less(ranked[1:], ranked[:-1]).any():
+        fix = ranked.argsort(kind="stable")
+        np.take(order, fix, out=bits, mode="clip")  # `losses` is in `ranked` now
+        np.take(ranked, fix, out=order.view(np.float64), mode="clip")
+        order, ranked = bits, order.view(np.float64)
+    return order, ranked
+
+
 @dataclass(frozen=True, eq=False)  # __eq__ below: the generated one would compare arrays
 class Ranking(Sequence):
     """A read-only sequence of `(Assignment, loss)` pairs in ascending loss order, held as arrays: `order`,
@@ -496,7 +535,7 @@ def enumerate_discrete(
     EnumerationError if the discrete space exceeds `cap`, an integer (else
     a ConfigError).
     """
-    penalty = _checked_penalty(penalty)
+    penalty = checked_penalty(penalty, ConfigError)
     cap = read_number(cap, "cap", ConfigError, int)
     real_values = list(real_values)
     real_holes = [h for h in sketch.holes if not h.tokens]

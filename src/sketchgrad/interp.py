@@ -3,7 +3,9 @@
 Arithmetic follows IEEE-754 double semantics end to end: division by zero
 produces an infinity or NaN instead of trapping, so no candidate program can
 crash the search.  Candidates whose predictions (or accumulated error) go
-non-finite are scored with a large penalty constant instead.
+non-finite are scored with a large penalty constant instead.  The rule for a
+penalty, finite and positive, is `checked_penalty`'s: every evaluator applies
+it, and so do the training config and the enumeration.
 
 The scalar interpreter (`eval_program`, `eval_spec_loss`) runs one program on
 one input; it is the reference.  `compile_sketch` resolves a sketch and spec
@@ -55,13 +57,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, length_hint
 
 import numpy as np
 
-from .sketch import Chain, CondHole, Lit, RealHole, Sketch, SketchError, Var
+from .sketch import Chain, CondHole, Lit, RealHole, Sketch, SketchError, Var, read_number
 
 NONFINITE_PENALTY = 1e12
+
+
+def checked_penalty(penalty, error: type[Exception]) -> float:
+    """`penalty` as a float, if it is a finite positive number; else an `error`.  A negative penalty would
+    rank a program that divides by zero above an exact fit, and a NaN one would put NaN in a ranking."""
+    penalty = read_number(penalty, "penalty", error, finite=True)
+    if not penalty > 0:
+        raise error(f"penalty must be positive, got {penalty}")
+    return penalty
 
 
 class SpecError(ValueError):
@@ -188,8 +199,10 @@ def eval_spec_loss(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PE
 
     If any prediction is non-finite, or the accumulated error overflows,
     the whole candidate scores `penalty` so that fitness standardization
-    stays well defined.
+    stays well defined.  A penalty that is not a finite positive number is a
+    ValueError.
     """
+    penalty = checked_penalty(penalty, ValueError)
     preds = [eval_program(program, vec) for vec in spec.inputs.tolist()]
     if not all(math.isfinite(p) for p in preds):
         return penalty
@@ -205,11 +218,11 @@ def eval_spec_loss(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PE
 # Population scoring through a compiled plan (see the module docstring).
 
 # The scorer holds at most this many candidate x spec-row cells per
-# intermediate array: it scores the rows in chunks of CHUNK_CELLS // n.  A plan
-# keeps its chunks' buffers (see `_workspace`); at 2^16 cells they raised the
-# peak RSS of a 10 000-row training run and of a 49 152-program enumeration by
-# 6-8 MB, and neither ran faster than at 2^15.  Read at call time, so that
-# tests can move the chunk boundaries.
+# intermediate array: it scores the rows in chunks of CHUNK_CELLS // n, and the
+# product walk in chunks of as many rows as fit.  A plan keeps the scorer's
+# chunk buffers (see `_workspace`); at 2^16 cells they raised the peak RSS of a
+# 10 000-row training run by 6 MB, and it ran no faster than at 2^15.  Read at
+# call time, so that tests can move the chunk boundaries.
 CHUNK_CELLS = 1 << 15
 
 # A plan keeps scratch buffers for this many (candidate count, chunk width) pairs, the most recent ones; a
@@ -330,14 +343,20 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     candidates, the length of the longest array; every array has length n,
     or length 1, a value that applies to every candidate.  Returns losses,
     shape (n), a new array that later calls leave alone (empty when n is 0).
-    A SketchError names a hole whose array does not fit it.
+    A SketchError names a hole whose array does not fit it.  `penalty`
+    replaces a non-finite loss; when one is replaced, a penalty that is not a
+    finite positive number is a ValueError.
     """
     if len(plan.holes) != len(hole_values):
         raise SketchError(f"expected {len(plan.holes)} value arrays, got {len(hole_values)}")
     hole_values = list(map(np.asarray, hole_values))
-    lengths = set(map(len, hole_values))
+    # `length_hint`, not `len`: a 0-D array, which has no length, counts as 0, and the checks below name its hole.
+    lengths = set(map(length_hint, hole_values))
     n = max(lengths) if lengths else 1
     if len(lengths) > 1 and lengths != {1, n}:
+        for hole, v in zip(plan.holes, hole_values):
+            if v.ndim == 0:
+                raise _misfit(hole, v)
         raise SketchError(f"hole value arrays differ in length {sorted(lengths)}: each must have length 1 or n")
     arity, rows = plan.columns.shape
     values = list(plan.slots)
@@ -352,7 +371,7 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
             if len(v) != 1:
                 layouts[arity + hole.index] = every
         else:
-            raise SketchError(f"hole {hole.index} is real but got {v.ndim}-D {v.dtype} values")
+            raise _misfit(hole, v)
     if not n:
         return np.empty(0)
     # Each value's layout, and so each step's way of running, is settled here, once per call (see `_resolve`).
@@ -411,21 +430,23 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
         total /= rows
         # A finite sum of the losses shows that each is finite, with no pass over them that allocates.
         if not math.isfinite(np.add.reduce(total)):
-            total[~np.isfinite(total)] = penalty
+            total[~np.isfinite(total)] = checked_penalty(penalty, ValueError)
     if index is not None:
         return total.take(index)
     return total if count == n else total.repeat(n)
 
 
-def eval_product_losses(plan: Plan, reals, penalty: float):
+def eval_product_losses(plan: Plan, reals, penalty: float) -> np.ndarray:
     """The loss of each assignment of the categorical holes' tokens, in lexicographic order, with `reals` pinned (a
-    float per [Real] hole, in hole order, else a SketchError).  Each value is an array whose axis 0 is a chunk's
-    spec rows and axis 1 + h is hole h's, of length 1 where it does not depend on the hole.  A categorical step puts
-    token t's function in slice t of its hole's axis, so a chain is computed once per token combination.  Per row
-    and cell, the guard's mask picks the branch whose squared error the row adds into those cells of the total: each
-    loss is the scalar loop's sequential sum.  Chunks hold one row, or as many as fit in `CHUNK_CELLS`."""
-    if len(reals) != sum(not h.tokens for h in plan.holes):
-        raise SketchError("expected one real per [Real] hole")
+    float per [Real] hole, in hole order, else a SketchError), and `penalty` in place of a non-finite loss (a finite
+    positive number, else a ValueError).  Each value is an array whose axis 0 is a chunk's spec rows and axis 1 + h
+    is hole h's, of length 1 where it does not depend on the hole.  A categorical step puts token t's function in
+    slice t of its hole's axis, so a chain is computed once per token combination.  Per row and cell, the guard's
+    mask picks the branch whose squared error the row adds into those cells of the total: each loss is the scalar
+    loop's sequential sum.  Chunks hold one row, or as many as fit in `CHUNK_CELLS`."""
+    penalty = checked_penalty(penalty, ValueError)
+    if len(reals) != (count := sum(not h.tokens for h in plan.holes)):
+        raise SketchError(f"expected one real per [Real] hole, {count} of them, got {len(reals)}")
     pinned = iter(reals)  # a categorical hole's slot is never read
     arity, rows = plan.columns.shape
     ones = (1,) * (1 + len(plan.holes))  # a value that depends on no row and no hole
@@ -572,10 +593,18 @@ def _drawn_tokens(hole, indices: np.ndarray, n: int):
     except (TypeError, ValueError):  # a negative index, or an unsigned type past int64
         counts = None
     if counts is None or len(counts) > arity:
-        bad = indices[(indices < 0) | (indices >= arity)] if integral else ()
+        bad = indices[(indices < 0) | (indices >= arity)] if integral and indices.ndim == 1 else ()
         if len(bad):
             raise SketchError(f"hole {hole.index}: category index {bad[0]} out of range 0..{arity - 1}")
-        raise SketchError(f"hole {hole.index} is categorical but got {indices.dtype} values")
+        raise _misfit(hole, indices)
     if n in counts:
         return counts.index(n)
     return indices, counts
+
+
+def _misfit(hole, values: np.ndarray) -> SketchError:
+    """The error for hole `values` that are not a 1-D array of a dtype the hole's kind takes."""
+    if hole.tokens is None:
+        return SketchError(f"hole {hole.index} is real but got {values.ndim}-D {values.dtype} values")
+    shape = "" if values.ndim == 1 else f" of shape {values.shape}"
+    return SketchError(f"hole {hole.index} is categorical but got {values.dtype} values{shape}")

@@ -4,7 +4,10 @@ Spec files are CSV with header ``in_0,...,in_{k-1},out`` and one row per
 input-output pair; the inputs files that `gen-spec` reads drop the ``out``
 column.  Config files are flat JSON objects whose keys match TrainConfig
 fields; unknown keys are rejected so a typo cannot silently fall back to a
-default.  All floats are written with shortest round-trip decimals.
+default.  Theta files hold a JSON array, one entry per hole in hole-table
+order: ``{"kind": "cat", "logits": [...]}`` or ``{"kind": "real", "mu": m,
+"sigma": s}``; the thetas check their own numbers (`dists`).  All floats are
+written with shortest round-trip decimals.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .dists import ThetaError, check_thetas, thetas_from_doc, thetas_to_doc
+from .dists import CategoricalTheta, GaussianTheta, ThetaError, check_thetas
 from .engine import ConfigError, TrainConfig, TrainRecord
 from .interp import SpecError, SpecSet
-from .sketch import format_real
+from .sketch import format_real, read_number, show
 
 __all__ = [
     "load_spec",
@@ -140,9 +143,51 @@ def load_config(path) -> TrainConfig:
     return TrainConfig(**doc)
 
 
+def thetas_to_doc(thetas) -> list[dict]:
+    """The theta document of `thetas`, as `json` writes it; a ThetaError for anything that is not a theta."""
+    doc = []
+    for theta in thetas:
+        if isinstance(theta, CategoricalTheta):
+            doc.append({"kind": "cat", "logits": [float(v) for v in theta.logits]})
+        elif isinstance(theta, GaussianTheta):
+            doc.append({"kind": "real", "mu": theta.mu, "sigma": theta.sigma})
+        else:
+            raise ThetaError(f"not a theta: {show(theta)}")
+    return doc
+
+
+def thetas_from_doc(doc) -> list:
+    """The thetas a parsed theta document holds; a ThetaError naming the entry at fault for anything else."""
+    if not isinstance(doc, list):
+        raise ThetaError("theta document must be an array of per-hole entries")
+    thetas = []
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict) or "kind" not in entry:
+            raise ThetaError(f"entry {i}: expected an object with a 'kind' field")
+        kind = entry["kind"]
+        keys = set(entry)
+        try:
+            if kind == "cat":
+                if keys != {"kind", "logits"}:
+                    raise ThetaError(f"'cat' entries carry exactly 'logits', got {sorted(keys)}")
+                if not isinstance(entry["logits"], list):
+                    raise ThetaError(f"logits must be an array of numbers, got {show(entry['logits'])}")
+                thetas.append(CategoricalTheta(entry["logits"]))
+            elif kind == "real":
+                if keys != {"kind", "mu", "sigma"}:
+                    raise ThetaError(f"'real' entries carry exactly 'mu' and 'sigma', got {sorted(keys)}")
+                thetas.append(GaussianTheta(entry["mu"], entry["sigma"]))
+            else:
+                raise ThetaError(f"unknown kind {show(kind)}")
+        except ThetaError as exc:
+            raise ThetaError(f"entry {i}: {exc}") from None
+    return thetas
+
+
 def save_thetas(thetas, path) -> None:
+    doc = thetas_to_doc(thetas)  # before the file is opened, so a bad theta leaves no empty file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(thetas_to_doc(thetas), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
@@ -155,9 +200,11 @@ def load_thetas(path, sketch=None) -> list:
 
 
 def write_loss_csv(records: list[TrainRecord], path, log_every: int = 10) -> None:
-    """Write the loss log: every log_every-th iteration plus the last one."""
+    """Write the loss log: every log_every-th iteration plus the last one.  `log_every` is an integer that is
+    not a bool, else a ValueError."""
+    log_every = read_number(log_every, "log_every", ValueError, int)
     if log_every < 1:
-        raise ValueError("log_every must be at least 1")
+        raise ValueError(f"log_every must be at least 1, got {show(log_every)}")
     last = records[-1].iteration if records else None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("iteration,mean_population_loss,argmax_loss,best_so_far_loss\n")

@@ -13,10 +13,9 @@ from sketchgrad.dists import (
     SCORE_LOG_SOFTMAX,
     SCORE_SOFTMAX,
     STANDARDIZE_EPS,
-    thetas_from_doc,
-    thetas_to_doc,
 )
 from sketchgrad.interp import NONFINITE_PENALTY
+from sketchgrad.io import thetas_from_doc, thetas_to_doc
 
 
 # ---------------------------------------------------------------------------

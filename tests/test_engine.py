@@ -87,6 +87,18 @@ def test_config_takes_numpy_scalars_as_python_numbers():
     assert cfg == _config(learning_rate=0.5, iterations=3, population=4, sigma=1)
 
 
+def test_config_repr_shows_a_seed_too_long_for_repr():
+    # The generated repr would end in Python's limit on the digits it turns into text; ordinary fields read as
+    # the generated repr reads them.
+    cfg = sg.TrainConfig(learning_rate=0.1, iterations=1, seed=10**5000)
+    assert repr(cfg) == repr(dataclasses.replace(cfg, seed=7)).replace("seed=7", "seed=~1.000e+5000")
+    assert repr(_config(penalty=5)) == (
+        "TrainConfig(learning_rate=0.1, iterations=10, population=50, sigma=0.5, seed=0, optimizer='sgd', "
+        "adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-08, categorical_score='log_softmax_grad', penalty=5.0, "
+        "mu_init=1.0)"
+    )
+
+
 def test_config_defaults():
     cfg = sg.TrainConfig(learning_rate=0.1, iterations=10_000)
     assert cfg.population == 50
@@ -804,7 +816,7 @@ def _reference_ranking(sketch, reals, spec, penalty=sg.NONFINITE_PENALTY):
 
 # Sketch, pinned reals and spec rows (one input each, or a tuple of inputs) for the enumeration differential
 # below.
-_ALIGNED_CASES = {
+_EDGE_CASES = {
     # [Real] holes between categorical ones, so length-1 axes sit between the token axes.
     "pinned reals between categorical holes": (
         "fn f(x: f32) -> f32 { if x [COND] [Real] { return [Real] [OP] x [OP] [Real]; } return x [OP] [Real] [OP] x; }",
@@ -850,10 +862,10 @@ def _cells_per_row(sketch) -> int:
     return max(cells)
 
 
-@pytest.mark.parametrize("case", sorted(_ALIGNED_CASES))
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
 @pytest.mark.parametrize("chunks", ["one row per chunk", "a boundary inside the spec", "the whole spec"])
-def test_aligned_enumeration_matches_the_scalar_reference_bit_for_bit(monkeypatch, case, chunks):
-    text, reals, xs = _ALIGNED_CASES[case]
+def test_enumeration_edge_cases_match_the_scalar_reference_bit_for_bit(monkeypatch, case, chunks):
+    text, reals, xs = _EDGE_CASES[case]
     sketch = sg.parse_sketch(text)
     inputs = [x if isinstance(x, tuple) else (x,) for x in xs]
     spec = sg.SpecSet.from_pairs((x, 3.0 * x[0] - 1.0) for x in inputs)

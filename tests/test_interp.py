@@ -13,7 +13,7 @@ import sketchgrad as sg
 from sketchgrad import interp
 
 from conftest import ONEVAR_LEARNED, TWOVAR_LEARNED
-from test_sketch import sketch_texts
+from test_sketch import _X_OP_REAL, sketch_texts
 
 
 def test_truth_program_above_threshold(onevar_truth):
@@ -87,6 +87,35 @@ def test_spec_loss_penalty_on_nonfinite():
     spec = sg.SpecSet.from_pairs([((0.0,), 1.0), ((2.0,), 0.5)])
     assert sg.eval_spec_loss(p, spec) == 1e12
     assert sg.eval_spec_loss(p, spec, penalty=7.0) == 7.0
+
+
+_BAD_PENALTIES = {
+    "str": ("x", "penalty must be a number, got 'x'"),
+    "negative": (-1.0, "penalty must be positive, got -1.0"),
+    "nan": (math.nan, "penalty must be finite, got nan"),
+    "inf": (math.inf, "penalty must be finite, got inf"),
+    "bool": (True, "penalty must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_PENALTIES))
+def test_every_evaluator_reads_its_penalty_by_one_rule(name):
+    # `x / [Real]` with the real at 0.0 divides by zero, so the penalty is the loss it would score.  The scalar
+    # interpreter and the product walk check the penalty on every call; the population scorer when it writes one,
+    # so that a training step, whose config holds a checked penalty, does no extra work.
+    penalty, message = _BAD_PENALTIES[name]
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { return x / [Real]; }")
+    spec = sg.SpecSet.from_pairs([((1.0,), 2.0), ((2.0,), 4.0)])
+    plan = sg.compile_sketch(sketch, spec)
+    for call in (
+        lambda: sg.eval_spec_loss(sg.instantiate(sketch, sg.Assignment((0.0,))), spec, penalty),
+        lambda: sg.eval_spec_loss(sg.instantiate(sketch, sg.Assignment((0.5,))), spec, penalty),
+        lambda: interp.eval_product_losses(plan, [0.5], penalty),
+        lambda: sg.eval_population_losses(plan, [np.array([0.0, 0.5])], penalty),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    assert sg.eval_population_losses(plan, [np.array([2.0, 0.5])], penalty).tolist() == [5.625, 0.0]
 
 
 def test_spec_loss_penalty_on_overflowing_error():
@@ -266,6 +295,23 @@ def test_population_losses_reject_a_bad_real_array(onevar_sketch, onevar_spec, b
     values[1] = bad  # hole 1 is the guard's [Real] hole
     with pytest.raises(sg.SketchError, match=re.escape(message)):
         sg.eval_population_losses(sg.compile_sketch(onevar_sketch, onevar_spec), values)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([np.int64(1), 2.0], "hole 0 is categorical but got int64 values of shape ()"),
+        ([np.array([1, 2]), 2.0], "hole 1 is real but got 0-D float64 values"),
+        ([np.array([[1, 2]]), np.array([2.0])], "hole 0 is categorical but got int64 values of shape (1, 2)"),
+        ([np.array([[1], [2]]), np.array([2.0])], "hole 0 is categorical but got int64 values of shape (2, 1)"),
+        ([np.array([[5]]), np.array([2.0])], "hole 0 is categorical but got int64 values of shape (1, 1)"),
+    ],
+    ids=["0-D arrays", "a 0-D real", "2-D indices", "a column of indices", "an out-of-range 2-D index"],
+)
+def test_population_losses_name_a_hole_whose_array_is_not_1d(values, message):
+    plan = sg.compile_sketch(sg.parse_sketch(_X_OP_REAL), sg.SpecSet.from_pairs([((1.0,), 2.0)]))
+    with pytest.raises(sg.SketchError, match=f"^{re.escape(message)}$"):
+        sg.eval_population_losses(plan, values)
 
 
 @pytest.mark.parametrize("reals", [[], [3.5, 4.2], [3.5, 4.2, 2.1, 0.0]], ids=["none", "too few", "too many"])

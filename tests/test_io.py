@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -154,3 +155,10 @@ def test_theta_mu_survives_roundtrip_exactly(tmp_path):
     assert sg.load_thetas(path)[0].mu == 2.2305248
     raw = json.loads(path.read_text())
     assert raw[0]["mu"] == 2.2305248
+
+
+@pytest.mark.parametrize("value, shown", [(None, "None"), (10**5000, "~1.000e+5000")], ids=["None", "10**5000"])
+def test_save_thetas_names_what_is_not_a_theta_and_writes_no_file(tmp_path, value, shown):
+    with pytest.raises(sg.ThetaError, match=f"^not a theta: {re.escape(shown)}$"):
+        sg.save_thetas([sg.GaussianTheta(0.0, 1.0), value], tmp_path / "t.json")
+    assert not (tmp_path / "t.json").exists()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchgrad as sg
-from sketchgrad.dists import thetas_from_doc
+from sketchgrad.io import thetas_from_doc
 from sketchgrad.sketch import KIND_COND, KIND_OP, KIND_REAL, _tokenize
 
 from conftest import ONEVAR_LEARNED, ONEVAR_SKETCH, ONEVAR_TRUTH, TWOVAR_SKETCH
@@ -307,6 +307,73 @@ def test_every_entry_point_reads_a_number_by_one_rule(name):
     assert wrong == {}
 
 
+def _categorical(samples):
+    return sg.categorical_gradient(sg.CategoricalTheta([0.0, 0.0]), samples, score="log_softmax_grad")
+
+
+def _loss_log(tmp_path, log_every):
+    records = [sg.TrainRecord(i, 1.0, 1.0, 1.0) for i in range(1, 7)]
+    sg.write_loss_csv(records, tmp_path / "loss.csv", log_every=log_every)
+
+
+# The arguments that a plain function reads as integers or finite numbers, each with a value that breaks its
+# rule and the ValueError that names it.  Estimator samples are read one column at a time.
+_ARGUMENTS = {
+    "categorical index 1.5": (lambda _: _categorical([(1.5, 1.0)]), "sample 0: index must be an integer, got 1.5"),
+    "categorical index True": (
+        lambda _: _categorical([(0, 1.0), (True, -1.0)]),
+        "sample 1: index must be an integer, got True",
+    ),
+    "categorical index '1'": (
+        lambda _: _categorical([(1, 1.0), ("1", 1.0)]),
+        "sample 1: index must be an integer, got '1'",
+    ),
+    "categorical fitness 10**400": (
+        lambda _: _categorical([(0, 10**400)]),
+        "sample 0: fitness is past the float range",
+    ),
+    "categorical fitness nan": (
+        lambda _: _categorical([(0, 1.0), (1, math.nan)]),
+        "sample 1: fitness must be finite, got nan",
+    ),
+    "gaussian eps 'a'": (
+        lambda _: sg.gaussian_gradient(sg.GaussianTheta(0.0, 1.0), [("a", 1.0)]),
+        "sample 0: eps must be a number, got 'a'",
+    ),
+    "gaussian fitness inf": (
+        lambda _: sg.gaussian_gradient(sg.GaussianTheta(0.0, 1.0), [(0.5, 1.0), (0.5, math.inf)]),
+        "sample 1: fitness must be finite, got inf",
+    ),
+    "sample_categorical_many n 1.5": (
+        lambda _: sg.sample_categorical_many(sg.CategoricalTheta([0.0, 0.0]), 1.5, np.random.default_rng(0)),
+        "n must be an integer, got 1.5",
+    ),
+    "sample_categorical_many n True": (
+        lambda _: sg.sample_categorical_many(sg.CategoricalTheta([0.0, 0.0]), True, np.random.default_rng(0)),
+        "n must be an integer, got True",
+    ),
+    "hole_streams seed 1.5": (lambda _: sg.hole_streams(1.5, 2), "seed must be an integer, got 1.5"),
+    "hole_streams seed True": (lambda _: sg.hole_streams(True, 2), "seed must be an integer, got True"),
+    "hole_streams count 2.5": (lambda _: sg.hole_streams(0, 2.5), "n_holes must be an integer, got 2.5"),
+    "hole_streams count True": (lambda _: sg.hole_streams(0, True), "n_holes must be an integer, got True"),
+    "hole_streams seed -1": (lambda _: sg.hole_streams(-1, 2), "seed must be non-negative, got -1"),
+    "hole_streams count -1": (lambda _: sg.hole_streams(0, -1), "n_holes must be non-negative, got -1"),
+    "sample_categorical_many n -1": (
+        lambda _: sg.sample_categorical_many(sg.CategoricalTheta([0.0, 0.0]), -1, np.random.default_rng(0)),
+        "n must be non-negative, got -1",
+    ),
+    "write_loss_csv log_every 1.5": (lambda tmp: _loss_log(tmp, 1.5), "log_every must be an integer, got 1.5"),
+    "write_loss_csv log_every True": (lambda tmp: _loss_log(tmp, True), "log_every must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARGUMENTS))
+def test_plain_functions_read_integers_and_samples_by_the_number_rule(name, tmp_path):
+    call, message = _ARGUMENTS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+
+
 def test_a_message_names_a_value_too_long_to_print():
     # Python turns at most 4300 digits of an int into text (sys.get_int_max_str_digits), so a message names a
     # longer integer by its leading digits, and a container that holds one by its type.
@@ -328,6 +395,24 @@ def test_only_sketch_names_the_number_classes():
             if isinstance(node, ast.ImportFrom) and node.module == "numbers":
                 named.setdefault(path.name, set()).update(a.name for a in node.names)
     assert named == {"sketch.py": {"Real", "Integral"}}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # Each decision has one owning module, which keeps its private names to itself.  Engine runs the training
+    # step from dists' accumulators and draws, and freezes its arrays as interp does; nothing else crosses.
+    allowed = {
+        ("engine.py", "interp", "_read_only"),
+        ("engine.py", "dists", "_categorical_accumulator"),
+        ("engine.py", "dists", "_categorical_draws"),
+        ("engine.py", "dists", "_gaussian_accumulator"),
+    }
+    imported = set()
+    for path in sorted(Path(sg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("sketchgrad")):
+                module = (node.module or "").removeprefix("sketchgrad").lstrip(".")
+                imported |= {(path.name, module, a.name) for a in node.names if a.name.startswith("_")}
+    assert imported == allowed
 
 
 def test_print_is_fixed_point_after_one_pass():
