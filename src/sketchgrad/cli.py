@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 input validation, 3 runtime failure.  Error
 messages carry a category prefix (PARSE/SPEC/CONFIG/IO/TRAIN) so scripts can
-match on them.
+match on them.  `main` maps the library's typed errors to prefixes: a spec
+that does not fit its sketch or program is interp's `SpecError`, `SPEC:` with
+exit 2, and no command checks the fit itself.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ def _cmd_train(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if spec.arity != sketch.arity:
-        raise _Failure("SPEC", f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
     try:
         result = train(sketch, spec, config)
     except DivergenceError as exc:
@@ -98,14 +98,13 @@ def _cmd_show(args) -> int:
 def _cmd_eval(args) -> int:
     program = _load_program(args.program)
     spec = load_spec(args.spec)
-    if spec.arity != program.arity:
-        raise _Failure("SPEC", f"spec arity {spec.arity} does not match program arity {program.arity}")
+    mse = eval_spec_loss(program, spec)  # first, so that a spec that does not fit prints nothing
     for vec, target in zip(spec.inputs.tolist(), spec.outputs.tolist()):
         pred = eval_program(program, vec)
         err = (pred - target) ** 2
         ins = ", ".join(format_real(v) for v in vec)
         print(f"in=({ins}) pred={format_real(pred)} target={format_real(target)} sq_err={format_real(err)}")
-    print(f"MSE: {format_real(eval_spec_loss(program, spec))}")
+    print(f"MSE: {format_real(mse)}")
     return 0
 
 
@@ -118,8 +117,6 @@ def _cmd_enumerate(args) -> int:
         reals = [float(v) for v in args.reals.split(",")] if args.reals else []
     except ValueError:
         raise _Failure("CONFIG", f"--reals must be comma-separated numbers, got {args.reals!r}")
-    if spec.arity != sketch.arity:
-        raise _Failure("SPEC", f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
     try:
         ranked = enumerate_discrete(sketch, reals, spec)
     except (EnumerationError, SketchError) as exc:

@@ -20,6 +20,7 @@ so do the estimators' samples.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,9 +149,9 @@ def categorical_gradient(theta: CategoricalTheta, samples, *, score: str) -> np.
     a fitness a finite number, neither a bool, else a ValueError.
     """
     indices, fitness = _sample_columns(samples, ("index", int), ("fitness", float))
-    if not (0 <= min(indices) and max(indices) < theta.arity):
+    if not (0 <= indices.min() and indices.max() < theta.arity):
         raise ValueError("sample index out of range")
-    return _categorical_accumulator(theta.probs, np.array(indices, dtype=np.int64), np.array(fitness), score)
+    return _categorical_accumulator(theta.probs, indices.astype(np.int64, copy=False), fitness, score)
 
 
 def gaussian_gradient(theta: GaussianTheta, samples) -> float:
@@ -160,12 +161,12 @@ def gaussian_gradient(theta: GaussianTheta, samples) -> float:
     fitness is a finite number that is not a bool, else a ValueError.
     """
     eps, fitness = _sample_columns(samples, ("eps", float), ("fitness", float))
-    return _gaussian_accumulator(np.array(eps), np.array(fitness), theta.sigma)
+    return _gaussian_accumulator(eps, fitness, theta.sigma)
 
 
-def _sample_columns(samples, *columns: tuple[str, type]) -> list[list]:
-    """The two columns of `samples`, a non-empty iterable of pairs, as lists: column j, named and typed by
-    `columns[j]`, holds each pair's j-th value read by `sketch.read_number` as an int or a finite float."""
+def _sample_columns(samples, *columns: tuple[str, type]) -> list[np.ndarray]:
+    """The two columns of `samples`, a non-empty iterable of pairs, as arrays: column j, named and typed by
+    `columns[j]`, holds each pair's j-th value read as an int or a finite float (see `_read_column`)."""
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
@@ -173,19 +174,20 @@ def _sample_columns(samples, *columns: tuple[str, type]) -> list[list]:
     return [_read_column(values, name, kind) for values, (name, kind) in zip(pairs, columns)]
 
 
-def _read_column(values: list, name: str, kind: type) -> list:
-    """`values` read as `kind`s (finite, for float); a ValueError names the first sample at fault.  An estimate
-    takes up to 10^5 samples and the reader costs about a microsecond a value, so a column of exact `kind`s, as
-    `tolist()` gives, passes in bulk (a float column if its sum is finite, as it is only when every value is),
-    and otherwise only the values that are not exact `kind`s go through the reader."""
-    if set(map(type, values)) == {kind} and (kind is int or math.isfinite(sum(values))):
-        return values
-    return [
-        v
-        if type(v) is kind and (kind is int or math.isfinite(v))
-        else read_number(v, f"sample {k}: {name}", ValueError, kind, finite=True)
-        for k, v in enumerate(values)
-    ]
+def _read_column(values: list, name: str, kind: type) -> np.ndarray:
+    """`values` read by `sketch.read_number`'s rule as an array of `kind`s (finite, for float); a ValueError names
+    the first sample at fault.  An estimate takes up to 10^5 samples and the reader costs about a microsecond a
+    value, so numpy converts a column of Python or numpy ints (or floats, for float) at once and checks it there;
+    any other column is read value by value (for int, into an object array of Python ints, past int64 too)."""
+    types = set(map(type, values))
+    bulk = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if bool not in types and all(issubclass(t, bulk) for t in types):
+        with np.errstate(over="ignore"), suppress(OverflowError):  # an int past int64, or past the float range
+            column = np.array(values, np.int64 if kind is int else np.float64)
+            if kind is int or np.isfinite(column).all():  # a long double past the float range is inf here
+                return column
+    read = [read_number(v, f"sample {k}: {name}", ValueError, kind, finite=True) for k, v in enumerate(values)]
+    return np.array(read, object if kind is int else np.float64)
 
 
 def standardize_fitness(raw_losses) -> np.ndarray:

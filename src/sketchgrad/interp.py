@@ -5,7 +5,9 @@ produces an infinity or NaN instead of trapping, so no candidate program can
 crash the search.  Candidates whose predictions (or accumulated error) go
 non-finite are scored with a large penalty constant instead.  The rule for a
 penalty, finite and positive, is `checked_penalty`'s: every evaluator applies
-it, and so do the training config and the enumeration.
+it, and so do the training config and the enumeration.  A spec fits a sketch
+by one rule too, `_check_fit`'s: `compile_sketch` and `eval_spec_loss` raise
+its `SpecError` before they score a row, and their callers pass it on.
 
 The scalar interpreter (`eval_program`, `eval_spec_loss`) runs one program on
 one input; it is the reference.  `compile_sketch` resolves a sketch and spec
@@ -76,7 +78,13 @@ def checked_penalty(penalty, error: type[Exception]) -> float:
 
 
 class SpecError(ValueError):
-    """Invalid specification data."""
+    """Invalid specification data, or a spec that does not fit its sketch."""
+
+
+def _check_fit(sketch: Sketch, spec: SpecSet) -> None:
+    """A SpecError unless `spec` has one input per parameter of `sketch`."""
+    if spec.arity != sketch.arity:
+        raise SpecError(f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +208,10 @@ def eval_spec_loss(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PE
     If any prediction is non-finite, or the accumulated error overflows,
     the whole candidate scores `penalty` so that fitness standardization
     stays well defined.  A penalty that is not a finite positive number is a
-    ValueError.
+    ValueError, and a spec that does not fit the program a SpecError.
     """
     penalty = checked_penalty(penalty, ValueError)
+    _check_fit(program, spec)
     preds = [eval_program(program, vec) for vec in spec.inputs.tolist()]
     if not all(math.isfinite(p) for p in preds):
         return penalty
@@ -246,13 +255,11 @@ _UFUNCS = {
 }
 
 
-def _select(mask, x, y, out=None):
+def _select(mask, x, y, out):
     """`np.where(mask, x, y)` on float64 `x` and `y`, bit for bit (NaN payloads and -0.0 included), into
-    `out` (a new array when None), with no branch per cell: on the int64 views of the floats,
-    y ^ ((x ^ y) * mask), where the mask is 0 or 1.  Give it an int64 mask, as a plan's comparison step
-    writes: a bool one gives the same bits, through a cast buffer."""
-    if out is None:
-        out = np.empty(np.broadcast_shapes(mask.shape, x.shape, y.shape))
+    `out`, with no branch per cell: on the int64 views of the floats, y ^ ((x ^ y) * mask), where the mask
+    is 0 or 1.  Give it an int64 mask, as a plan's comparison step writes: a bool one gives the same bits,
+    through a cast buffer."""
     bits, y = out.view(np.int64), y.view(np.int64)
     np.bitwise_xor(x.view(np.int64), y, out=bits)
     np.multiply(bits, mask, out=bits)
@@ -289,10 +296,9 @@ class Plan:
 
 
 def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
-    """The plan that scores populations of `sketch`'s hole assignments on `spec`; a SketchError if the
-    spec's arity is not the sketch's."""
-    if spec.arity != sketch.arity:
-        raise SketchError(f"spec arity {spec.arity} does not match sketch arity {sketch.arity}")
+    """The plan that scores populations of `sketch`'s hole assignments on `spec`; a SpecError if the spec
+    does not fit the sketch (see `_check_fit`)."""
+    _check_fit(sketch, spec)
     slots: list = [None] * (sketch.arity + sketch.hole_count)
     steps = []
 

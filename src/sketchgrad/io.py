@@ -26,18 +26,6 @@ from .engine import ConfigError, TrainConfig, TrainRecord
 from .interp import SpecError, SpecSet
 from .sketch import format_real, read_number, show
 
-__all__ = [
-    "load_spec",
-    "save_spec",
-    "load_config",
-    "load_thetas",
-    "save_thetas",
-    "write_loss_csv",
-    "SpecError",
-    "ConfigError",
-]
-
-
 @contextmanager
 def read_text(path, error: type[Exception], what: str):
     """`path` open as UTF-8 text, a leading BOM skipped; failing to open or read it raises `error`."""

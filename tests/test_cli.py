@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import re
@@ -376,6 +377,34 @@ def test_enumerate_spec_arity_mismatch(workdir, twovar_spec):
     )
     assert code == 2
     assert stderr.startswith("SPEC:")
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("train", ("--sketch", "sketch.txt", "--config", "config.json", "--out", "run")),
+        ("eval", ("--program", "truth.txt")),
+    ],
+)
+def test_a_spec_that_does_not_fit_is_the_library_spec_error(workdir, twovar_spec, command, args):
+    sg.save_spec(twovar_spec, workdir / "spec2.csv")
+    args = [a if a.startswith("--") else str(workdir / a) for a in args]
+    code, stdout, stderr = run_cli(command, *args, "--spec", str(workdir / "spec2.csv"))
+    assert (code, stdout, stderr) == (2, "", "SPEC: spec arity 2 does not match sketch arity 1\n")
+    assert not (workdir / "run").exists()
+
+
+def test_the_cli_checks_no_arity_itself():
+    # The fit of a spec to its sketch or program is interp's rule (`compile_sketch`, `eval_spec_loss`); a
+    # comparison here would be a second copy of it.  Reading an arity, as `gen-spec` does, is not a comparison.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    compared = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(o, ast.Attribute) and o.attr == "arity" for o in [node.left, *node.comparators])
+    ]
+    assert compared == []
 
 
 def test_gen_spec_roundtrip(workdir, onevar_spec):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -400,3 +401,30 @@ def test_theta_doc_helpers_roundtrip():
     thetas = [sg.GaussianTheta(0.1, 2.0), sg.CategoricalTheta([3.0, -1.0])]
     again = thetas_from_doc(thetas_to_doc(thetas))
     assert again[0].mu == 0.1 and (again[1].logits == [3.0, -1.0]).all()
+
+
+def test_numpy_scalar_samples_are_read_in_bulk():
+    # Samples zipped from numpy arrays hold numpy scalars.  The column reader converts a column of ints,
+    # floats or numpy numbers with one numpy call, so such a call costs what a `tolist()` one does, not a
+    # reader call per value (about ten times as long at 10^5 samples), and returns the same bits.
+    rng = np.random.default_rng(3)
+    theta = sg.CategoricalTheta([0.2, -0.1, 0.4])
+    idx = sg.sample_categorical_many(theta, 100_000, rng)
+    fitness = rng.standard_normal(idx.size)
+    calls = {
+        "numpy": list(zip(idx, fitness)),
+        "tolist": list(zip(idx.tolist(), fitness.tolist())),
+    }
+    best, got = {}, {}
+    for _ in range(5):
+        for name, samples in calls.items():
+            start = time.perf_counter()
+            got[name] = sg.categorical_gradient(theta, samples, score=SCORE_LOG_SOFTMAX)
+            best[name] = min(best.get(name, math.inf), time.perf_counter() - start)
+    assert got["numpy"].tobytes() == got["tolist"].tobytes()
+    assert best["numpy"] < 2 * best["tolist"], best
+    gaussian = sg.GaussianTheta(0.0, 1.0)
+    eps = fitness[::-1]
+    assert sg.gaussian_gradient(gaussian, zip(eps, fitness)) == sg.gaussian_gradient(
+        gaussian, zip(eps.tolist(), fitness.tolist())
+    )

@@ -454,7 +454,7 @@ def test_run_ends_on_its_last_trained_step(onevar_sketch, onevar_spec):
 
 
 def test_train_rejects_bad_inputs(onevar_sketch, onevar_truth, twovar_spec, onevar_spec):
-    with pytest.raises(sg.SketchError):
+    with pytest.raises(sg.SpecError):
         sg.train(onevar_sketch, twovar_spec, _config())
     with pytest.raises(sg.SketchError):
         sg.train(onevar_truth, onevar_spec, _config())

@@ -423,8 +423,24 @@ def test_spec_holds_two_read_only_float64_arrays(tmp_path):
 
 
 def test_population_losses_reject_spec_arity_mismatch(onevar_sketch, twovar_spec):
-    with pytest.raises(sg.SketchError):
+    with pytest.raises(sg.SpecError):
         sg.compile_sketch(onevar_sketch, twovar_spec)
+
+
+# Every path that scores a one-input sketch or program on a two-input spec: one rule, interp's, and one error.
+_MISFITS = {
+    "compile_sketch": lambda sketch, truth, spec: sg.compile_sketch(sketch, spec),
+    "train": lambda sketch, truth, spec: sg.train(sketch, spec, sg.TrainConfig(learning_rate=0.1, iterations=1)),
+    "enumerate_discrete": lambda sketch, truth, spec: sg.enumerate_discrete(sketch, [3.5, 4.2, 2.1], spec),
+    "eval_spec_loss": lambda sketch, truth, spec: sg.eval_spec_loss(truth, spec),
+}
+
+
+@pytest.mark.parametrize("name", list(_MISFITS))
+def test_a_spec_that_does_not_fit_is_one_spec_error(name, monkeypatch, onevar_sketch, onevar_truth, twovar_spec):
+    monkeypatch.setattr(interp, "eval_program", lambda *_: pytest.fail("a row was scored"))
+    with pytest.raises(sg.SpecError, match="^spec arity 2 does not match sketch arity 1$"):
+        _MISFITS[name](onevar_sketch, onevar_truth, twovar_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +478,8 @@ def test_guard_select_is_np_where_bit_for_bit(rows, mask_shape, x_shape, y_shape
     out = np.full((rows, 40), 7.0)
     assert interp._select(mask, x, y, out) is out
     assert out.tobytes() == np.where(mask, x, y).tobytes()
-    assert interp._select(mask, x, y).tobytes() == out.tobytes()
-    assert interp._select(mask.astype(np.int64), x, y).tobytes() == out.tobytes()  # the mask a plan passes
+    assert interp._select(mask, x, y, np.empty((rows, 40))).tobytes() == out.tobytes()
+    assert interp._select(mask.astype(np.int64), x, y, np.empty((rows, 40))).tobytes() == out.tobytes()  # a plan's mask
     assert np.isnan(out).any() and np.isinf(out).any() and np.signbit(out[out == 0.0]).any()
 
 

@@ -336,6 +336,34 @@ _ARGUMENTS = {
         lambda _: _categorical([(0, 1.0), (1, math.nan)]),
         "sample 1: fitness must be finite, got nan",
     ),
+    "categorical index np.True_": (
+        lambda _: _categorical([(np.int64(0), 1.0), (np.True_, -1.0)]),
+        "sample 1: index must be an integer, got np.True_",
+    ),
+    "categorical index np.float64(1.5)": (
+        lambda _: _categorical([(np.int64(1), 1.0), (np.float64(1.5), 1.0)]),
+        "sample 1: index must be an integer, got np.float64(1.5)",
+    ),
+    "categorical fitness np.False_": (
+        lambda _: _categorical([(0, np.float64(1.0)), (1, np.False_)]),
+        "sample 1: fitness must be a number, got np.False_",
+    ),
+    "categorical fitness np.float64(nan)": (
+        lambda _: _categorical([(np.int64(0), np.float64(1.0)), (np.int64(1), np.float64(math.nan))]),
+        "sample 1: fitness must be finite, got np.float64(nan)",
+    ),
+    "categorical fitness 10**400 among numpy floats": (
+        lambda _: _categorical([(np.int64(0), np.float64(1.0)), (np.int64(1), 10**400)]),
+        "sample 1: fitness is past the float range",
+    ),
+    "gaussian eps np.str_('a')": (
+        lambda _: sg.gaussian_gradient(sg.GaussianTheta(0.0, 1.0), [(np.float64(0.5), 1.0), (np.str_("a"), 1.0)]),
+        "sample 1: eps must be a number, got np.str_('a')",
+    ),
+    "gaussian fitness np.float32(inf)": (
+        lambda _: sg.gaussian_gradient(sg.GaussianTheta(0.0, 1.0), [(0.5, np.float32(1.0)), (0.5, np.float32(math.inf))]),
+        "sample 1: fitness must be finite, got np.float32(inf)",
+    ),
     "gaussian eps 'a'": (
         lambda _: sg.gaussian_gradient(sg.GaussianTheta(0.0, 1.0), [("a", 1.0)]),
         "sample 0: eps must be a number, got 'a'",
