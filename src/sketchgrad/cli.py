@@ -24,7 +24,7 @@ from .engine import (
     enumerate_discrete,
     train,
 )
-from .interp import SpecError, SpecSet, eval_program, eval_spec_loss
+from .interp import SpecError, SpecSet, _spec_predictions, eval_program
 from .io import load_config, load_spec, load_thetas, read_table, read_text, save_spec, save_thetas, write_loss_csv
 from .sketch import SketchError, format_real, parse_sketch, print_program
 
@@ -98,9 +98,8 @@ def _cmd_show(args) -> int:
 def _cmd_eval(args) -> int:
     program = _load_program(args.program)
     spec = load_spec(args.spec)
-    mse = eval_spec_loss(program, spec)  # first, so that a spec that does not fit prints nothing
-    for vec, target in zip(spec.inputs.tolist(), spec.outputs.tolist()):
-        pred = eval_program(program, vec)
+    preds, mse = _spec_predictions(program, spec)  # first, so that a spec that does not fit prints nothing
+    for vec, pred, target in zip(spec.inputs.tolist(), preds, spec.outputs.tolist()):
         err = (pred - target) ** 2
         ins = ", ".join(format_real(v) for v in vec)
         print(f"in=({ins}) pred={format_real(pred)} target={format_real(target)} sq_err={format_real(err)}")

@@ -210,17 +210,23 @@ def eval_spec_loss(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PE
     stays well defined.  A penalty that is not a finite positive number is a
     ValueError, and a spec that does not fit the program a SpecError.
     """
+    return _spec_predictions(program, spec, penalty)[1]
+
+
+def _spec_predictions(program: Sketch, spec: SpecSet, penalty: float = NONFINITE_PENALTY) -> tuple[list, float]:
+    """The program's prediction for each spec row, in row order, and `eval_spec_loss` of them, for a caller that
+    shows the rows too: each row runs through `eval_program` once."""
     penalty = checked_penalty(penalty, ValueError)
     _check_fit(program, spec)
     preds = [eval_program(program, vec) for vec in spec.inputs.tolist()]
     if not all(math.isfinite(p) for p in preds):
-        return penalty
+        return preds, penalty
     total = 0.0
     for pred, out in zip(preds, spec.outputs.tolist()):
         d = pred - out
         total += d * d
     loss = total / len(preds)
-    return loss if math.isfinite(loss) else penalty
+    return preds, loss if math.isfinite(loss) else penalty
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +440,7 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
             if bufsize is not None:
                 np.setbufsize(bufsize)
         total /= rows
-        # A finite sum of the losses shows that each is finite, with no pass over them that allocates.
-        if not math.isfinite(np.add.reduce(total)):
-            total[~np.isfinite(total)] = checked_penalty(penalty, ValueError)
+        _penalize(total, penalty)
     if index is not None:
         return total.take(index)
     return total if count == n else total.repeat(n)
@@ -479,9 +483,19 @@ def eval_product_losses(plan: Plan, reals, penalty: float) -> np.ndarray:
                 view = total[(slice(None), *(slice(i, i + 1 if n > 1 else None) for i, n in zip(at, m.shape[1:])))]
                 for r in range(len(y)):  # the scalar loop's sum, which starts at 0.0
                     np.add(view if lo or r else 0.0, squares[0 if m[(r % len(m), *at)] else -1][r : r + 1], out=view)
-        total /= rows
-        total[~np.isfinite(total)] = penalty
-    return total.reshape(-1)
+        losses = total.reshape(-1)
+        losses /= rows
+        _penalize(losses, penalty)
+    return losses
+
+
+def _penalize(losses: np.ndarray, penalty) -> None:
+    """Put `penalty` in place of each non-finite loss in the flat `losses`, which are never negative: the rule
+    of both scorers.  A finite sum shows that each loss is finite, with no pass over them that allocates; a
+    non-finite or overflowing sum takes the pass, and there a penalty that `checked_penalty` rejects is a
+    ValueError."""
+    if not math.isfinite(np.add.reduce(losses)):
+        losses[~np.isfinite(losses)] = checked_penalty(penalty, ValueError)
 
 
 # The layout of a value that is the same for every candidate: one stored row, which each candidate reads.

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sketchgrad as sg
-from sketchgrad import cli, engine
+from sketchgrad import cli, engine, interp
 from sketchgrad.cli import main
 
 from conftest import ONEVAR_SKETCH, ONEVAR_TRUTH, TWOVAR_SKETCH
@@ -496,6 +496,23 @@ def test_main_callable_directly(workdir, capsys):
     code = main(["eval", "--program", str(workdir / "truth.txt"), "--spec", str(workdir / "spec.csv")])
     assert code == 0
     assert "MSE: 0.0" in capsys.readouterr().out
+
+
+def test_eval_runs_each_row_through_the_interpreter_once(workdir, capsys, monkeypatch):
+    # The rows are printed from the predictions the MSE was taken of: one `eval_program` call per spec row.
+    calls = []
+    scalar = interp.eval_program
+
+    def counted(program, x):
+        calls.append(x)
+        return scalar(program, x)
+
+    monkeypatch.setattr(interp, "eval_program", counted)
+    monkeypatch.setattr(cli, "eval_program", counted)
+    code = main(["eval", "--program", str(workdir / "truth.txt"), "--spec", str(workdir / "spec.csv")])
+    assert code == 0
+    assert capsys.readouterr().out.count("pred=") == 4
+    assert calls == [[1.0], [2.0], [4.0], [5.0]]
 
 
 def test_enumerate_top_builds_only_the_programs_it_prints(workdir, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import re
 import struct
 import subprocess
@@ -938,6 +939,11 @@ def _check_enumeration_matches_the_scalar_reference(data, texts):
         assert ranked.losses.tobytes() == losses.tobytes(), chunk_cells
 
 
+def _ulps(start: float, *steps: int) -> np.ndarray:
+    """The floats `steps` ulps above `start`, in that order."""
+    return (np.float64(start).view(np.int64) + np.array(steps)).view(np.float64)
+
+
 def test_rank_is_a_stable_argsort():
     # Losses that share their high bits but differ in the low ones, in both index orders, make the key sort's
     # order need its stable fix; runs of ties, zeros and lengths around a power of two check the index bits.
@@ -946,9 +952,25 @@ def test_rank_is_a_stable_argsort():
     near = (base.view(np.int64) + rng.integers(-8, 8, base.size)).view(np.float64)  # a few ulps apart
     cases = [np.array([2.0]), np.zeros(5), np.full(7, 1e12), base, near, np.concatenate([near, base, [0.0] * 3])]
     cases += [rng.permutation(near)[:n] for n in (255, 256, 257)]
+    # Past 2**16 losses the low bits are kept in a wider column.
+    wide = np.repeat(rng.random(4097), 16)[: 2**16 + 1]
+    cases.append((wide.view(np.int64) + rng.integers(-(2**17), 2**17, wide.size)).view(np.float64))
+    # Eight losses hold their flat index in 3 low bits, and 1.5's low bits are zero, so 1.5 + 8 ulps is the next
+    # group: the two inverted groups touch, the first one's stop being the second one's start.
+    cases.append(np.concatenate([_ulps(1.5, 6, 2, 8 + 5, 8 + 1), [4.0, 3.0, 7.0, 5.0]]))
+    # Inverted groups at the first and the last ranked positions, and a group of 6 in reverse low-bit order.
+    cases.append(np.concatenate([_ulps(0.25, 3, 1), [1.0, 2.0, 1.0], _ulps(1e12, 1, 0, 1), [0.5]]))
+    cases.append(np.concatenate([[9.0], _ulps(3.0, 6, 5, 4, 3, 2, 1), [8.0]]))
+    # Penalties among ties and near ties; and the losses the contract names but no scorer gives: infinities and
+    # negative losses, whose bits sort in reverse.
+    cases.append(np.where(rng.random(near.size) < 0.3, 1e12, rng.permutation(np.concatenate([near[:300], base[:276]]))))
+    cases.append(np.array([np.inf, 1.0, -np.inf, -2.0, np.inf, -1.0, 0.0, -2.0, 1e12, -np.inf]))
+    cases.append(np.concatenate([-near[:200], near[200:]]))
     for losses in cases:
         expected = np.argsort(losses, kind="stable")
-        order, ranked = engine._rank(losses.copy())
+        given = losses.copy()
+        order, ranked = engine._rank(given)
+        assert np.shares_memory(ranked, given)  # ranked in the buffer it was given
         assert order.tobytes() == expected.tobytes()
         assert ranked.tobytes() == losses[expected].tobytes()
 
@@ -984,6 +1006,69 @@ def test_enumerating_the_oracle_sketch_walks_the_product_once(monkeypatch):
     assert len(ranked) == 3 * 4**7
     assert calls == []
     assert walks == [([3, 1, 4, 4, 4, 1, 4, 4, 4, 4, 1], [1.5, 2.5, 0.5])]
+
+
+def _oracle_jobs(seed: int, count: int):
+    """Random truths for ORACLE_SKETCH and 4 spec rows each, two on each side of the guard, built as the
+    benchmark's enumeration workload builds them: the reals, the truth's hole values and the rows."""
+
+    def apply(op, a, b):
+        return (a + b, a - b, a * b, a / b)[op]  # inputs >= 1 and reals >= 0.5: no division by zero
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        reals = [round(rng.uniform(0.5, 5.0), 3) for _ in range(3)]
+        ops = [rng.randrange(4) for _ in range(7)]
+        cond = rng.choice((1, 2))
+        pairs = []
+        for above in (True, True, False, False):
+            a, b = rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0)
+            while a == b:
+                b = rng.uniform(1.0, 10.0)
+            pairs.append((max(a, b), min(a, b)) if above else (min(a, b), max(a, b)))
+        rng.shuffle(pairs)
+        rows = []
+        for x1, x2 in pairs:
+            if (x1 > x2) if cond == 1 else (x1 < x2):
+                y = apply(ops[2], apply(ops[1], apply(ops[0], reals[0], x1), x2), x1)
+            else:
+                y = apply(ops[6], apply(ops[5], apply(ops[4], apply(ops[3], reals[1], x2), x1), x2), reals[2])
+            rows.append(((x1, x2), y))
+        yield reals, sg.SpecSet.from_pairs(rows)
+
+
+def test_ranking_an_oracle_enumeration_is_a_stable_argsort():
+    # Over the whole product of the benchmark's enumeration sketch, the ranking is a stable argsort of the walk's
+    # losses, and every job has losses that tie in their high bits out of order, so the stable fix runs.
+    sketch = sg.parse_sketch(ORACLE_SKETCH)
+    for reals, spec in _oracle_jobs(seed=7, count=12):
+        losses = interp.eval_product_losses(interp.compile_sketch(sketch, spec), reals, sg.NONFINITE_PENALTY)
+        expected = np.argsort(losses, kind="stable")
+        low = (1 << (losses.size - 1).bit_length()) - 1
+        keyed = np.sort(losses.view(np.int64) & ~low | np.arange(losses.size)) & low  # by high bits, then index
+        assert np.count_nonzero(losses[keyed][1:] < losses[keyed][:-1]) >= 1
+        ranked = sg.enumerate_discrete(sketch, reals, spec)
+        assert ranked.order.tobytes() == expected.tobytes()
+        assert ranked.losses.tobytes() == losses[expected].tobytes()
+
+
+def test_ranking_allocates_one_array_of_the_products_size():
+    # `_rank` sorts in the walk's buffer and adds the order, an int64 array of the product's size, and a narrow
+    # column of low bits; with the walk's total that bounds the peak of a 4-row enumeration.
+    sketch = sg.parse_sketch(ORACLE_SKETCH)
+    reals, spec = next(_oracle_jobs(seed=11, count=1))
+    losses = interp.eval_product_losses(interp.compile_sketch(sketch, spec), reals, sg.NONFINITE_PENALTY)
+    size = 8 * losses.size
+    peaks = []
+    for call in (lambda: engine._rank(losses), lambda: sg.enumerate_discrete(sketch, reals, spec)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2 * size, peaks[0] / size
+    assert peaks[1] < 3 * size, peaks[1] / size
 
 
 def test_engine_reads_no_field_of_a_plan():
