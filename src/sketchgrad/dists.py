@@ -40,12 +40,16 @@ class ThetaError(ValueError):
 
 
 def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax; shift-invariant, strictly positive, sums to 1."""
+    """Numerically stable softmax over the last axis; shift-invariant, strictly positive, sums to 1.
+
+    A row of 2-D logits is one distribution, and a -inf logit past a row's own gets probability 0: the
+    training step takes every categorical hole's softmax in one call, on rows padded to the widest hole.
+    """
     # The reductions are the ufuncs' own, called directly: `np.max` and `e.sum()` reach the same ones
     # through a Python wrapper each, which at the sizes training uses costs more than the arithmetic.
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - np.maximum.reduce(z, axis=None))
-    e /= np.add.reduce(e, axis=None)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -102,17 +106,30 @@ def sample_categorical_many(theta: CategoricalTheta, n: int, rng: np.random.Gene
     return _categorical_draws(theta.probs, n, rng)
 
 
-def _categorical_draws(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def _categorical_draws(probs: np.ndarray, n: int, rng) -> np.ndarray:
     """n int64 category indices drawn by inverse CDF from `rng`.  A uniform u draws the number of
     cumulative probabilities at or below it, clamped to the last category for a u past them all (rounding
     can leave the total below 1): the count over all but the last cumulative probability, which needs no
-    clamp."""
-    return np.add.accumulate(probs[:-1]).searchsorted(rng.random(n), side="right")
+    clamp.  For rows of probabilities (2-D `probs`), `rng` holds one Generator per row, and row r of the
+    (rows, n) result is drawn so from row r of `probs` by `rng[r]`; a row's zeros past its own categories
+    (see `softmax`) are categories too, which only a u past its total reaches."""
+    cdf = np.add.accumulate(probs[..., :-1], axis=-1)
+    if probs.ndim == 1:
+        return cdf.searchsorted(rng.random(n), side="right")
+    draws = np.empty((len(probs), n), np.int64)
+    for row, c, stream in zip(draws, cdf, rng):
+        row[:] = c.searchsorted(stream.random(n), side="right")
+    return draws
 
 
 def _categorical_accumulator(probs: np.ndarray, indices: np.ndarray, fitness: np.ndarray, score: str) -> np.ndarray:
-    n = indices.size
-    k = probs.size
+    """The per-logit gradient of one distribution `probs` (k) from the drawn `indices` (n) and their
+    `fitness` (n), or of each row of 2-D `probs` (rows, k) from the same row of `indices` (rows, n), shaped
+    like `probs`."""
+    k, n = probs.shape[-1], fitness.size
+    # Row r's index t counts in bin r * k + t of one bincount, whose bins each add their weights in candidate
+    # order, as a bincount of that row alone does.
+    bins = indices + np.arange(0, probs.size, k).reshape(probs.shape[:-1] + (1,))
     if score == SCORE_SOFTMAX:
         # Per sample i with drawn index e and P = probs[e]:
         #   j == e: P * (1 - P) * F      j != e: -P * probs[j] * F
@@ -120,22 +137,29 @@ def _categorical_accumulator(probs: np.ndarray, indices: np.ndarray, fitness: np
         # expectation, sum_k p_k F_k grad p_k, is half the gradient of
         # sum_k p_k^2 F_k, not of expected fitness: a token's pull scales with
         # p_k^2, so the leader runs away and the others hardly move.
-        w = probs[indices] * fitness
+        weights = probs.take(bins) * fitness
     elif score == SCORE_LOG_SOFTMAX:
         #   j == e: (1 - probs[j]) * F   j != e: -probs[j] * F
         # i.e. F times the gradient of the drawn log-probability.
-        w = fitness
+        weights = np.empty(bins.shape)
+        weights[...] = fitness
     else:
         raise ValueError(f"unknown categorical score {score!r}")
-    diag = np.bincount(indices, weights=w, minlength=k)
-    diag -= np.add.reduce(w) * probs
+    diag = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=probs.size).reshape(probs.shape)
+    diag -= np.add.reduce(weights, axis=-1, keepdims=True) * probs
     diag /= n
     return diag
 
 
-def _gaussian_accumulator(eps: np.ndarray, fitness: np.ndarray, sigma: float) -> float:
-    """The fixed-sigma mean gradient (1 / (n * sigma)) * sum(F_i * eps_i)."""
-    return float(fitness.dot(eps) / (fitness.size * sigma))
+# Each row of `a` dotted with `b` by the BLAS dot that `b.dot(row)` calls (a matrix product would sum in
+# another order); numpy 1 has no `vecdot`, so there each row is dotted on its own.
+_row_dot = getattr(np, "vecdot", None) or (lambda a, b: np.array([b.dot(row) for row in a]) if a.ndim > 1 else b.dot(a))
+
+
+def _gaussian_accumulator(eps: np.ndarray, fitness: np.ndarray, sigma) -> np.ndarray:
+    """The fixed-sigma mean gradient (1 / (n * sigma)) * sum(F_i * eps_i), for one hole's `eps` (n), or for
+    each row of 2-D `eps` (rows, n) with that row's entry of `sigma` (rows)."""
+    return _row_dot(eps, fitness) / (fitness.size * sigma)
 
 
 def categorical_gradient(theta: CategoricalTheta, samples, *, score: str) -> np.ndarray:
@@ -161,7 +185,7 @@ def gaussian_gradient(theta: GaussianTheta, samples) -> float:
     fitness is a finite number that is not a bool, else a ValueError.
     """
     eps, fitness = _sample_columns(samples, ("eps", float), ("fitness", float))
-    return _gaussian_accumulator(eps, fitness, theta.sigma)
+    return float(_gaussian_accumulator(eps, fitness, theta.sigma))
 
 
 def _sample_columns(samples, *columns: tuple[str, type]) -> list[np.ndarray]:

@@ -6,13 +6,16 @@ samples a population of hole assignments from the current per-hole
 distributions, scores every candidate in one call of the vectorized scorer,
 standardizes the negated losses into fitness, estimates a gradient per hole
 and takes an ascent step: `train_step` maps one `TrainState` value of plain
-arrays to the next, and theta objects exist only at the edges.  The argmax
-program (most probable token per categorical hole, mean per real hole) is
-scored every iteration by the same scorer, as a population of one, and the
-best one seen is kept; `train` instantiates a concrete program only for the
-best and the final state.  Scorer calls go through this module's name
-`eval_population_losses`, looked up at call time, so a wrapper put there sees
-every one.
+arrays to the next, and theta objects exist only at the edges.  A step runs
+each of these once over one vector of every hole's parameters (see
+`_Layout`), not once per hole.  The argmax program (most probable token per
+categorical hole, mean per real hole) is scored every iteration by the same
+scorer: `train` scores a stepped state's argmax as one more candidate of the
+next step's population, in the same call, and alone only where a restart
+could follow it or no step does.  The best one seen is kept; `train`
+instantiates a concrete program only for the best and the final state.
+Scorer calls go through this module's name `eval_population_losses`, looked
+up at call time, so a wrapper put there sees every one.
 
 `enumerate_discrete` ranks the whole discrete space, which interp's product
 walk scores, called through this module's name `eval_product_losses` (looked
@@ -36,8 +39,9 @@ from __future__ import annotations
 import math
 import typing
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -190,28 +194,106 @@ class TrainResult:
     restarts: list[int] = field(default_factory=list)  # iterations after which the distributions were redrawn
 
 
-@dataclass
-class Population:
-    """One iteration's candidates, and the draws their gradients are estimated from, one array per hole
-    in hole order: the values are token indices, or mu + sigma * eps for a real hole; the draws are the
-    softmax a categorical hole's tokens were drawn from, or a real hole's standard-normal eps."""
+def _pick(indices: list) -> typing.Callable:
+    """A function from a sequence to the tuple of its items at `indices`."""
+    return itemgetter(*indices) if len(indices) > 1 else lambda items: tuple(items[i] for i in indices)
 
-    values: list[np.ndarray]
-    draws: list[np.ndarray]
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where each hole's parameter sits in a state's parameter vector: the categorical holes' logits, then the
+    real holes' means, each in hole order.  A training step runs once over that vector, or over the
+    categorical holes as rows of `blank`'s width, the largest arity: a hole's logits, then -inf.
+
+    Per hole, in hole order: `slices`, its slice of the vector, and `sigmas`, its sigma (None for a
+    categorical hole).  `sigma` holds the real holes' sigmas, `cells` the flat position in `blank` of each
+    logit and `last` each categorical hole's last token index, as a column.  `categorical` and `real` pick
+    those holes' items of a sequence in hole order; `in_hole_order` puts their rows back in hole order."""
+
+    slices: tuple
+    sigmas: tuple
+    sigma: np.ndarray
+    blank: np.ndarray
+    cells: np.ndarray
+    last: np.ndarray
+    categorical: typing.Callable
+    real: typing.Callable
+    in_hole_order: typing.Callable
+
+
+def _layout(sizes: list, sigmas: tuple) -> _Layout:
+    """The layout of holes whose parameters have `sizes` entries and whose sigmas are `sigmas`, in hole order."""
+    categorical = [h for h, sigma in enumerate(sigmas) if sigma is None]
+    real = [h for h, sigma in enumerate(sigmas) if sigma is not None]
+    arities = [sizes[h] for h in categorical]
+    width = max(arities, default=1)
+    bounds = np.cumsum([0, *arities, *[1] * len(real)]).tolist()
+    order = categorical + real
+    position = sorted(range(len(order)), key=order.__getitem__)  # where each hole is in `order`
+    return _Layout(
+        slices=tuple(slice(bounds[i], bounds[i + 1]) for i in position),
+        sigmas=sigmas,
+        sigma=_read_only(np.array([sigmas[h] for h in real], dtype=np.float64)),
+        blank=_read_only(np.full((len(arities), width), -np.inf)),
+        cells=_read_only(np.array([r * width + t for r, k in enumerate(arities) for t in range(k)], dtype=np.intp)),
+        last=_read_only(np.array(arities, dtype=np.int64).reshape(-1, 1) - 1),
+        categorical=_pick(categorical),
+        real=_pick(real),
+        in_hole_order=_pick(position),
+    )
+
+
+@dataclass(eq=False)
+class Population:
+    """One iteration's n candidates, in the layout of the state they were drawn from (see `_Layout`): `tokens`
+    holds a row of token indices per categorical hole and `reals` a row of mu + sigma * eps per real hole,
+    each of n + 1 columns, where column n is the state's argmax program (see `_argmax_columns`), which a
+    training step can score as one more candidate.  The gradients are estimated from `probs`, the rows of
+    softmax the tokens were drawn from, and `eps`, the real holes' standard-normal draws."""
+
+    tokens: np.ndarray
+    reals: np.ndarray
+    probs: np.ndarray
+    eps: np.ndarray
+    layout: _Layout
+
+    def columns(self, count: int) -> tuple:
+        """Each hole's first `count` candidate values, in hole order, as the scorer takes them."""
+        return self.layout.in_hole_order((*self.tokens[:, :count], *self.reals[:, :count]))
+
+    @property
+    def values(self) -> tuple:
+        """Each hole's n candidate values, in hole order: token indices, or mu + sigma * eps."""
+        return self.columns(self.eps.shape[1])
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value, so states compare by identity
 class TrainState:
-    """What one training step reads and writes, as a value of read-only arrays, one entry per hole in
-    hole order: a categorical hole's logit vector, or a real hole's mean as a 1-vector; its sigma, fixed
-    for a real hole and None for a categorical one; and Adam's (m, v), shaped like the parameter."""
+    """What one training step reads and writes, as a value of read-only arrays: `vector`, every hole's
+    parameter, where `layout` says, and `moment_vectors`, Adam's (m, v), each shaped like it.  Per hole, in
+    hole order, `params` and `moments` are views into them: a categorical hole's logit vector or a real
+    hole's mean as a 1-vector, and its (m, v); `sigmas` holds a real hole's fixed sigma, None for a
+    categorical one."""
 
-    params: tuple
-    sigmas: tuple
-    moments: tuple
+    vector: np.ndarray
+    moment_vectors: tuple
+    layout: _Layout
     step_count: int = 0  # optimizer steps since the last (re)start
     iteration: int = 0
     best_loss: float = math.inf  # best argmax loss so far, across restarts
+
+    @property
+    def sigmas(self) -> tuple:
+        return self.layout.sigmas
+
+    @cached_property
+    def params(self) -> tuple:
+        return tuple(self.vector[s] for s in self.layout.slices)
+
+    @cached_property
+    def moments(self) -> tuple:
+        m, v = self.moment_vectors
+        return tuple((m[s], v[s]) for s in self.layout.slices)
 
     @classmethod
     def from_thetas(cls, sketch: Sketch, thetas) -> TrainState:
@@ -228,10 +310,14 @@ class TrainState:
         )
 
 
-def _fresh_state(params, sigmas) -> TrainState:
-    params = tuple(_read_only(np.array(p, dtype=np.float64)) for p in params)
-    moments = tuple((_read_only(np.zeros_like(p)), _read_only(np.zeros_like(p))) for p in params)
-    return TrainState(params, tuple(sigmas), moments)
+def _fresh_state(params, sigmas, iteration: int = 0, best_loss: float = math.inf) -> TrainState:
+    """A state at step 0 holding `params`, an array-like per hole in hole order, and `sigmas`; zero moments."""
+    params = [np.asarray(p, dtype=np.float64) for p in params]
+    layout = _layout([p.size for p in params], tuple(sigmas))
+    # np.empty(0) first, so that a sketch with no holes has an empty vector, not a concatenation of nothing.
+    vector = _read_only(np.concatenate([np.empty(0), *layout.categorical(params), *layout.real(params)]))
+    moments = (_read_only(np.zeros_like(vector)), _read_only(np.zeros_like(vector)))
+    return TrainState(vector, moments, layout, 0, iteration, best_loss)
 
 
 def init_state(sketch: Sketch, config: TrainConfig) -> TrainState:
@@ -244,12 +330,12 @@ def restart_state(sketch: Sketch, state: TrainState, config: TrainConfig, stream
     """`init_state`, but with logits drawn from N(0, RESTART_LOGIT_STD) on each categorical hole's stream,
     and the iteration and best loss of `state`.  Uniform logits would send the search down the same
     mean path as the first start, into the basin it is leaving; random logits start it elsewhere."""
-    fresh = init_state(sketch, config)
-    params = tuple(
-        p if sigma is not None else _read_only(stream.normal(0.0, RESTART_LOGIT_STD, p.size))
-        for p, sigma, stream in zip(fresh.params, fresh.sigmas, streams)
-    )
-    return replace(fresh, params=params, iteration=state.iteration, best_loss=state.best_loss)
+    params = [
+        stream.normal(0.0, RESTART_LOGIT_STD, h.arity) if h.tokens else [config.mu_init]
+        for h, stream in zip(sketch.holes, streams)
+    ]
+    sigmas = [None if h.tokens else config.sigma for h in sketch.holes]
+    return _fresh_state(params, sigmas, state.iteration, state.best_loss)
 
 
 def hole_streams(seed: int, n_holes: int) -> list[np.random.Generator]:
@@ -267,25 +353,43 @@ def hole_streams(seed: int, n_holes: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(max(n_holes, 1))]
 
 
+def _logit_rows(state: TrainState) -> np.ndarray:
+    """The categorical holes' logits as rows of the layout's width, -inf past each hole's own."""
+    rows = state.layout.blank.copy()
+    rows.put(state.layout.cells, state.vector[: len(state.layout.cells)])
+    return rows
+
+
 def sample_population(state: TrainState, n: int, streams) -> Population:
-    """Draw n candidates, each hole from its own stream in `streams` (one per hole,
-    in hole order): category indices per categorical hole, mu + sigma*eps per real hole."""
-    values, draws = [], []
-    for p, sigma, stream in zip(state.params, state.sigmas, streams):
-        # Softmax through the module, so that a patched or traced `dists.softmax` sees every call.
-        draws.append(dists.softmax(p) if sigma is None else stream.standard_normal(n))
-        values.append(_categorical_draws(draws[-1], n, stream) if sigma is None else p + sigma * draws[-1])
-    return Population(values, draws)
+    """Draw n candidates, each hole from its own stream in `streams` (one per hole, in hole order):
+    category indices per categorical hole, mu + sigma*eps per real hole; and, as candidate n, the state's
+    argmax program, which draws nothing."""
+    layout, means = state.layout, state.vector[len(state.layout.cells) :]
+    logits = _logit_rows(state)
+    # Softmax through the module, so that a patched or traced `dists.softmax` sees every call: one, for every
+    # categorical hole.  A -inf adds a 0 to its row's sum, and numpy adds a row of under 8 entries in order (a
+    # hole has at most 4 tokens), so each row is its hole's own softmax, bit for bit.
+    probs = dists.softmax(logits)
+    tokens = np.empty((len(probs), n + 1), np.int64)
+    # A uniform past a row's total draws a column past its hole's tokens, which clamps to the hole's last.
+    np.minimum(_categorical_draws(probs, n, layout.categorical(streams)), layout.last, out=tokens[:, :n])
+    logits.argmax(axis=1, out=tokens[:, n])
+    eps = np.empty((len(means), n))
+    for row, stream in zip(eps, layout.real(streams)):
+        stream.standard_normal(out=row)
+    reals = np.empty((len(means), n + 1))
+    np.add(means[:, None], np.multiply(layout.sigma[:, None], eps, out=reals[:, :n]), out=reals[:, :n])
+    reals[:, n] = means
+    return Population(tokens, reals, probs, eps, layout)
 
 
-def estimate_gradients(state: TrainState, population: Population, fitness: np.ndarray, score: str) -> tuple:
-    """Gradients from one scored population, one per hole, shaped like its parameter."""
-    return tuple(
-        _categorical_accumulator(draw, tokens, fitness, score)
-        if sigma is None
-        else np.array([_gaussian_accumulator(draw, fitness, sigma)])
-        for sigma, tokens, draw in zip(state.sigmas, population.values, population.draws)
-    )
+def estimate_gradients(state: TrainState, population: Population, fitness: np.ndarray, score: str) -> np.ndarray:
+    """The gradient from one scored population, given its n candidates' `fitness` in candidate order: an
+    array shaped like `state.vector`, whose `layout.slices` give each hole's gradient."""
+    layout = state.layout
+    categorical = _categorical_accumulator(population.probs, population.tokens[:, : fitness.size], fitness, score)
+    real = _gaussian_accumulator(population.eps, fitness, layout.sigma)
+    return np.concatenate((categorical.take(layout.cells), real))
 
 
 @dataclass(frozen=True)
@@ -326,52 +430,82 @@ def make_optimizer(config: TrainConfig):
     return SgdOptimizer(config.learning_rate)
 
 
-def _argmax_columns(params, sigmas) -> list:
-    """The most probable value per hole of a state's `params` and `sigmas`, as one-candidate columns in
-    hole order: the highest-logit token index (ties break to the lowest index) per categorical hole,
-    the mean per real hole."""
-    return [p if sigma is not None else p.argmax(keepdims=True) for p, sigma in zip(params, sigmas)]
+def _argmax_columns(state: TrainState) -> tuple:
+    """The most probable value per hole of `state`, as one-candidate columns in hole order: the
+    highest-logit token index (ties break to the lowest index) per categorical hole, the mean per real hole."""
+    means = state.vector[len(state.layout.cells) :]
+    return state.layout.in_hole_order((*_logit_rows(state).argmax(axis=1)[:, None], *means[:, None]))
 
 
 def argmax_program(sketch: Sketch, thetas) -> Sketch:
     """Most probable concrete program, by the rule of `_argmax_columns`; ThetaError unless the thetas fit the holes."""
-    state = TrainState.from_thetas(sketch, thetas)
-    columns = _argmax_columns(state.params, state.sigmas)
+    columns = _argmax_columns(TrainState.from_thetas(sketch, thetas))
     return instantiate(sketch, Assignment(tuple(column.item() for column in columns)))
+
+
+def _argmax_loss(plan: interp.Plan, state: TrainState, penalty: float) -> float:
+    """The loss of `state`'s argmax program, scored alone."""
+    return float(eval_population_losses(plan, _argmax_columns(state), penalty)[0])
+
+
+def _step(plan: interp.Plan, state: TrainState, config: TrainConfig, streams, with_argmax: bool) -> tuple:
+    """One iteration's draw, scoring and ascent from `state`, the one step implementation of `train_step` and
+    `train`: the losses of the scored candidates (the population's n, then, `with_argmax`, the argmax program
+    of `state` as candidate n + 1 of the same scorer call), the population's mean loss, and the stepped
+    parameter vector and moments, which `_stepped` checks."""
+    n = config.population
+    # Overflow is not an error here: a logit gap past the float range gives a
+    # probability of 0, its limit, and a step past the range is caught by `_stepped`.
+    with np.errstate(over="ignore"):
+        population = sample_population(state, n, streams)
+        losses = eval_population_losses(plan, population.columns(n + with_argmax), config.penalty)
+        drawn = losses[:n]
+        fitness = standardize_fitness(drawn)
+        grad = estimate_gradients(state, population, fitness, config.categorical_score)
+        step = make_optimizer(config).step
+        (vector,), (moments,) = step((state.vector,), (grad,), (state.moment_vectors,), state.step_count + 1)
+    # The reductions are ufunc methods, called directly: numpy's wrapper for `np.mean` costs more than the
+    # few cells it reduces.
+    return losses, float(np.add.reduce(drawn) / n), vector, moments
+
+
+def _stepped(state: TrainState, vector: np.ndarray, moments: tuple) -> TrainState:
+    """The state after `state`, holding `_step`'s vector and moments, with `state`'s best loss: its own
+    argmax loss is not scored yet.  Raises DivergenceError when the vector holds a non-finite parameter."""
+    iteration = state.iteration + 1
+    if not np.logical_and.reduce(np.isfinite(vector)):
+        raise DivergenceError(f"the run diverged: iteration {iteration} left a non-finite parameter")
+    return TrainState(_read_only(vector), moments, state.layout, state.step_count + 1, iteration, state.best_loss)
+
+
+def _scored(state: TrainState, mean: float, argmax_loss: float) -> tuple[TrainState, TrainRecord]:
+    """A stepped state with its argmax loss counted in its best loss, and its record."""
+    if argmax_loss < state.best_loss:
+        state = TrainState(
+            state.vector, state.moment_vectors, state.layout, state.step_count, state.iteration, argmax_loss
+        )
+    return state, TrainRecord(state.iteration, mean, argmax_loss, state.best_loss)
 
 
 def train_step(plan: interp.Plan, state: TrainState, config: TrainConfig, streams):
     """One iteration: the state after `state`, and its record.  `plan` is the sketch compiled against the
-    spec (see `compile_sketch`), `streams` holds one Generator per hole (see `hole_streams`).  Raises
-    DivergenceError when the step leaves a non-finite parameter."""
-    # Overflow is not an error here: a logit gap past the float range gives a
-    # probability of 0, its limit, and a step past the range is caught below.
-    with np.errstate(over="ignore"):
-        population = sample_population(state, config.population, streams)
-        losses = eval_population_losses(plan, population.values, config.penalty)
-        fitness = standardize_fitness(losses)
-        grads = estimate_gradients(state, population, fitness, config.categorical_score)
-        step_count = state.step_count + 1
-        params, moments = make_optimizer(config).step(state.params, grads, state.moments, step_count)
-    iteration = state.iteration + 1
-    # The reductions here are ufunc methods, called directly: numpy's wrappers for `.all()` and `np.mean`
-    # cost more than the few cells they reduce.
-    if not np.logical_and.reduce(np.isfinite(np.concatenate(params))):
-        raise DivergenceError(f"the run diverged: iteration {iteration} left a non-finite parameter")
-    params = tuple(map(_read_only, params))
-    # The argmax program, scored as a population of one.
-    argmax_loss = float(eval_population_losses(plan, _argmax_columns(params, state.sigmas), config.penalty)[0])
-    best_loss = min(state.best_loss, argmax_loss)
-    record = TrainRecord(iteration, float(np.add.reduce(losses) / losses.size), argmax_loss, best_loss)
-    return TrainState(params, state.sigmas, moments, step_count, iteration, best_loss), record
+    spec (see `compile_sketch`), `streams` holds one Generator per hole (see `hole_streams`).  The stepped
+    state's argmax program is scored alone, after the population.  Raises DivergenceError when the step
+    leaves a non-finite parameter."""
+    _, mean, vector, moments = _step(plan, state, config, streams, False)
+    stepped = _stepped(state, vector, moments)
+    return _scored(stepped, mean, _argmax_loss(plan, stepped, config.penalty))
 
 
 def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> TrainResult:
     """Run the full loop; deterministic given (sketch, spec, config).
 
-    `on_step(record, state)`, if given, sees each iteration's record and the stepped state
-    it scored; both are values, so it can watch the run, not change it.  A restart that is due
-    happens before the next step, so the run ends on its last trained state.
+    Each iteration is `train_step`'s, but the argmax program of a stepped state is scored as one more
+    candidate of the next step's population, in the same scorer call, so `on_step(record, state)`, if
+    given, sees an iteration's record and the stepped state it scored after the next step's scoring call.
+    Both are values, so it can watch the run, not change it.  A restart that is due happens before the
+    next step, so the run ends on its last trained state; where one could fall due after a state, and on
+    the last one, the argmax is scored alone, since the restart would change what the next step draws.
     """
     if sketch.hole_count == 0:
         raise SketchError("sketch has no holes; nothing to train")
@@ -381,21 +515,37 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     records: list[TrainRecord] = []
     restarts: list[int] = []
     low, stale = math.inf, 0  # argmax loss at the last gain, iterations since
-    for _ in range(config.iterations):
+    pending = None  # the last stepped state, whose argmax is not scored yet, and its mean population loss
+    for i in range(config.iterations + 1):
+        if pending is not None:
+            stepped, mean = pending
+            merged = i < config.iterations and stale < RESTART_PATIENCE - 1
+            if merged:
+                losses, next_mean, vector, moments = _step(plan, stepped, config, streams, True)
+                argmax_loss = float(losses[config.population])
+            else:
+                argmax_loss = _argmax_loss(plan, stepped, config.penalty)
+            state, record = _scored(stepped, mean, argmax_loss)
+            if state.best_loss < best.best_loss:
+                best = state
+            records.append(record)
+            if on_step is not None:
+                on_step(record, state)
+            if argmax_loss < low * (1 - RESTART_MIN_GAIN):
+                low, stale = argmax_loss, 0
+            else:
+                stale += 1
+            if merged:
+                pending = _stepped(state, vector, moments), next_mean
+                continue
+        if i == config.iterations:
+            break
         if stale == RESTART_PATIENCE:
             state = restart_state(sketch, state, config, streams)
             low, stale = math.inf, 0
             restarts.append(state.iteration)
-        state, record = train_step(plan, state, config, streams)
-        if state.best_loss < best.best_loss:
-            best = state
-        records.append(record)
-        if on_step is not None:
-            on_step(record, state)
-        if record.argmax_loss < low * (1 - RESTART_MIN_GAIN):
-            low, stale = record.argmax_loss, 0
-        else:
-            stale += 1
+        _, mean, vector, moments = _step(plan, state, config, streams, False)
+        pending = _stepped(state, vector, moments), mean
     thetas, best_thetas = state.thetas(), best.thetas()
     return TrainResult(
         thetas=thetas,

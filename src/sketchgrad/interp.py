@@ -35,8 +35,8 @@ the row loop (`_resolve`):
 The loss is computed once per stored row of the prediction and then mapped
 to the candidates.  Rows are scored in chunks of `CHUNK_CELLS // n`, and the
 row loop allocates no array past the first chunk of each shape: each step's
-result buffer, and the buffers its gathers allocate on the first chunk, are
-kept on the plan, keyed by candidate count and chunk width (its workspace).
+result buffer, and the buffers its gathers take on the first chunk, are cut
+from flat buffers kept on the plan, shared by every candidate count (`_scratch`).
 While a call scores chunks of more cells than `BUFSIZE`, numpy's ufunc
 buffer size is set to it, so a ufunc that broadcasts or casts an operand
 goes through a small iterator buffer, not one of 8192 elements.  The guard
@@ -235,14 +235,10 @@ def _spec_predictions(program: Sketch, spec: SpecSet, penalty: float = NONFINITE
 # The scorer holds at most this many candidate x spec-row cells per
 # intermediate array: it scores the rows in chunks of CHUNK_CELLS // n, and the
 # product walk in chunks of as many rows as fit.  A plan keeps the scorer's
-# chunk buffers (see `_workspace`); at 2^16 cells they raised the peak RSS of a
+# chunk buffers (see `_scratch`); at 2^16 cells they raised the peak RSS of a
 # 10 000-row training run by 6 MB, and it ran no faster than at 2^15.  Read at
 # call time, so that tests can move the chunk boundaries.
 CHUNK_CELLS = 1 << 15
-
-# A plan keeps scratch buffers for this many (candidate count, chunk width) pairs, the most recent ones; a
-# training run uses at most three (the population's whole chunks and its last one, and the argmax program).
-WORKSPACES = 4
 
 # numpy's ufunc buffer size, in elements, while a call scores chunks of more cells than this: numpy
 # allocates a buffer of up to this many elements for each operand that a ufunc call broadcasts (8192 by
@@ -289,8 +285,8 @@ class Plan:
     per candidate, the function of the token it drew for that categorical hole, into an array of `dtype`.
     Value `out` is the prediction: in a guarded sketch, the guard's `_select` step, which the product walk reads.
 
-    A plan owns the scratch buffers its calls write into (`workspaces`, see `_workspace`), so one plan must
-    not be scored from two threads at once; compile one per thread."""
+    A plan owns the scratch buffers its calls write into (`buffers` and `workspaces`, see `_workspace`), so
+    one plan must not be scored from two threads at once; compile one per thread."""
 
     holes: tuple
     columns: np.ndarray
@@ -298,6 +294,7 @@ class Plan:
     slots: tuple
     steps: tuple
     out: int
+    buffers: dict = field(default_factory=dict, repr=False)
     workspaces: dict = field(default_factory=dict, repr=False)
 
 
@@ -377,7 +374,7 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     drawn = {None: 0}  # a step that is no hole applies its one function
     for hole, v in zip(plan.holes, hole_values):
         if hole.tokens is not None:
-            drawn[hole.index] = _drawn_tokens(hole, v, n)
+            drawn[hole.index] = _drawn_tokens(hole, v)
         elif v.ndim == 1 and v.dtype.kind in "iuf":
             values[arity + hole.index] = v.astype(np.float64, copy=False)[:, None]
             if len(v) != 1:
@@ -387,8 +384,7 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     if not n:
         return np.empty(0)
     # Each value's layout, and so each step's way of running, is settled here, once per call (see `_resolve`).
-    # In a population of one, every value is one row and every step its token's function of them.
-    program = _resolve(plan.steps, drawn, layouts, n, every) if n != 1 else [None] * len(plan.steps)
+    program = _resolve(plan.steps, drawn, layouts, n, every)
     count, index = layouts[plan.out]  # the prediction's stored rows, and which one each candidate reads
     chunk = max(1, CHUNK_CELLS // n)
     total = np.empty(count)
@@ -400,7 +396,7 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
         try:
             for lo in range(0, rows, chunk):
                 hi = min(lo + chunk, rows)
-                bufs, squares, running = plan.workspaces.get((n, hi - lo)) or _workspace(plan, n, hi - lo)
+                bufs, squares = plan.workspaces.get((n, hi - lo)) or _workspace(plan, n, hi - lo)
                 if chunk < rows:  # else the plan's slots hold every row
                     values[:arity] = plan.columns[:, None, lo:hi]
                 for (out, hole, fns, _, _, operands), how, buf in zip(plan.steps, program, bufs):
@@ -414,7 +410,7 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
                         for j, picks in gathers:
                             o = gathered[j]
                             if buf[1 + j] is None:
-                                buf[1 + j] = np.empty((n, o.shape[1]), o.dtype)
+                                buf[1 + j] = _scratch(plan, (out, j), (n, o.shape[1]), o.dtype)
                             gathered[j] = o.take(picks, axis=0, out=buf[1 + j], mode="clip")
                         if counts is None:  # in candidate order
                             values[out] = fns[drawn[hole]](*gathered, out=buf[0])
@@ -432,10 +428,8 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
                 terms = squares[:, :count] if lo else body
                 if count != 1:
                     np.add.reduce(terms, axis=0, out=total)
-                else:  # one stored row, where the reduction would be pairwise
-                    if running is None:
-                        running = plan.workspaces[n, hi - lo][2] = np.empty((hi - lo + 1, 1))
-                    total[:] = np.add.accumulate(terms, axis=0, out=running[: len(terms)])[-1]
+                else:  # one stored row, where the reduction would be pairwise: a cumsum, in place
+                    total[:] = np.add.accumulate(terms, axis=0, out=terms)[-1]
         finally:
             if bufsize is not None:
                 np.setbufsize(bufsize)
@@ -582,32 +576,38 @@ def _runs(fns: tuple, counts: list, a, b, out: np.ndarray) -> np.ndarray:
 
 
 def _workspace(plan: Plan, n: int, width: int) -> list:
-    """The scratch buffers of a row chunk of `width` rows scored for `n` candidates, kept on the plan for
-    the last `WORKSPACES` such pairs: `[bufs, squares, running]`.  `bufs` holds one list per step: its
-    result buffer, n rows of `width` columns (1 for a step that reads no input), then one buffer per
-    operand for the operand gathered into the result's order, None until a chunk gathers it.  `squares`
-    is the (width + 1, n) buffer of the sequential sum, whose first columns a prediction of fewer stored
-    rows uses, and `running`, allocated when a prediction has one stored row, the buffer of its `cumsum`."""
-    if len(plan.workspaces) >= WORKSPACES:
-        del plan.workspaces[next(iter(plan.workspaces))]  # the oldest
+    """The scratch arrays of a row chunk of `width` rows scored for `n` candidates, `[bufs, squares]`, cut from
+    the plan's flat buffers (`_scratch`), and kept for the last count over 1 and for 1 (an argmax scored alone),
+    which a `train_step` loop alternates.  `bufs` holds one list per step: its result, n rows of `width` columns
+    (1 for a step that reads no input), then one array per operand for the operand gathered into the result's
+    order, None until a chunk gathers it.  `squares`: the (width + 1, n) array of the sequential sum."""
+    for key in [key for key in plan.workspaces if key[0] != n and (key[0] == 1) == (n == 1)]:
+        del plan.workspaces[key]
     wide = [True] * len(plan.columns) + [False] * (len(plan.slots) - len(plan.columns))  # reads an input
     bufs = []
     for out, _, _, args, dtype, _ in plan.steps:
         wide[out] = any(wide[a] for a in args)
-        bufs.append([np.empty((n, width if wide[out] else 1), dtype)] + [None] * len(args))
-    plan.workspaces[n, width] = workspace = [bufs, np.empty((width + 1, max(n, 1))), None]
+        bufs.append([_scratch(plan, out, (n, width if wide[out] else 1), dtype)] + [None] * len(args))
+    plan.workspaces[n, width] = workspace = [bufs, _scratch(plan, "squares", (width + 1, max(n, 1)))]
     return workspace
 
 
-def _drawn_tokens(hole, indices: np.ndarray, n: int):
-    """The token every candidate drew for categorical `hole`, given one index per candidate (n of them)
-    or one index for all; else `(indices, counts)`, the indices and how many candidates drew each token.
-    A SketchError names the hole if an index is not an integer in 0..arity-1.  A population of one (the
-    argmax program) takes its token after a range check, with no count."""
+def _scratch(plan: Plan, key, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An array of `shape` cut from the plan's flat buffer `key`, as long as the most cells a call has needed of
+    it: a run that scores n and n + 1 candidates, and the argmax alone, holds one buffer, not one per count."""
+    cells = math.prod(shape)
+    flat = plan.buffers.get(key)
+    if flat is None or flat.size < cells:
+        flat = plan.buffers[key] = np.empty(cells, dtype)
+    return flat[:cells].reshape(shape)
+
+
+def _drawn_tokens(hole, indices: np.ndarray):
+    """The token every candidate drew for categorical `hole`, given one index per candidate or one index for
+    all; else `(indices, counts)`, the indices and how many candidates drew each token.  A SketchError names
+    the hole if an index is not an integer in 0..arity-1."""
     arity = len(hole.tokens)
     integral = indices.dtype.kind in "iu"
-    if integral and indices.shape == (1,) and 0 <= (token := indices.item()) < arity:
-        return token
     try:
         counts = np.bincount(indices, minlength=arity).tolist() if integral else None
     except (TypeError, ValueError):  # a negative index, or an unsigned type past int64
@@ -617,8 +617,8 @@ def _drawn_tokens(hole, indices: np.ndarray, n: int):
         if len(bad):
             raise SketchError(f"hole {hole.index}: category index {bad[0]} out of range 0..{arity - 1}")
         raise _misfit(hole, indices)
-    if n in counts:
-        return counts.index(n)
+    if len(indices) in counts:
+        return counts.index(len(indices))
     return indices, counts
 
 

@@ -198,6 +198,35 @@ def test_argmax_tie_breaks_to_lowest_index():
 # train_step behaviour
 
 
+class _Stream:
+    """A stand-in for a hole's Generator: `random(n)` returns the given uniforms, and `standard_normal` zeros."""
+
+    def __init__(self, u=()):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        return self.u[:n]
+
+    def standard_normal(self, out):
+        out[:] = 0.0
+
+
+def test_sample_population_clamps_a_uniform_past_a_narrow_holes_total(onevar_sketch):
+    # The categorical holes are drawn as rows as wide as the widest hole ([OP], 4 tokens), so the [COND] row ends
+    # in a probability of 0, which only a uniform at or past the row's total reaches.  These logits sum to
+    # 1 - 2**-53: such a uniform draws the hole's last token, as the hole's own draw clamps it.
+    logits = [-6.975092323916503, -0.6563749917976371, -3.7377328417591955]
+    total = np.add.accumulate(sg.softmax(logits))[-1]
+    assert total < 1.0
+    u = [0.0, total, np.nextafter(1.0, 0.0)]
+    thetas = list(sg.init_state(onevar_sketch, _config()).thetas())
+    thetas[0] = sg.CategoricalTheta(logits)
+    state = sg.TrainState.from_thetas(onevar_sketch, thetas)
+    population = sg.sample_population(state, 3, [_Stream(u)] + [_Stream([0.5] * 3)] * 5)
+    assert population.values[0].tolist() == dists._categorical_draws(sg.softmax(logits), 3, _Stream(u)).tolist()
+    assert population.values[0].tolist() == [0, 2, 2]
+
+
 def test_train_step_equal_losses_leave_thetas_unchanged():
     # Both branches return the same value, so every candidate ties.
     sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] 100.0 { return 1.0; } return 1.0; }")
@@ -311,19 +340,26 @@ def test_thetas_are_values():
     assert theta.logits[0] == 0.5
 
 
-def test_train_step_computes_softmax_once_per_categorical_hole(monkeypatch, onevar_sketch, onevar_spec):
+def test_train_step_computes_softmax_once_per_step(monkeypatch, onevar_sketch, onevar_spec):
+    # One softmax pass per step, over every categorical hole at once: a row per hole, of the largest arity,
+    # each row that hole's logits and -inf past them, whose probabilities are that hole's own.
     calls = []
     softmax = dists.softmax
-    monkeypatch.setattr(dists, "softmax", lambda logits: calls.append(1) or softmax(logits))
+    monkeypatch.setattr(dists, "softmax", lambda logits: calls.append(logits.copy()) or softmax(logits))
     cfg = _config()
     state = sg.init_state(onevar_sketch, cfg)
     streams = sg.hole_streams(cfg.seed, onevar_sketch.hole_count)
-    categorical = sum(h.kind != "real" for h in onevar_sketch.holes)
+    categorical = [i for i, h in enumerate(onevar_sketch.holes) if h.kind != "real"]
     plan = sg.compile_sketch(onevar_sketch, onevar_spec)
     for it in range(1, 6):
         calls.clear()
+        logits = state.params
         state, _ = sg.train_step(plan, state, cfg, streams)
-        assert len(calls) == categorical == 3
+        assert len(calls) == 1 and calls[0].shape == (len(categorical), 4) == (3, 4)
+        for row, hole in zip(calls[0], categorical):
+            k = onevar_sketch.holes[hole].arity
+            assert row[:k].tobytes() == logits[hole].tobytes() and (row[k:] == -np.inf).all()
+            assert softmax(row)[:k].tobytes() == softmax(logits[hole]).tobytes()
 
 
 def test_train_step_reaches_no_numpy_python_wrapper(onevar_sketch, onevar_spec):
@@ -406,6 +442,65 @@ def test_train_on_step_sees_every_step_and_changes_nothing(onevar_sketch, onevar
     assert _theta_bits(watched.best_thetas) == _theta_bits(plain.best_thetas)
     assert watched.best_loss == plain.best_loss
     assert sg.print_program(watched.best_program) == sg.print_program(plain.best_program)
+
+
+def _state_bits(state) -> tuple:
+    moments = b"".join(m.tobytes() for m in state.moment_vectors)
+    return state.vector.tobytes(), moments, state.step_count, state.iteration, struct.pack("<d", state.best_loss)
+
+
+def _train_step_loop(sketch, spec, cfg) -> tuple[list, list, list]:
+    """`train`'s schedule as a hand loop over `train_step` with the same restart rule: each (record, state) pair in
+    iteration order, the restarts, and the iterations since the last gain before each record was counted."""
+    plan = sg.compile_sketch(sketch, spec)
+    state = sg.init_state(sketch, cfg)
+    streams = sg.hole_streams(cfg.seed, sketch.hole_count)
+    seen, restarts, stales = [], [], []
+    low, stale = math.inf, 0
+    for _ in range(cfg.iterations):
+        if stale == engine.RESTART_PATIENCE:
+            state = restart_state(sketch, state, cfg, streams)
+            low, stale = math.inf, 0
+            restarts.append(state.iteration)
+        state, record = sg.train_step(plan, state, cfg, streams)
+        seen.append((record, state))
+        stales.append(stale)
+        if record.argmax_loss < low * (1 - engine.RESTART_MIN_GAIN):
+            low, stale = record.argmax_loss, 0
+        else:
+            stale += 1
+    return seen, restarts, stales
+
+
+@pytest.mark.parametrize("patience", [1, 2, 3, 5])
+def test_train_scores_the_argmax_with_the_next_population_as_train_step_does_alone(
+    monkeypatch, patience, onevar_sketch, onevar_spec, twovar_sketch, twovar_spec
+):
+    # `train` scores a stepped state's argmax as candidate n + 1 of the next step's scorer call, and alone only
+    # after a state that a restart could follow (`stale` at patience - 1 when its record is counted) and after
+    # the last one.  With a patience this short, restarts fall due again and again, each right after an argmax
+    # scored alone, and the run lengths 1 to 24 end at every point of that schedule.  Records, restarts,
+    # thetas and every (record, state) pair `on_step` sees are those of a hand loop over `train_step`.
+    monkeypatch.setattr(engine, "RESTART_PATIENCE", patience)
+    scorer = engine.eval_population_losses
+    for sketch, spec, optimizer in ((onevar_sketch, onevar_spec, "sgd"), (twovar_sketch, twovar_spec, "adam")):
+        restarted = []
+        for iterations in range(1, 25):
+            cfg = _config(iterations=iterations, seed=iterations, population=20, optimizer=optimizer)
+            calls, watched = [], []
+            monkeypatch.setattr(engine, "eval_population_losses", lambda *a: calls.append(len(a[1][0])) or scorer(*a))
+            result = sg.train(sketch, spec, cfg, on_step=lambda record, state: watched.append((record, state)))
+            monkeypatch.setattr(engine, "eval_population_losses", scorer)
+            seen, restarts, stales = _train_step_loop(sketch, spec, cfg)
+            assert result.records == [record for record, _ in seen] == [record for record, _ in watched]
+            assert result.restarts == restarts
+            assert [_state_bits(state) for _, state in watched] == [_state_bits(state) for _, state in seen]
+            assert _theta_bits(result.thetas) == _theta_bits(seen[-1][1].thetas())
+            alone = 1 + sum(stale >= patience - 1 for stale in stales[:-1])
+            assert calls.count(1) == calls.count(cfg.population) == alone
+            assert calls.count(cfg.population + 1) == iterations - alone
+            restarted += restarts
+        assert len(restarted) >= 10
 
 
 def test_restart_thetas_redraws_from_the_hole_streams(onevar_sketch):
@@ -1199,8 +1294,9 @@ def _run_bytes(result) -> bytes:
     return b"".join(np.asarray(part, dtype="<f8").tobytes() for part in parts)
 
 
-# Recorded with numpy 2.4.6; a numpy that rounds differently changes it.
+# Recorded with numpy 2.4.6; a numpy that rounds differently changes them.
 RESULTS_SHA256 = "97ad06af2c2fa3c09dd11c7fdd4d70f60e98fc6f521e2c6ce2fb8e4510a292a9"
+SOFTMAX_GRAD_SHA256 = "55e9b6f9a6105b226e308388b0739f876c3c4ad19ce8c370de24a2ae74c84b02"
 
 
 def test_results_are_pinned_across_commits(onevar_sketch, onevar_spec, twovar_sketch, twovar_spec):
@@ -1213,3 +1309,11 @@ def test_results_are_pinned_across_commits(onevar_sketch, onevar_spec, twovar_sk
     digest = hashlib.sha256(_run_bytes(sgd) + _run_bytes(adam))
     digest.update(np.asarray([(*a.values, loss) for a, loss in ranked], dtype="<f8").tobytes())
     assert digest.hexdigest() == RESULTS_SHA256
+
+
+def test_softmax_grad_results_are_pinned_across_commits(onevar_sketch, onevar_spec):
+    # The digest above pins the score-function weight only: this one pins the printed softmax-probability weight,
+    # whose categorical gradient weights each draw by its probability, over a 3000-iteration one-input SGD run.
+    cfg = _config(learning_rate=0.1, iterations=3000, seed=0, categorical_score="softmax_grad")
+    run = sg.train(onevar_sketch, onevar_spec, cfg)
+    assert hashlib.sha256(_run_bytes(run)).hexdigest() == SOFTMAX_GRAD_SHA256

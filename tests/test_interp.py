@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sketchgrad as sg
@@ -274,7 +274,7 @@ def test_population_losses_reject_a_bad_category_index(onevar_sketch, onevar_spe
     ],
 )
 def test_a_population_of_one_rejects_a_bad_category_index(onevar_sketch, onevar_spec, bad, message):
-    # A population of one takes its token without partitioning the candidates, and checks it the same way.
+    # A population of one takes the path of any other population, and its index is checked the same way.
     values = _population_values(onevar_sketch, np.random.default_rng(0), 1)
     values[0] = bad  # hole 0 is the [COND] hole, with 3 tokens
     with pytest.raises(sg.SketchError, match=re.escape(message)):
@@ -400,6 +400,40 @@ def _check_population_losses_match_scalar_path(data, texts):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(interp, "CHUNK_CELLS", chunk_cells)
             assert sg.eval_population_losses(plan, arrays).tobytes() == batch.tobytes(), chunk_cells
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_candidate_scores_the_same_alone_and_after_a_population(data):
+    # Training scores a state's argmax program as candidate n + 1 of the next step's population: its loss there
+    # is the loss it has scored alone, bit for bit, after 1, 2 or 50 other candidates, and also when row chunks
+    # of 7 cells cut the spec (CHUNK_CELLS 7: 3, 2 and 1 rows a chunk).
+    sketch = sg.parse_sketch(data.draw(sketch_texts()))
+    assume(sketch.holes)  # a sketch with no holes is one program, which no population repeats
+    literals = st.sampled_from(_literals(sketch) or [0.0])
+    inputs = st.one_of(_moderate, _moderate, _small, literals)
+    rows = data.draw(st.integers(1, 40))
+    spec = sg.SpecSet.from_pairs(
+        (tuple(data.draw(inputs) for _ in sketch.params), data.draw(_moderate)) for _ in range(rows)
+    )
+    reals = st.one_of(_moderate, _small, literals, _overflowing, _finite)
+    candidate = [
+        np.array([data.draw(reals)]) if h.kind == "real" else np.array([data.draw(st.integers(0, h.arity - 1))])
+        for h in sketch.holes
+    ]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    plan = sg.compile_sketch(sketch, spec)
+    alone = sg.eval_population_losses(plan, candidate)
+    for n in (1, 2, 50):
+        population = [
+            np.concatenate((rng.normal(0.0, 3.0, n) if h.kind == "real" else rng.integers(0, h.arity, n), c))
+            for h, c in zip(sketch.holes, candidate)
+        ]
+        assert sg.eval_population_losses(plan, population)[n:].tobytes() == alone.tobytes(), n
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interp, "CHUNK_CELLS", 7)
+            assert sg.eval_population_losses(plan, population)[n:].tobytes() == alone.tobytes(), n
+            assert sg.eval_population_losses(plan, candidate).tobytes() == alone.tobytes()
 
 
 def test_spec_holds_two_read_only_float64_arrays(tmp_path):
@@ -647,11 +681,18 @@ def test_returned_losses_are_not_overwritten_by_later_calls(twovar_sketch):
 
 
 def test_workspace_stays_bounded_over_many_candidate_counts(twovar_sketch, twovar_spec):
+    # A plan's scratch is sized by cells and shared by every candidate count: after 42 counts it holds one
+    # buffer per step result, gathered operand and the sum at most, each of at most the cells the largest
+    # count needs (50 candidates by the spec's rows and a total row), and shaped views of the last count and
+    # of one candidate only.
     rng = np.random.default_rng(4)
     plan = sg.compile_sketch(twovar_sketch, twovar_spec)
+    buffers = sum(1 + len(args) for _, _, _, args, _, _ in plan.steps) + 1
     for n in [*range(1, 40), 50, 1, 50, 3]:
         values = _population_values(twovar_sketch, rng, n)
         losses = sg.eval_population_losses(plan, values)
-        assert len(plan.workspaces) <= interp.WORKSPACES
+        assert sum(b.nbytes for b in plan.buffers.values()) <= buffers * 50 * (len(twovar_spec) + 1) * 8, n
+        counts = {count for count, _ in plan.workspaces}
+        assert len(plan.buffers) <= buffers and n in counts and len(counts - {1}) <= 1
         fresh = sg.eval_population_losses(sg.compile_sketch(twovar_sketch, twovar_spec), values)
         assert losses.tobytes() == fresh.tobytes(), n
