@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import typing
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
@@ -47,7 +46,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dists, interp
-from . import sketch as _sketch
 from .dists import (
     SCORE_KINDS,
     SCORE_LOG_SOFTMAX,
@@ -561,16 +559,16 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
 
 def _rank(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of `losses` in ascending loss order, ties in ascending index order, and the losses
-    in that order: a stable argsort's order, bit for bit, for losses that hold no NaN and no -0.0, as the
-    scorer's do.  The losses are ranked in `losses` itself, which is returned; the order is the one other
-    array of their size.
+    in that order: a stable argsort's order, bit for bit, for losses that are finite and have no sign bit set
+    (no negative loss and no -0.0), as both scorers' are.  The losses are ranked in `losses` itself, which is
+    returned; the order is the one other array of their size.
 
-    The int64 bits of positive floats sort as the floats do, so one unstable sort of int64 keys, each
-    loss's bits with its flat index in place of the low ones, orders the losses up to those low bits, and
-    equal losses by index.  The low bits, kept aside in a narrow column, then go back into the sorted keys.
-    Only losses whose high bits tie can be out of order, and each group of them already holds its indices
-    in ascending order, so a stable sort of the groups that hold an inversion, and of nothing else,
-    finishes the ranking.  Negative losses, whose bits sort in reverse, come first and are one group."""
+    The int64 bits of such floats sort as the floats do, so one unstable sort of int64 keys, each loss's
+    bits with its flat index in place of the low ones, orders the losses up to those low bits, and equal
+    losses by index.  The low bits, kept aside in a narrow column, then go back into the sorted keys.  Only
+    losses whose high bits tie can be out of order, and each group of them already holds its indices in
+    ascending order, so a stable sort of the groups that hold an inversion, and of nothing else, finishes
+    the ranking."""
     n = len(losses)
     b = (n - 1).bit_length()  # the bits that hold a flat index
     low = (1 << b) - 1
@@ -591,9 +589,6 @@ def _rank(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         heads = np.concatenate((heads[:1], heads[1:][heads[1:] != heads[:-1]]))
         # The keys ascend in their high bits, so both searches are exact however a group's low bits lie.
         starts, stops = bits.searchsorted(heads[:, None] + [0, 1 << b]).T
-        if heads[0] < 0:  # the negative losses, the first [0, k), out of order: one group
-            keep = heads >= 0
-            starts, stops = np.r_[0, starts[keep]], np.r_[bits.searchsorted(0), stops[keep]]
         sizes = stops - starts
         ends = sizes.cumsum()
         at = np.arange(ends[-1]) + (starts - ends + sizes).repeat(sizes)  # the groups' positions, in order
@@ -604,14 +599,13 @@ def _rank(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, losses
 
 
-@dataclass(frozen=True, eq=False)  # __eq__ below: the generated one would compare arrays
-class Ranking(Sequence):
-    """A read-only sequence of `(Assignment, loss)` pairs in ascending loss order, held as arrays: `order`,
-    the ranked flat indices into the lexicographic product of `choices` (one tuple of values per hole, in
-    hole order), and `losses`, the ranked losses.  An index or a slice builds only the pairs it returns,
-    and iteration builds every pair once and keeps them; in a pair a category index is an int, a real is
-    the float it was pinned to and a loss is a float.  `in`, `count` and `index` find a pair from the arrays
-    and build none.  A ranking equals any sequence of the same pairs."""
+@dataclass(frozen=True, eq=False)  # a ranking equals only itself: the generated __eq__ would compare arrays
+class Ranking:
+    """The `(Assignment, loss)` pairs of an enumeration in ascending loss order, held as read-only arrays:
+    `order`, the ranked flat indices into the lexicographic product of `choices` (one tuple of values per hole,
+    in hole order), and `losses`, the ranked losses.  It has a length, and an int index or a slice builds only
+    the pairs it returns; iteration builds every pair, on each pass.  In a pair a category index is an int, a
+    real is the float it was pinned to and a loss is a float."""
 
     choices: tuple
     order: np.ndarray
@@ -627,55 +621,7 @@ class Ranking(Sequence):
         return self._pairs(self.order[i : i + 1], self.losses[i : i + 1])[0]
 
     def __iter__(self):
-        return iter(self._every_pair)
-
-    @cached_property
-    def _every_pair(self) -> list:
-        """All the pairs, built by the first pass over the whole ranking and kept for later ones."""
-        return self._pairs(self.order, self.losses)
-
-    def __eq__(self, other):
-        if isinstance(other, Ranking):
-            return (
-                self.choices == other.choices
-                and np.array_equal(self.order, other.order)
-                and np.array_equal(self.losses, other.losses)
-            )
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # equal to lists, which have no hash
-
-    def __contains__(self, pair) -> bool:
-        return self._position(pair) is not None
-
-    def count(self, pair) -> int:
-        return int(self._position(pair) is not None)
-
-    def index(self, pair, start: int = 0, stop: int | None = None) -> int:
-        """The position of `pair` in positions start .. stop - 1 (read as a list reads them); a ValueError
-        when it is not there.  Like `in` and `count`, it builds no pair: each assignment is at one place."""
-        i = self._position(pair)
-        lo, hi, _ = slice(start, stop).indices(len(self))
-        if i is None or not lo <= i < hi:
-            raise ValueError(f"{pair!r} is not in the ranking")
-        return i
-
-    def _position(self, pair) -> int | None:
-        """Where `pair` is, or None: its assignment's flat index into `choices`, found in `order`, if the
-        loss there equals its loss.  Values compare as in a tuple, so a pair read from the ranking is found."""
-        if not (isinstance(pair, tuple) and len(pair) == 2 and type(pair[0]) is _sketch.Assignment):
-            return None  # a pair equals only a 2-tuple whose first item is an Assignment
-        values, loss = pair[0].values, pair[1]
-        if not isinstance(values, tuple) or len(values) != len(self.choices):
-            return None
-        try:
-            digits = [c.index(v) for c, v in zip(self.choices, values)]
-        except ValueError:
-            return None
-        at = np.flatnonzero(self.order == np.ravel_multi_index(digits, tuple(map(len, self.choices))))
-        return int(at[0]) if self.losses[at[0]].item() == loss else None
+        return iter(self[:])
 
     def _pairs(self, flat: np.ndarray, losses: np.ndarray) -> list:
         # Each hole's values in the combinations at `flat`, the k-th combination in lexicographic order being
@@ -699,8 +645,10 @@ def enumerate_discrete(
     hole, in hole order (else a SketchError naming the hole).  `penalty`
     replaces a non-finite loss and must be finite and positive, as in
     `TrainConfig` (else a ConfigError).  Returns a `Ranking` of (assignment,
-    loss) pairs in ascending loss order, whose pairs are built when they are
-    read; ties break lexicographically on the category indices.  Raises
+    loss) pairs in ascending loss order, each loss finite and non-negative;
+    ties break lexicographically on the category indices.  It is read by
+    `len`, an index, a slice or iteration, each building only the pairs it
+    returns, or as its `order` and `losses` arrays.  Raises
     EnumerationError if the discrete space exceeds `cap`, an integer (else
     a ConfigError).
     """

@@ -720,7 +720,9 @@ def test_enumerate_takes_a_real_by_the_train_config_rule(onevar_sketch, onevar_s
         _config(mu_init=bad)
     pinned = [np.float32(3.5), 4, fractions.Fraction(21, 10)]  # numbers.Real, each read as a float
     ranked = sg.enumerate_discrete(onevar_sketch, pinned, onevar_spec)
-    assert ranked == sg.enumerate_discrete(onevar_sketch, [3.5, 4.0, 2.1], onevar_spec)
+    floats = sg.enumerate_discrete(onevar_sketch, [3.5, 4.0, 2.1], onevar_spec)
+    assert ranked.choices == floats.choices
+    assert ranked.order.tobytes() == floats.order.tobytes() and ranked.losses.tobytes() == floats.losses.tobytes()
     assert [type(ranked[0][0].values[i]) for i in (1, 2, 5)] == [float] * 3  # the [Real] holes
 
 
@@ -793,13 +795,6 @@ def test_ranking_reads_like_a_list_of_its_pairs(onevar_sketch, onevar_spec):
         assert ranked[index] == pairs[index]
     assert ranked[np.int64(5)] == pairs[5]
     assert list(ranked) == pairs and list(ranked) == pairs
-    # Equal to the same pairs in any sequence, and to a second call.
-    again = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
-    assert ranked == pairs and pairs == ranked and ranked == tuple(pairs) and ranked == again
-    assert ranked != pairs[:-1] and ranked != pairs[::-1] and ranked != ranked[:-1] and ranked != 48
-    assert ranked != sg.enumerate_discrete(onevar_sketch, [3.5, 4.2, 2.0], onevar_spec)
-    with pytest.raises(TypeError):
-        hash(ranked)
     assert ranked.losses.tolist() == [loss for _, loss in pairs]
     assert sorted(ranked.order.tolist()) == list(range(48))
     for a, loss in [ranked[0], *ranked[1::9]]:
@@ -828,50 +823,7 @@ def test_reading_a_ranking_builds_only_the_pairs_read(twovar_sketch, twovar_spec
     ranked[-1]
     assert len(built) <= 4
     built.clear()
-    assert list(ranked) == list(ranked) and len(built) == 768  # passes over the whole build it once
-
-
-def test_ranking_finds_a_pair_as_a_list_does_and_builds_none(onevar_sketch, onevar_spec, monkeypatch):
-    reals = [3.5, 4.2, 2.1]
-    ranked = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
-    pairs = list(ranked)
-    absent = [
-        (pairs[3][0], pairs[3][1] + 1.0),  # the right assignment with another loss
-        (sg.Assignment((0, 3.5, 0, 0, 0)), 0.0),  # one value short
-        (sg.Assignment((0, 3.5, 9, 0, 0, 2.1)), 0.0),  # a token out of range
-        (sg.Assignment((0, 3.0, 0, 0, 0, 2.1)), pairs[0][1]),  # another real
-        [pairs[3][0], pairs[3][1]],  # a list is not a tuple
-        (pairs[3][0].values, pairs[3][1]),
-        pairs[3][0],
-        48,
-        "pair",
-        (pairs[3][0], pairs[3][1], 0),
-    ]
-    for pair in [*pairs, *absent]:
-        assert (pair in ranked) is (pair in pairs) and ranked.count(pair) == pairs.count(pair)
-    for i in (0, 7, 47):
-        again = (sg.Assignment(tuple(float(v) for v in pairs[i][0].values)), pairs[i][1])  # 1.0 == 1
-        assert ranked.index(pairs[i]) == ranked.index(again) == i
-        for start, stop in [(0, 10**9), (i, i + 1), (-48, 48), (i - 48, 10**9), (0, -1), (i + 1, 10**9), (0, i)]:
-            if i in range(48)[start:stop]:
-                assert ranked.index(pairs[i], start, stop) == pairs.index(pairs[i], start, stop)
-            else:
-                with pytest.raises(ValueError):
-                    ranked.index(pairs[i], start, stop)
-    for pair in absent:
-        with pytest.raises(ValueError):
-            ranked.index(pair)
-    built = []
-
-    def counting(values):
-        built.append(values)
-        return sg.Assignment(values)
-
-    monkeypatch.setattr(engine, "Assignment", counting)
-    fresh = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
-    last = fresh[-1]
-    built.clear()
-    assert fresh.index(last) == 47 and last in fresh and fresh.count(last) == 1 and len(built) <= 1
+    assert list(ranked) == list(ranked) and len(built) == 2 * 768  # each full pass builds every pair, and keeps none
 
 
 def test_discrete_only_training_matches_enumeration_oracle(onevar_spec):
@@ -1032,6 +984,7 @@ def _check_enumeration_matches_the_scalar_reference(data, texts):
             ranked = sg.enumerate_discrete(sketch, pinned, spec)
         assert ranked.order.tobytes() == order.tobytes(), chunk_cells
         assert ranked.losses.tobytes() == losses.tobytes(), chunk_cells
+    assert np.isfinite(ranked.losses).all() and not np.signbit(ranked.losses).any()  # what `_rank` is given
 
 
 def _ulps(start: float, *steps: int) -> np.ndarray:
@@ -1056,11 +1009,8 @@ def test_rank_is_a_stable_argsort():
     # Inverted groups at the first and the last ranked positions, and a group of 6 in reverse low-bit order.
     cases.append(np.concatenate([_ulps(0.25, 3, 1), [1.0, 2.0, 1.0], _ulps(1e12, 1, 0, 1), [0.5]]))
     cases.append(np.concatenate([[9.0], _ulps(3.0, 6, 5, 4, 3, 2, 1), [8.0]]))
-    # Penalties among ties and near ties; and the losses the contract names but no scorer gives: infinities and
-    # negative losses, whose bits sort in reverse.
+    # Penalties among ties and near ties.
     cases.append(np.where(rng.random(near.size) < 0.3, 1e12, rng.permutation(np.concatenate([near[:300], base[:276]]))))
-    cases.append(np.array([np.inf, 1.0, -np.inf, -2.0, np.inf, -1.0, 0.0, -2.0, 1e12, -np.inf]))
-    cases.append(np.concatenate([-near[:200], near[200:]]))
     for losses in cases:
         expected = np.argsort(losses, kind="stable")
         given = losses.copy()
@@ -1201,7 +1151,9 @@ def test_a_wide_enumeration_holds_row_chunks_and_the_product(text, reals, rows):
         tracemalloc.stop()
     assert len(ranked) == space
     held = 10 * 8 * max(interp.CHUNK_CELLS, space)
-    ranking = 3 * 8 * space  # the ranked order and losses, and the stable sort's order
+    # The ranking sorts in the walk's total and adds the order and a narrower column of low bits (see
+    # test_ranking_allocates_one_array_of_the_products_size, which bounds `_rank` alone).
+    ranking = 2 * 8 * space
     assert peak < held + ranking + spec.inputs.nbytes, (peak, held, ranking)  # the plan copies the inputs
 
 
