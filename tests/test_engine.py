@@ -826,6 +826,18 @@ def test_reading_a_ranking_builds_only_the_pairs_read(twovar_sketch, twovar_spec
     assert list(ranked) == list(ranked) and len(built) == 2 * 768  # each full pass builds every pair, and keeps none
 
 
+def test_a_ranking_equals_only_itself_and_hashes_by_identity(onevar_sketch, onevar_spec):
+    # A generated __eq__ would compare the arrays and raise on their truth value, and a generated __hash__ would
+    # hash them; a ranking is compared by its arrays, as `order` and `losses`.
+    reals = [3.5, 4.2, 2.1]
+    ranked = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
+    again = sg.enumerate_discrete(onevar_sketch, reals, onevar_spec)
+    assert ranked == ranked and not ranked != ranked
+    assert ranked != again and ranked != list(ranked) and ranked != tuple(ranked) and ranked != 48
+    assert hash(ranked) == hash(ranked) and {ranked: 1, again: 2}[ranked] == 1
+    assert ranked.order.tobytes() == again.order.tobytes() and ranked.losses.tobytes() == again.losses.tobytes()
+
+
 def test_discrete_only_training_matches_enumeration_oracle(onevar_spec):
     # Reals pinned as literals leaves a purely discrete 48-program space;
     # the trained argmax pattern must attain the enumeration oracle's
