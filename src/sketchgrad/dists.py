@@ -106,30 +106,38 @@ def sample_categorical_many(theta: CategoricalTheta, n: int, rng: np.random.Gene
     return _categorical_draws(theta.probs, n, rng)
 
 
-def _categorical_draws(probs: np.ndarray, n: int, rng) -> np.ndarray:
-    """n int64 category indices drawn by inverse CDF from `rng`.  A uniform u draws the number of
-    cumulative probabilities at or below it, clamped to the last category for a u past them all (rounding
-    can leave the total below 1): the count over all but the last cumulative probability, which needs no
-    clamp.  For rows of probabilities (2-D `probs`), `rng` holds one Generator per row, and row r of the
-    (rows, n) result is drawn so from row r of `probs` by `rng[r]`; a row's zeros past its own categories
-    (see `softmax`) are categories too, which only a u past its total reaches."""
+def _categorical_draws(probs: np.ndarray, n: int, rng, ceiling=None, out=None) -> np.ndarray:
+    """n int64 category indices drawn by inverse CDF from `rng.random(n)`, into `out` if given.  A uniform u
+    draws the number of cumulative probabilities at or below it, clamped to the last category for a u past them
+    all (rounding can leave the total below 1): the count over all but the last cumulative probability, which
+    needs no clamp.  That count is `searchsorted(side="right")`'s index, as the cumulative probabilities ascend.
+    For rows of probabilities (2-D `probs`), `rng` is the (rows, n) uniforms themselves, row r of them drawn for
+    row r of `probs` from that row's own stream, and row r of the (rows, n) result is drawn so from them; a
+    row's zeros past its own categories (see `softmax`) are categories too, which only a u past its total
+    reaches, unless `ceiling` (rows, k - 1) adds inf to their cumulative probabilities (and 0 to the others,
+    which it leaves as they are): then a row draws from its own categories alone, as if clamped to its last
+    one.  One comparison counts every row's draws."""
+    uniforms = rng.random(n) if probs.ndim == 1 else rng
     cdf = np.add.accumulate(probs[..., :-1], axis=-1)
-    if probs.ndim == 1:
-        return cdf.searchsorted(rng.random(n), side="right")
-    draws = np.empty((len(probs), n), np.int64)
-    for row, c, stream in zip(draws, cdf, rng):
-        row[:] = c.searchsorted(stream.random(n), side="right")
-    return draws
+    if ceiling is not None:
+        cdf += ceiling
+    # One comparison per cumulative probability and uniform, (..., k - 1, n), counted down the cumulative axis,
+    # whose rows of n are contiguous: counting along the short last axis would cost twice as much.
+    return np.add.reduce(uniforms[..., None, :] >= cdf[..., :, None], axis=-2, dtype=np.int64, out=out)
 
 
-def _categorical_accumulator(probs: np.ndarray, indices: np.ndarray, fitness: np.ndarray, score: str) -> np.ndarray:
+def _categorical_accumulator(
+    probs: np.ndarray, indices: np.ndarray, fitness: np.ndarray, score: str, offsets=None
+) -> np.ndarray:
     """The per-logit gradient of one distribution `probs` (k) from the drawn `indices` (n) and their
     `fitness` (n), or of each row of 2-D `probs` (rows, k) from the same row of `indices` (rows, n), shaped
-    like `probs`."""
-    k, n = probs.shape[-1], fitness.size
-    # Row r's index t counts in bin r * k + t of one bincount, whose bins each add their weights in candidate
-    # order, as a bincount of that row alone does.
-    bins = indices + np.arange(0, probs.size, k).reshape(probs.shape[:-1] + (1,))
+    like `probs`.  Row r's index t counts in bin r * k + t of one bincount, whose bins each add their weights
+    in candidate order, as a bincount of that row alone does; `offsets`, if given, is the column of each
+    row's first bin, r * k, which a caller that keeps the shape takes once."""
+    if offsets is None:
+        offsets = np.arange(0, probs.size, probs.shape[-1]).reshape(probs.shape[:-1] + (1,))
+    n = fitness.size
+    bins = indices + offsets
     if score == SCORE_SOFTMAX:
         # Per sample i with drawn index e and P = probs[e]:
         #   j == e: P * (1 - P) * F      j != e: -P * probs[j] * F
@@ -138,15 +146,17 @@ def _categorical_accumulator(probs: np.ndarray, indices: np.ndarray, fitness: np
         # sum_k p_k^2 F_k, not of expected fitness: a token's pull scales with
         # p_k^2, so the leader runs away and the others hardly move.
         weights = probs.take(bins) * fitness
+        sums = np.add.reduce(weights, axis=-1, keepdims=True)
     elif score == SCORE_LOG_SOFTMAX:
         #   j == e: (1 - probs[j]) * F   j != e: -probs[j] * F
         # i.e. F times the gradient of the drawn log-probability.
         weights = np.empty(bins.shape)
         weights[...] = fitness
+        sums = np.add.reduce(fitness)  # every row of `weights` is `fitness`, and sums as it does
     else:
         raise ValueError(f"unknown categorical score {score!r}")
     diag = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=probs.size).reshape(probs.shape)
-    diag -= np.add.reduce(weights, axis=-1, keepdims=True) * probs
+    diag -= sums * probs
     diag /= n
     return diag
 

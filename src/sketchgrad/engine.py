@@ -8,7 +8,10 @@ standardizes the negated losses into fitness, estimates a gradient per hole
 and takes an ascent step: `train_step` maps one `TrainState` value of plain
 arrays to the next, and theta objects exist only at the edges.  A step runs
 each of these once over one vector of every hole's parameters (see
-`_Layout`), not once per hole.  The argmax program (most probable token per
+`_Layout`), not once per hole.  `train_step` draws one population from the
+streams it is given; `train` draws a block of iterations from each stream in
+one call (see `_blocks`), and sets the optimizer and numpy's error state
+once per run, not once per step.  The argmax program (most probable token per
 categorical hole, mean per real hole) is scored every iteration by the same
 scorer: `train` scores a stepped state's argmax as one more candidate of the
 next step's population, in the same call, and alone only where a restart
@@ -78,6 +81,11 @@ OPTIMIZERS = (OPTIMIZER_SGD, OPTIMIZER_ADAM)
 RESTART_PATIENCE = 2000
 RESTART_MIN_GAIN = 0.01
 RESTART_LOGIT_STD = 1.0
+
+# `train` draws its populations from the hole streams in blocks of iterations (see `_blocks`), each of at most
+# this many uniforms and normals, or one iteration's if that holds more: 128 KB, 54 iterations of 50 candidates
+# of six holes.  Read at call time, so that tests can move the block boundaries.
+DRAW_CELLS = 1 << 14
 
 # loss_spikes takes the medians of this many full windows per numpy call.
 SPIKE_CHUNK = 4096
@@ -205,15 +213,18 @@ class _Layout:
 
     Per hole, in hole order: `slices`, its slice of the vector, and `sigmas`, its sigma (None for a
     categorical hole).  `sigma` holds the real holes' sigmas, `cells` the flat position in `blank` of each
-    logit and `last` each categorical hole's last token index, as a column.  `categorical` and `real` pick
-    those holes' items of a sequence in hole order; `in_hole_order` puts their rows back in hole order."""
+    logit, `offsets`, as a column, the flat position of each row's first logit (a gradient's bin offsets), and
+    `ceiling` the draws' ceiling (see `dists._categorical_draws`): per row, inf for each cumulative probability
+    past its hole's tokens, else 0.  `categorical` and `real` pick those holes' items of a sequence in hole order;
+    `in_hole_order` puts their rows back in hole order."""
 
     slices: tuple
     sigmas: tuple
     sigma: np.ndarray
     blank: np.ndarray
     cells: np.ndarray
-    last: np.ndarray
+    offsets: np.ndarray
+    ceiling: np.ndarray
     categorical: typing.Callable
     real: typing.Callable
     in_hole_order: typing.Callable
@@ -228,13 +239,15 @@ def _layout(sizes: list, sigmas: tuple) -> _Layout:
     bounds = np.cumsum([0, *arities, *[1] * len(real)]).tolist()
     order = categorical + real
     position = sorted(range(len(order)), key=order.__getitem__)  # where each hole is in `order`
+    ceiling = [[0.0] * (k - 1) + [math.inf] * (width - k) for k in arities]
     return _Layout(
         slices=tuple(slice(bounds[i], bounds[i + 1]) for i in position),
         sigmas=sigmas,
         sigma=_read_only(np.array([sigmas[h] for h in real], dtype=np.float64)),
         blank=_read_only(np.full((len(arities), width), -np.inf)),
         cells=_read_only(np.array([r * width + t for r, k in enumerate(arities) for t in range(k)], dtype=np.intp)),
-        last=_read_only(np.array(arities, dtype=np.int64).reshape(-1, 1) - 1),
+        offsets=_read_only(np.arange(0, len(arities) * width, width).reshape(-1, 1)),
+        ceiling=_read_only(np.array(ceiling).reshape(len(arities), width - 1)),
         categorical=_pick(categorical),
         real=_pick(real),
         in_hole_order=_pick(position),
@@ -358,34 +371,71 @@ def _logit_rows(state: TrainState) -> np.ndarray:
     return rows
 
 
-def sample_population(state: TrainState, n: int, streams) -> Population:
+def sample_population(state: TrainState, n: int, streams, draws: tuple | None = None) -> Population:
     """Draw n candidates, each hole from its own stream in `streams` (one per hole, in hole order):
     category indices per categorical hole, mu + sigma*eps per real hole; and, as candidate n, the state's
-    argmax program, which draws nothing."""
+    argmax program, which draws nothing.  `n` is a non-negative integer that is not a bool, else a
+    ValueError.  `draws`, if given, are this iteration's uniforms, normals and scaled normals, already taken
+    from `streams` in a block of iterations (see `_draw`)."""
+    n = read_number(n, "n", ValueError, int)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {show(n)}")
     layout, means = state.layout, state.vector[len(state.layout.cells) :]
+    if draws is None:
+        draws = [block[:, 0] for block in _draw(layout, n, streams, 1)]
+    uniforms, eps, scaled = draws
     logits = _logit_rows(state)
     # Softmax through the module, so that a patched or traced `dists.softmax` sees every call: one, for every
     # categorical hole.  A -inf adds a 0 to its row's sum, and numpy adds a row of under 8 entries in order (a
     # hole has at most 4 tokens), so each row is its hole's own softmax, bit for bit.
     probs = dists.softmax(logits)
     tokens = np.empty((len(probs), n + 1), np.int64)
-    # A uniform past a row's total draws a column past its hole's tokens, which clamps to the hole's last.
-    np.minimum(_categorical_draws(probs, n, layout.categorical(streams)), layout.last, out=tokens[:, :n])
+    # The ceiling keeps each row to its hole's tokens: a uniform past the row's total draws the hole's last.
+    _categorical_draws(probs, n, uniforms, layout.ceiling, tokens[:, :n])
     logits.argmax(axis=1, out=tokens[:, n])
-    eps = np.empty((len(means), n))
-    for row, stream in zip(eps, layout.real(streams)):
-        stream.standard_normal(out=row)
     reals = np.empty((len(means), n + 1))
-    np.add(means[:, None], np.multiply(layout.sigma[:, None], eps, out=reals[:, :n]), out=reals[:, :n])
+    np.add(means[:, None], scaled, out=reals[:, :n])
     reals[:, n] = means
     return Population(tokens, reals, probs, eps, layout)
+
+
+def _draw(layout: _Layout, n: int, streams, iterations: int) -> tuple:
+    """The draws of the next `iterations` populations of n from `streams` (one per hole, in hole order): the
+    uniforms (categorical holes, iterations, n), the standard normals (real holes, iterations, n) and the
+    normals times each real hole's sigma.  A stream gives the same doubles in one call as in one call per
+    iteration, so `iterations` calls of `sample_population` read what each would draw."""
+    cells = iterations * n
+    uniforms = np.empty((len(layout.ceiling), cells))
+    for row, stream in zip(uniforms, layout.categorical(streams)):
+        row[:] = stream.random(cells)
+    normals = np.empty((len(layout.sigma), cells))
+    for row, stream in zip(normals, layout.real(streams)):
+        stream.standard_normal(out=row)
+    normals = normals.reshape(-1, iterations, n)
+    return uniforms.reshape(-1, iterations, n), normals, layout.sigma[:, None, None] * normals
+
+
+def _blocks(layout: _Layout, n: int, streams, iterations: int):
+    """A generator of the draws of each of `iterations` populations of n, in order, which `_draw` takes a block of
+    iterations at a time.  Each `send` gives how many iterations, from the one it asks for, can pass before a
+    restart could draw from `streams`: a block never reaches one, nor runs past the last iteration, nor holds
+    more than `DRAW_CELLS` draws (read at each block), unless one iteration holds more."""
+    ahead = yield
+    left = iterations
+    while left:
+        count = min(left, ahead, max(1, DRAW_CELLS // max(1, n * (len(layout.ceiling) + len(layout.sigma)))))
+        left -= count
+        for draws in zip(*(block.swapaxes(0, 1) for block in _draw(layout, n, streams, count))):
+            ahead = yield draws
+        del draws  # the block's last views, which would keep it alive while the next is drawn
 
 
 def estimate_gradients(state: TrainState, population: Population, fitness: np.ndarray, score: str) -> np.ndarray:
     """The gradient from one scored population, given its n candidates' `fitness` in candidate order: an
     array shaped like `state.vector`, whose `layout.slices` give each hole's gradient."""
     layout = state.layout
-    categorical = _categorical_accumulator(population.probs, population.tokens[:, : fitness.size], fitness, score)
+    tokens = population.tokens[:, : fitness.size]
+    categorical = _categorical_accumulator(population.probs, tokens, fitness, score, layout.offsets)
     real = _gaussian_accumulator(population.eps, fitness, layout.sigma)
     return np.concatenate((categorical.take(layout.cells), real))
 
@@ -446,22 +496,22 @@ def _argmax_loss(plan: interp.Plan, state: TrainState, penalty: float) -> float:
     return float(eval_population_losses(plan, _argmax_columns(state), penalty)[0])
 
 
-def _step(plan: interp.Plan, state: TrainState, config: TrainConfig, streams, with_argmax: bool) -> tuple:
+def _step(plan: interp.Plan, state: TrainState, config: TrainConfig, streams, draws, step):
     """One iteration's draw, scoring and ascent from `state`, the one step implementation of `train_step` and
-    `train`: the losses of the scored candidates (the population's n, then, `with_argmax`, the argmax program
-    of `state` as candidate n + 1 of the same scorer call), the population's mean loss, and the stepped
-    parameter vector and moments, which `_stepped` checks."""
+    `train`: the losses of the scored candidates (the population's n, then the argmax program of `state` as
+    candidate n + 1 of the same scorer call, which every call has, so that a plan keeps the programs of one
+    candidate count: see `interp._resolve`), the population's mean loss, and the stepped
+    parameter vector and moments, which `_stepped` checks.  The population is drawn from `streams`, or read
+    from `draws` (see `sample_population`); `step` is the optimizer's.  It runs under the caller's numpy
+    error state, where overflow is not an error: a logit gap past the float range gives a probability of 0,
+    its limit, and a step past the range is caught by `_stepped`."""
     n = config.population
-    # Overflow is not an error here: a logit gap past the float range gives a
-    # probability of 0, its limit, and a step past the range is caught by `_stepped`.
-    with np.errstate(over="ignore"):
-        population = sample_population(state, n, streams)
-        losses = eval_population_losses(plan, population.columns(n + with_argmax), config.penalty)
-        drawn = losses[:n]
-        fitness = standardize_fitness(drawn)
-        grad = estimate_gradients(state, population, fitness, config.categorical_score)
-        step = make_optimizer(config).step
-        (vector,), (moments,) = step((state.vector,), (grad,), (state.moment_vectors,), state.step_count + 1)
+    population = sample_population(state, n, streams, draws)
+    losses = eval_population_losses(plan, population.columns(n + 1), config.penalty)
+    drawn = losses[:n]
+    fitness = standardize_fitness(drawn)
+    grad = estimate_gradients(state, population, fitness, config.categorical_score)
+    (vector,), (moments,) = step((state.vector,), (grad,), (state.moment_vectors,), state.step_count + 1)
     # The reductions are ufunc methods, called directly: numpy's wrapper for `np.mean` costs more than the
     # few cells it reduces.
     return losses, float(np.add.reduce(drawn) / n), vector, moments
@@ -471,7 +521,8 @@ def _stepped(state: TrainState, vector: np.ndarray, moments: tuple) -> TrainStat
     """The state after `state`, holding `_step`'s vector and moments, with `state`'s best loss: its own
     argmax loss is not scored yet.  Raises DivergenceError when the vector holds a non-finite parameter."""
     iteration = state.iteration + 1
-    if not np.logical_and.reduce(np.isfinite(vector)):
+    # A finite sum of squares shows that every parameter is finite; only a sum past the range needs the pass.
+    if not math.isfinite(vector.dot(vector)) and not np.logical_and.reduce(np.isfinite(vector)):
         raise DivergenceError(f"the run diverged: iteration {iteration} left a non-finite parameter")
     return TrainState(_read_only(vector), moments, state.layout, state.step_count + 1, iteration, state.best_loss)
 
@@ -487,10 +538,11 @@ def _scored(state: TrainState, mean: float, argmax_loss: float) -> tuple[TrainSt
 
 def train_step(plan: interp.Plan, state: TrainState, config: TrainConfig, streams):
     """One iteration: the state after `state`, and its record.  `plan` is the sketch compiled against the
-    spec (see `compile_sketch`), `streams` holds one Generator per hole (see `hole_streams`).  The stepped
-    state's argmax program is scored alone, after the population.  Raises DivergenceError when the step
-    leaves a non-finite parameter."""
-    _, mean, vector, moments = _step(plan, state, config, streams, False)
+    spec (see `compile_sketch`), `streams` holds one Generator per hole (see `hole_streams`), from which the
+    step draws exactly one population.  The stepped state's argmax program is scored alone, after the
+    population.  Raises DivergenceError when the step leaves a non-finite parameter."""
+    with np.errstate(over="ignore"):
+        _, mean, vector, moments = _step(plan, state, config, streams, None, make_optimizer(config).step)
     stepped = _stepped(state, vector, moments)
     return _scored(stepped, mean, _argmax_loss(plan, stepped, config.penalty))
 
@@ -504,46 +556,58 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     Both are values, so it can watch the run, not change it.  A restart that is due happens before the
     next step, so the run ends on its last trained state; where one could fall due after a state, and on
     the last one, the argmax is scored alone, since the restart would change what the next step draws.
+    The populations are drawn in blocks of iterations (see `_blocks`) that end before any restart could
+    draw from the streams, so each draws what `train_step` would; the optimizer and numpy's error state
+    (overflow ignored, as in `_step`; `on_step` runs in it too) are set once per run.
     """
     if sketch.hole_count == 0:
         raise SketchError("sketch has no holes; nothing to train")
     plan = compile_sketch(sketch, spec)
     state = best = init_state(sketch, config)
     streams = hole_streams(config.seed, sketch.hole_count)
+    blocks = _blocks(state.layout, config.population, streams, config.iterations)
+    next(blocks)
+    step = make_optimizer(config).step
+    iterations, patience, floor = config.iterations, RESTART_PATIENCE, 1 - RESTART_MIN_GAIN
     records: list[TrainRecord] = []
     restarts: list[int] = []
     low, stale = math.inf, 0  # argmax loss at the last gain, iterations since
     pending = None  # the last stepped state, whose argmax is not scored yet, and its mean population loss
-    for i in range(config.iterations + 1):
-        if pending is not None:
-            stepped, mean = pending
-            merged = i < config.iterations and stale < RESTART_PATIENCE - 1
-            if merged:
-                losses, next_mean, vector, moments = _step(plan, stepped, config, streams, True)
-                argmax_loss = float(losses[config.population])
-            else:
-                argmax_loss = _argmax_loss(plan, stepped, config.penalty)
-            state, record = _scored(stepped, mean, argmax_loss)
-            if state.best_loss < best.best_loss:
-                best = state
-            records.append(record)
-            if on_step is not None:
-                on_step(record, state)
-            if argmax_loss < low * (1 - RESTART_MIN_GAIN):
-                low, stale = argmax_loss, 0
-            else:
-                stale += 1
-            if merged:
-                pending = _stepped(state, vector, moments), next_mean
-                continue
-        if i == config.iterations:
-            break
-        if stale == RESTART_PATIENCE:
-            state = restart_state(sketch, state, config, streams)
-            low, stale = math.inf, 0
-            restarts.append(state.iteration)
-        _, mean, vector, moments = _step(plan, state, config, streams, False)
-        pending = _stepped(state, vector, moments), mean
+    with np.errstate(over="ignore"):
+        for i in range(iterations + 1):
+            if pending is not None:
+                stepped, mean = pending
+                merged = i < iterations and stale < patience - 1
+                if merged:
+                    # A restart is due no sooner than patience - 1 - stale iterations on: `stale` counts up by one
+                    # per record, and this iteration's record is not counted yet.  No name here holds the draws,
+                    # so a block is freed before the next is drawn.
+                    ahead = patience - 1 - stale
+                    losses, next_mean, vector, moments = _step(plan, stepped, config, streams, blocks.send(ahead), step)
+                    argmax_loss = float(losses[-1])
+                else:
+                    argmax_loss = _argmax_loss(plan, stepped, config.penalty)
+                state, record = _scored(stepped, mean, argmax_loss)
+                if state.best_loss < best.best_loss:
+                    best = state
+                records.append(record)
+                if on_step is not None:
+                    on_step(record, state)
+                if argmax_loss < low * floor:
+                    low, stale = argmax_loss, 0
+                else:
+                    stale += 1
+                if merged:
+                    pending = _stepped(state, vector, moments), next_mean
+                    continue
+            if i == iterations:
+                break
+            if stale == patience:
+                state = restart_state(sketch, state, config, streams)
+                low, stale = math.inf, 0
+                restarts.append(state.iteration)
+            _, mean, vector, moments = _step(plan, state, config, streams, blocks.send(patience - stale), step)
+            pending = _stepped(state, vector, moments), mean
     thetas, best_thetas = state.thetas(), best.thetas()
     return TrainResult(
         thetas=thetas,

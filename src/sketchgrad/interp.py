@@ -11,12 +11,17 @@ its `SpecError` before they score a row, and their callers pass it on.
 
 The scalar interpreter (`eval_program`, `eval_spec_loss`) runs one program on
 one input; it is the reference.  `compile_sketch` resolves a sketch and spec
-once into a `Plan`, a flat step list that only this module reads.  The product
-walk (`eval_product_losses`) scores every token combination and reads the
-guard's select step without running it; the population scorer runs every step
-for sampled candidates, holding each value as stored rows plus a map from
-candidate to stored row; how each step runs is settled once per call, before
-the row loop (`_resolve`):
+once into a `Plan`, a flat step list that only this module reads, and settles
+there what no drawn token changes: each step's operands, which of them can
+differ between candidates, which values read an input, and where each real
+hole's values go.  The product walk (`eval_product_losses`) scores every token
+combination and reads the guard's select step without running it; the
+population scorer runs every step for sampled candidates, holding each value
+as stored rows plus a map from candidate to stored row.  How each step runs
+depends on a call's pattern alone: n, the arrays' shapes and kinds, and which
+token, if one, every candidate drew at each categorical hole.  `_resolve`
+settles that once per pattern into a program kept on the plan; a call does
+what its tokens say (their counts, sorts and maps) and the arithmetic:
 
 - a value that no candidate varies is one row (an input column, a literal, a
   real hole given one value, and what one token computes from these);
@@ -32,34 +37,33 @@ the row loop (`_resolve`):
 - any other step of one token (the guard's select) gathers its operands into
   candidate order.
 
-The loss is computed once per stored row of the prediction and then mapped
-to the candidates.  Rows are scored in chunks of `CHUNK_CELLS // n`, and the
-row loop allocates no array past the first chunk of each shape: each step's
-result buffer, and the buffers its gathers take on the first chunk, are cut
-from flat buffers kept on the plan, shared by every candidate count (`_scratch`).
-While a call scores chunks of more cells than `BUFSIZE`, numpy's ufunc
-buffer size is set to it, so a ufunc that broadcasts or casts an operand
-goes through a small iterator buffer, not one of 8192 elements.  The guard
-picks its branch by a bitwise select on the int64 views of the two branches,
-which gives `np.where`'s bits (NaN payloads and -0.0 too) without a
-mispredicted branch per cell; real holes are scored as float64, so both
-branches are float64, and the comparison writes its 0/1 results as int64,
-the mask the select multiplies by.  The squared errors are written
-transposed, one row per spec row under a row holding the running total, and
-summed by `np.add.reduce` down the rows: for two or more stored rows numpy
-adds them row by row, which is the scalar loop's left-to-right sum, so each
-loss is that sequential sum at any chunk size, bit for bit.  For one stored
-row (the argmax program, or any population whose prediction no candidate
-varies) the same reduction runs down one column, where numpy sums pairwise
-and rounds differently, so it is summed by `np.add.accumulate`, a `cumsum`,
-instead.
+The loss is computed once per stored row of the prediction and then mapped to
+the candidates.  Rows are scored in chunks of `CHUNK_CELLS // n`, and a call
+allocates no array per chunk: a program's step results, gathers and sums are
+cut from flat buffers kept on the plan, shared by every candidate count and
+pattern (`_scratch`).  While a call scores chunks of more cells than
+`BUFSIZE`, numpy's ufunc buffer size is set to it, so a ufunc that broadcasts
+or casts an operand goes through a small iterator buffer, not one of 8192
+elements.  The guard picks its branch by a bitwise select on the int64 views
+of the two branches, which gives `np.where`'s bits (NaN payloads and -0.0 too)
+without a mispredicted branch per cell; real holes are scored as float64, so
+both branches are float64, and the comparison writes its 0/1 results as int64,
+the mask the select multiplies by.  The squared errors are written transposed,
+one row per spec row under a row holding the running total, and summed by
+`np.add.reduce` down the rows: for two or more stored rows numpy adds them row
+by row, which is the scalar loop's left-to-right sum, so each loss is that
+sequential sum at any chunk size, bit for bit.  For one stored row (the argmax
+program, or any population whose prediction no candidate varies) the same
+reduction runs down one column, where numpy sums pairwise and rounds
+differently, so it is summed by `np.add.accumulate`, a `cumsum`, instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter, length_hint
+from functools import partial
+from operator import attrgetter, itemgetter, length_hint, methodcaller
 
 import numpy as np
 
@@ -246,15 +250,11 @@ CHUNK_CELLS = 1 << 15
 # broadcasts, 256 runs as fast as any larger size, and 16 no faster.
 BUFSIZE = 256
 
-_UFUNCS = {
-    "==": np.equal,
-    ">": np.greater,
-    "<": np.less,
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-}
+# A plan keeps the programs of at most this many call patterns (see `_resolve`), and drops them all when it needs
+# one more: a 10 000-iteration one-input training run draws 10-16 patterns in 10 003 calls, a two-input one 3.
+PROGRAMS = 32
+
+_UFUNCS = {"==": np.equal, ">": np.greater, "<": np.less, "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
 def _select(mask, x, y, out):
@@ -276,17 +276,18 @@ class Plan:
     A scorer call holds a list of values, each a 2-D array of stored rows over spec rows, with a column axis
     of length 1 where the value does not vary by row, and a layout `(rows, map)`: candidate i reads stored
     row `map[i]`.  The map is None for one stored row, which every candidate reads, and for n rows in
-    candidate order (see the module docstring).  Values 0 .. arity-1 are the input columns of the current
-    row chunk, cut from `columns` (the spec's inputs, one contiguous row per input; `slots` holds them
-    whole, for a call scored in one chunk); value arity + h is real hole h's values; the rest are, in
-    `slots` order, the literals (held there) and the step results (None there).  A step `(out, hole, fns,
-    args, dtype, operands)` sets value `out` to a function of `fns` applied to the values at `args` (two
-    or three of them, which `operands` picks from the list of values): `fns[0]` when `hole` is None, else,
-    per candidate, the function of the token it drew for that categorical hole, into an array of `dtype`.
-    Value `out` is the prediction: in a guarded sketch, the guard's `_select` step, which the product walk reads.
-
-    A plan owns the scratch buffers its calls write into (`buffers` and `workspaces`, see `_workspace`), so
-    one plan must not be scored from two threads at once; compile one per thread."""
+    candidate order.  Values 0 .. arity-1 are the input columns of the current row chunk, cut from `columns`
+    (the spec's inputs, one contiguous row per input; `slots` holds them whole, for a call scored in one
+    chunk); then come the values of the real holes `reals`, in hole order; the rest are, in `slots` order,
+    the literals (held there) and the step results (None there).  A step `(out, hole, fns, args, dtype,
+    operands, varying)` sets value `out` to a function of `fns` applied to the values at `args` (two or
+    three, which `operands` picks): `fns[0]` when `hole` is None, else, per candidate, the function of the
+    token it drew for that categorical hole, into an array of `dtype`.  `varying` holds the args that can
+    differ between candidates, and `wide` says, per value, whether it reads an input (a column per spec row)
+    or not (one column).  `categorical` pairs each categorical hole with its token count, in hole order.
+    Value `out` is the prediction: in a guarded sketch, the guard's `_select` step, which the product walk
+    reads.  A plan keeps its calls' scratch `buffers` and programs (`workspaces`, see `_resolve`), so one plan
+    must not be scored from two threads at once; compile one per thread."""
 
     holes: tuple
     columns: np.ndarray
@@ -294,31 +295,44 @@ class Plan:
     slots: tuple
     steps: tuple
     out: int
+    reals: tuple
+    wide: tuple
+    categorical: tuple
     buffers: dict = field(default_factory=dict, repr=False)
     workspaces: dict = field(default_factory=dict, repr=False)
 
 
 def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
     """The plan that scores populations of `sketch`'s hole assignments on `spec`; a SpecError if the spec
-    does not fit the sketch (see `_check_fit`)."""
+    does not fit the sketch (see `_check_fit`).  It settles what no drawn token changes: each step's
+    operands, which of them can vary by candidate, which values read an input and where the reals go."""
     _check_fit(sketch, spec)
-    slots: list = [None] * (sketch.arity + sketch.hole_count)
+    real_holes = tuple(h.index for h in sketch.holes if not h.tokens)
+    slots: list = [None] * (sketch.arity + len(real_holes))
+    varies = [False] * sketch.arity + [True] * len(real_holes)  # per value: can it differ between candidates
+    wide = [True] * sketch.arity + [False] * len(real_holes)  # per value: does it read an input
     steps = []
+
+    def value(data, varying: bool, reads_input: bool) -> int:
+        slots.append(data)
+        varies.append(varying)
+        wide.append(reads_input)
+        return len(slots) - 1
 
     def operand(node) -> int:
         if isinstance(node, Var):
             return sketch.params.index(node.name)
         if isinstance(node, RealHole):
-            return sketch.arity + node.index
+            return sketch.arity + real_holes.index(node.index)
         if isinstance(node, Lit):
-            slots.append(_read_only(np.full((1, 1), node.value)))
-            return len(slots) - 1
+            return value(_read_only(np.full((1, 1), node.value)), False, False)
         raise SketchError(f"not an operand: {node!r}")
 
     def step(hole, fns: tuple, dtype, *args: int) -> int:
-        slots.append(None)
-        steps.append((len(slots) - 1, hole, fns, args, dtype, itemgetter(*args)))
-        return len(slots) - 1
+        varying = tuple(filter(varies.__getitem__, args))
+        out = value(None, hole is not None or bool(varying), any(map(wide.__getitem__, args)))
+        steps.append((out, hole, fns, args, dtype, itemgetter(*args), varying))
+        return out
 
     def apply(slot, a: int, b: int) -> int:
         """A comparison or operator slot: a token, or a hole that applies the token each candidate drew.  A
@@ -340,7 +354,8 @@ def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
         out = step(None, (_select,), np.float64, mask, chain(g.body), out)
     columns = _read_only(np.ascontiguousarray(spec.inputs.T))
     slots[: sketch.arity] = columns[:, None, :]  # whole rows, which a call scored in one chunk reads
-    return Plan(sketch.holes, columns, spec.outputs, tuple(slots), tuple(steps), out)
+    categorical = tuple((h.index, len(h.tokens)) for h in sketch.holes if h.tokens)
+    return Plan(sketch.holes, columns, spec.outputs, tuple(slots), tuple(steps), out, real_holes, tuple(wide), categorical)
 
 
 def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFINITE_PENALTY) -> np.ndarray:
@@ -362,70 +377,49 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
     # `length_hint`, not `len`: a 0-D array, which has no length, counts as 0, and the checks below name its hole.
     lengths = set(map(length_hint, hole_values))
     n = max(lengths) if lengths else 1
-    if len(lengths) > 1 and lengths != {1, n}:
-        for hole, v in zip(plan.holes, hole_values):
-            if v.ndim == 0:
-                raise _misfit(hole, v)
-        raise SketchError(f"hole value arrays differ in length {sorted(lengths)}: each must have length 1 or n")
-    arity, rows = plan.columns.shape
-    values = list(plan.slots)
-    layouts = [_ONE_ROW] * len(values)
-    every = (n, None)  # one row per candidate, in candidate order
-    drawn = {None: 0}  # a step that is no hole applies its one function
-    for hole, v in zip(plan.holes, hole_values):
-        if hole.tokens is not None:
-            drawn[hole.index] = _drawn_tokens(hole, v)
-        elif v.ndim == 1 and v.dtype.kind in "iuf":
-            values[arity + hole.index] = v.astype(np.float64, copy=False)[:, None]
-            if len(v) != 1:
-                layouts[arity + hole.index] = every
-        else:
-            raise _misfit(hole, v)
-    if not n:
+    if len(lengths) > 1:
+        if lengths != {1, n}:
+            uneven = SketchError(f"hole value arrays differ in length {sorted(lengths)}: each must have length 1 or n")
+            raise _misfit(plan, hole_values) or uneven
+        for hole, _ in plan.categorical:  # one token for every candidate: n of it, whose counts say so
+            if hole_values[hole].shape == (1,):
+                hole_values[hole] = hole_values[hole].repeat(n)
+    if not n:  # nothing to score, but the tokens are checked
+        if error := _misfit(plan, hole_values):
+            raise error
         return np.empty(0)
-    # Each value's layout, and so each step's way of running, is settled here, once per call (see `_resolve`).
-    program = _resolve(plan.steps, drawn, layouts, n, every)
-    count, index = layouts[plan.out]  # the prediction's stored rows, and which one each candidate reads
-    chunk = max(1, CHUNK_CELLS // n)
-    total = np.empty(count)
+    try:  # per categorical hole, in hole order: how many candidates drew each token
+        tallies = [np.bincount(hole_values[hole], None, k).tolist() for hole, k in plan.categorical]
+    except (TypeError, ValueError):  # a negative index, an unsigned type past int64, or not 1-D
+        raise _misfit(plan, hole_values) from None
+    # The call's pattern, all that its program depends on (`_resolve`): the chunk size, the arrays' shapes and kinds,
+    # and per categorical hole the token every candidate drew, else -len(counts), -k for indices in range.
+    key = n, (CHUNK_CELLS, tuple(map(_FORM, hole_values)), *[c.index(n) if n in c else -len(c) for c in tallies])
+    program = plan.workspaces.get(key) or _resolve(plan, key, hole_values)
+    slots, reals, counted, ops, chunks, pred, count, index, big = program
+    values = list(slots)  # the plan's slots, then the program's: the token counts, maps and gathered operands
+    values[reals] = map(_COLUMN, map(_FLOAT64, map(hole_values.__getitem__, plan.reals)))
+    values[counted] = tallies
+    for at, f in ops:  # the maps from candidates to stored rows, and the token orders that build them
+        values[at] = f(hole_values, values)
     with np.errstate(all="ignore"):
-        # No array of a call has more cells than one chunk of n candidates, so a buffer of BUFSIZE
-        # elements is only smaller than numpy's when a chunk is larger.  numpy 2 restores the size
-        # with the error state, older versions need it put back by hand.
-        bufsize = np.setbufsize(BUFSIZE) if n * min(chunk, rows) > BUFSIZE else None
+        # No array has more cells than a chunk, so BUFSIZE is smaller than numpy's size only for a larger chunk.
+        # numpy 2 restores the size with the error state, 1 does not.
+        bufsize = np.setbufsize(BUFSIZE) if big else None
         try:
-            for lo in range(0, rows, chunk):
-                hi = min(lo + chunk, rows)
-                bufs, squares = plan.workspaces.get((n, hi - lo)) or _workspace(plan, n, hi - lo)
-                if chunk < rows:  # else the plan's slots hold every row
-                    values[:arity] = plan.columns[:, None, lo:hi]
-                for (out, hole, fns, _, _, operands), how, buf in zip(plan.steps, program, bufs):
-                    if how is None:  # the token's function, of one row per candidate or of n = 1 row
-                        values[out] = fns[drawn[hole]](*operands(values), out=buf[0])
-                    elif how.__class__ is int:  # the token's function of `how` stored rows
-                        values[out] = fns[drawn[hole]](*operands(values), out=buf[0][:how])
-                    else:  # each `(j, picks)` gathers operand j into an (n, width) buffer kept for later
-                        gathers, counts = how
-                        gathered = list(operands(values))
-                        for j, picks in gathers:
-                            o = gathered[j]
-                            if buf[1 + j] is None:
-                                buf[1 + j] = _scratch(plan, (out, j), (n, o.shape[1]), o.dtype)
-                            gathered[j] = o.take(picks, axis=0, out=buf[1 + j], mode="clip")
-                        if counts is None:  # in candidate order
-                            values[out] = fns[drawn[hole]](*gathered, out=buf[0])
-                        else:
-                            values[out] = _runs(fns, counts, *gathered, buf[0])
+            total = np.empty(count)  # the loss of each stored row of the prediction
+            for columns, steps, y, squares, body, terms in chunks:
+                if columns:
+                    values[: len(columns)] = columns
+                for out, f, operands, buf in steps:
+                    values[out] = f(*operands(values), out=buf)
                 # A sequential sum, whatever the chunks (see the module docstring): rows 1.. of `squares` are the
-                # chunk's squared errors, one row per spec row and one column per stored prediction row, and
-                # from the second chunk on its row 0 is the running total.  A non-finite prediction makes its
-                # loss non-finite, so the one check below covers both.
-                body = squares[1:, :count]
-                np.subtract(values[plan.out].T, plan.outputs[lo:hi, None], out=body)
-                np.multiply(body, body, out=body)
-                if lo:
-                    squares[0, :count] = total
-                terms = squares[:, :count] if lo else body
+                # chunk's squared errors, a row per spec row and a column per stored prediction row, and from the
+                # second chunk on its row 0 is the running total.  A non-finite prediction makes its loss non-finite.
+                np.subtract(values[pred].T, y, body)
+                np.multiply(body, body, body)
+                if terms is squares:
+                    squares[0] = total
                 if count != 1:
                     np.add.reduce(terms, axis=0, out=total)
                 else:  # one stored row, where the reduction would be pairwise: a cumsum, in place
@@ -433,10 +427,10 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
         finally:
             if bufsize is not None:
                 np.setbufsize(bufsize)
-        total /= rows
+        total /= len(plan.outputs)
         _penalize(total, penalty)
     if index is not None:
-        return total.take(index)
+        return total.take(values[index])
     return total if count == n else total.repeat(n)
 
 
@@ -451,16 +445,15 @@ def eval_product_losses(plan: Plan, reals, penalty: float) -> np.ndarray:
     penalty = checked_penalty(penalty, ValueError)
     if len(reals) != (count := sum(not h.tokens for h in plan.holes)):
         raise SketchError(f"expected one real per [Real] hole, {count} of them, got {len(reals)}")
-    pinned = iter(reals)  # a categorical hole's slot is never read
     arity, rows = plan.columns.shape
     ones = (1,) * (1 + len(plan.holes))  # a value that depends on no row and no hole
-    values = [None] * arity + [None if h.tokens else np.full(ones, next(pinned)) for h in plan.holes]
+    values = [None] * arity + [np.full(ones, r) for r in reals]
     values += [s if s is None else s.reshape(ones) for s in plan.slots[len(values) :]] + [np.zeros(ones, bool)]
     steps, (mask, *branches) = plan.steps, (-1, plan.out)  # unguarded: the last value, a mask never true
     if steps and steps[-1][2][0] is _select:  # the guard: its mask and branches are read, not selected
         steps, (mask, *branches) = steps[:-1], steps[-1][3]
     cells = [1] * len(values)  # each value's cells per spec row
-    for out, _, fns, args, _, _ in steps:
+    for out, _, fns, args, *_ in steps:
         cells[out] = len(fns) * math.prod(cells[a] for a in args)
     chunk = max(1, CHUNK_CELLS // max(cells))
     total = np.empty((1, *(h.arity or 1 for h in plan.holes)))
@@ -468,7 +461,7 @@ def eval_product_losses(plan: Plan, reals, penalty: float) -> np.ndarray:
         for lo in range(0, rows, chunk):
             y = plan.outputs[lo : lo + chunk].reshape(-1, *ones[1:])
             values[:arity] = plan.columns[:, lo : lo + chunk].reshape(arity, *y.shape)
-            for out, hole, fns, _, _, operands in steps:
+            for out, hole, fns, _, _, operands, _ in steps:
                 a, b = operands(values)
                 values[out] = fns[0](a, b) if hole is None else np.concatenate([f(a, b) for f in fns], 1 + hole)
             squares = [(d := values[b] - y) * d for b in branches]
@@ -492,104 +485,119 @@ def _penalize(losses: np.ndarray, penalty) -> None:
         losses[~np.isfinite(losses)] = checked_penalty(penalty, ValueError)
 
 
-# The layout of a value that is the same for every candidate: one stored row, which each candidate reads.
-_ONE_ROW = (1, None)
+_ONE_ROW = (1, None)  # the layout of a value that is the same for every candidate: one stored row, read by each
+_FORM, _COLUMN = attrgetter("shape", "dtype.kind"), itemgetter((slice(None), None))
+_FLOAT64, _TAKE = methodcaller("astype", np.float64, copy=False), partial(np.ndarray.take, axis=0, mode="clip")
 
 
-def _resolve(steps: tuple, drawn: dict, layouts: list, n: int, every: tuple) -> list:
-    """How each plan step runs in this call, for the row loop, in step order; each step's result layout goes
-    into `layouts` (see `Plan`).  `drawn` holds, per categorical hole, the token every candidate took or
-    `(indices, counts)` (see `_drawn_tokens`), and 0 for a step that is no hole; `every` is the layout of
-    one row per candidate.  A step runs as:
+def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
+    """The program of the calls of `key` (n and a call's pattern, see `eval_population_losses`), kept on the plan
+    once `_misfit` finds that each array fits its hole: `(slots, reals, counted, ops, chunks, pred, count, index,
+    big)`.  A call's values start as `slots`: the plan's, one per categorical hole for its token counts (put at
+    `counted`, as the reals' columns are put at `reals`), then the maps, gathered operands and tables' counts.
+    An op `(at, f)` puts `f(hole_values, values)` at `at`: a table's map, a token order and its inverse, or a
+    composed map.  Per row chunk, `chunks` holds its input columns (none if one chunk holds every row), steps,
+    outputs as a column, and the `squares`, `body` and `terms` of its sum.  A step `(out, f, operands, buf)` puts
+    `f` of the values `operands` picks at `out`, into `buf`: a plan's step (a categorical one by `_runs`) or a
+    gather (`_TAKE`).  Value `pred` is the prediction, of `count` stored rows and map `values[index]` (None:
+    none); `big` says a chunk has more than BUFSIZE cells."""
+    if error := _misfit(plan, hole_values):
+        raise error
+    n, (cells, forms, *drawn) = key
+    every = (n, None) if n > 1 else _ONE_ROW  # one row per candidate, in candidate order
+    slots = [*plan.slots, *[None] * len(plan.categorical)]
+    layouts = [_ONE_ROW] * len(slots)
+    for slot, hole in enumerate(plan.reals, len(plan.columns)):
+        layouts[slot] = _ONE_ROW if forms[hole][0] == (1,) else every
+    wide, dtypes = [*plan.wide, *[False] * len(plan.categorical)], [np.float64] * len(slots)
+    drawn = {hole: (position, t) for position, ((hole, _), t) in enumerate(zip(plan.categorical, drawn))}
+    ops, program = [], []
 
-    - One token, and the operands that vary share one layout: the token's function of the stored rows,
-      in that layout; None when there are n of them, else their count.
-    - Else `(gathers, counts)`: the row loop gathers operand j by the stored rows `picks` of each `(j,
-      picks)` pair in `gathers`, then applies the token's function (`counts` None), or each token's
-      function to its run of `counts[t]` rows (see `_runs`).
-    - A step of one token (the guard's select) gathers the operands that have a map into candidate order.
-    - A categorical step with at most one operand that varies, and at most n combinations of a token and
-      that operand's rows, gathers nothing: it is a table, a run of each token's function of all of the
-      operand's rows.  Its map is composed from the hole's indices and the operand's map.
-    - Any other categorical step gathers each operand that varies into token order, through its composed
-      map, and runs each token's function on the candidates that drew it.  Its map is the inverse
-      permutation.
+    def value(data=None, like: int = 0, gather=None) -> int:  # a new slot, shaped like value `like`'s
+        slots.append(data)
+        wide.append(wide[like])
+        dtypes.append(dtypes[like])
+        if gather is not None:  # value `like` gathered by the map at `gather[0]`, in a buffer kept as `gather[1]`
+            program.append((len(slots) - 1, _TAKE, (like, gather[0]), n, gather[1]))
+        return len(slots) - 1
 
-    One loop, with no comprehension: at a few spec rows, a call per step costs more than its arithmetic.
-    """
-    program = []
-    for out, hole, fns, args, _, _ in steps:
-        tokens = drawn[hole]
-        if tokens.__class__ is int:
-            layout = _ONE_ROW  # the layout of the operands that vary, while they share one
-            for a in args:
-                s = layouts[a]
-                if s is not _ONE_ROW and s is not layout:
-                    if layout is not _ONE_ROW:
-                        break
-                    layout = s
-            else:
-                layouts[out] = layout
-                program.append(None if layout[0] == n else layout[0])
-                continue
-            layouts[out] = every
-            gathers = []
-            for j, a in enumerate(args):
-                if layouts[a][1] is not None:
-                    gathers.append((j, layouts[a][1]))
-            program.append((gathers, None))
-            continue
-        a, b = layouts[args[0]], layouts[args[1]]  # a categorical step is binary
-        shaped = b if a is _ONE_ROW else a
-        if len(fns) * shaped[0] <= n and (a is _ONE_ROW or b is _ONE_ROW):
-            # Row t * rows + r of the table is token t's function of the operand's row r.
-            indices = tokens[0].astype(np.intp, copy=False)  # an unsigned index times an int would be a float
-            layouts[out] = len(fns) * shaped[0], indices if shaped is _ONE_ROW else indices * shaped[0] + shaped[1]
-            program.append(((), [shaped[0]] * len(fns)))
-            continue
-        order = tokens[0].argsort(kind="stable")
-        # The inverse permutation by one scatter, in O(n): a second sort would cost O(n log n).
-        inverse = np.empty(n, order.dtype)
-        inverse[order] = np.arange(n)
-        layouts[out] = n, inverse
-        gathers = []
-        if a is not _ONE_ROW:
-            gathers.append((0, order if a is every else a[1][order]))
-        if b is not _ONE_ROW:
-            gathers.append((1, order if b is every else b[1][order]))
-        program.append((gathers, tokens[1]))
+    for out, hole, fns, args, dtype, _, varying in plan.steps:
+        position, t = drawn.get(hole, (None, 0))
+        dtypes[out] = dtype
+        if t >= 0:
+            f = fns[t]
+            shared = {layouts[a] for a in varying} - {_ONE_ROW}  # the layout of the operands that vary, if one
+            if len(shared) > 1:  # gathered into candidate order
+                maps = enumerate(layouts[a][1] for a in args)  # a value with no map is read as it is
+                args = tuple(a if m is None else value(like=a, gather=(m, (out, j))) for a, (j, m) in zip(args, maps))
+            layouts[out] = every if len(shared) > 1 else shared.pop() if shared else _ONE_ROW
+        else:
+            a, b = layouts[args[0]], layouts[args[1]]  # a categorical step is binary
+            r, by = b if a == _ONE_ROW else a  # the rows of the operand that varies, if one does, and its map
+            if len(fns) * r <= n and _ONE_ROW in (a, b):
+                # Row t * r + i of the table is token t's function of the operand's row i.
+                ops.append((value(), partial(_table, hole, r, by)))
+                layouts[out] = len(fns) * r, len(slots) - 1
+                f, args = partial(_runs, fns, False, False), (*args, value([r] * len(fns)))
+            else:  # in token order: the operands that vary gathered by the order, composed with their own maps
+                order = value()
+                ops.append((slice(order, value() + 1), partial(_sort, hole)))
+                layouts[out] = n, order + 1
+                for j, s in enumerate((a, b)):
+                    if s != every and s != _ONE_ROW:
+                        ops.append((value(), lambda hole_values, values, m=s[1], o=order: values[m].take(values[o])))
+                    if s != _ONE_ROW:
+                        picks = order if s == every else len(slots) - 1
+                        args = (*args[:j], value(like=args[j], gather=(picks, (out, j))), *args[j + 1 :])
+                f, args = partial(_runs, fns, a != _ONE_ROW, b != _ONE_ROW), (*args, len(plan.slots) + position)
+        program.append((out, f, args, layouts[out][0], out))
+    rows, chunk, count = len(plan.outputs), max(1, cells // n), layouts[plan.out][0]
+    chunks = []
+    for lo in range(0, rows, chunk):
+        width = min(chunk, rows - lo)
+        steps = [
+            (out, f, itemgetter(*args), _scratch(plan, buf, (n, width if wide[out] else 1), dtypes[out])[:stored])
+            for out, f, args, stored, buf in program
+        ]
+        squares = _scratch(plan, "squares", (width + 1, n))[:, :count]
+        columns = list(plan.columns[:, None, lo : lo + width]) if chunk < rows else []
+        y = plan.outputs[lo : lo + width, None]
+        chunks.append((columns, steps, y, squares, squares[1:], squares if lo else squares[1:]))
+    # Every program goes when there are PROGRAMS, and those of another count than n (1 aside), whose buffers this
+    # count may outgrow.
+    for old in [k for k in plan.workspaces if len(plan.workspaces) >= PROGRAMS or k[0] != n and (k[0] == 1) == (n == 1)]:
+        del plan.workspaces[old]
+    reals = slice(len(plan.columns), len(plan.columns) + len(plan.reals))
+    counted = slice(len(plan.slots), len(plan.slots) + len(plan.categorical))
+    program = tuple(slots), reals, counted, ops, chunks, plan.out, *layouts[plan.out], n * min(chunk, rows) > BUFSIZE
+    plan.workspaces[key] = program
     return program
 
 
-def _runs(fns: tuple, counts: list, a, b, out: np.ndarray) -> np.ndarray:
-    """Each token's function of its run of the operands, `counts[t]` rows for token t, into the same rows of
-    `out`, which are returned.  An operand of n rows (one per row of `out`, gathered into token order) is
-    read a run at a time, any other whole: a single row, or the rows of a table's operand."""
-    a_runs, b_runs = len(a) == len(out), len(b) == len(out)
+def _table(hole: int, r: int, by, hole_values: list, values: list) -> np.ndarray:
+    """The map of hole `hole`'s token table, whose varying operand has r rows and map `values[by]` (None: none)."""
+    indices = hole_values[hole].astype(np.intp, copy=False)  # an unsigned index times an int would be a float
+    return indices if by is None else indices * r + values[by]
+
+
+def _sort(hole: int, hole_values: list, values: list) -> tuple:
+    """The stable order of hole `hole`'s tokens, and its inverse by one scatter, in O(n): a sort is O(n log n)."""
+    order = hole_values[hole].argsort(kind="stable")
+    inverse = np.empty(len(order), order.dtype)
+    inverse[order] = np.arange(len(order))
+    return order, inverse
+
+
+def _runs(fns: tuple, a_runs: bool, b_runs: bool, a, b, counts: list, out: np.ndarray) -> np.ndarray:
+    """Each function of `fns` of `a` and `b` into its run of rows of `out`, in order, `counts[t]` rows for token
+    t; an operand is read a run at a time if `a_runs` (`b_runs`) says so (it is in token order), else whole."""
     start = 0
-    for f, count in zip(fns, counts):
+    for g, count in zip(fns, counts):
         if count:
             stop = start + count
-            f(a[start:stop] if a_runs else a, b[start:stop] if b_runs else b, out=out[start:stop])
+            g(a[start:stop] if a_runs else a, b[start:stop] if b_runs else b, out=out[start:stop])
             start = stop
-    return out if start == len(out) else out[:start]
-
-
-def _workspace(plan: Plan, n: int, width: int) -> list:
-    """The scratch arrays of a row chunk of `width` rows scored for `n` candidates, `[bufs, squares]`, cut from
-    the plan's flat buffers (`_scratch`), and kept for the last count over 1 and for 1 (an argmax scored alone),
-    which a `train_step` loop alternates.  `bufs` holds one list per step: its result, n rows of `width` columns
-    (1 for a step that reads no input), then one array per operand for the operand gathered into the result's
-    order, None until a chunk gathers it.  `squares`: the (width + 1, n) array of the sequential sum."""
-    for key in [key for key in plan.workspaces if key[0] != n and (key[0] == 1) == (n == 1)]:
-        del plan.workspaces[key]
-    wide = [True] * len(plan.columns) + [False] * (len(plan.slots) - len(plan.columns))  # reads an input
-    bufs = []
-    for out, _, _, args, dtype, _ in plan.steps:
-        wide[out] = any(wide[a] for a in args)
-        bufs.append([_scratch(plan, out, (n, width if wide[out] else 1), dtype)] + [None] * len(args))
-    plan.workspaces[n, width] = workspace = [bufs, _scratch(plan, "squares", (width + 1, max(n, 1)))]
-    return workspace
+    return out
 
 
 def _scratch(plan: Plan, key, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -602,29 +610,20 @@ def _scratch(plan: Plan, key, shape: tuple, dtype=np.float64) -> np.ndarray:
     return flat[:cells].reshape(shape)
 
 
-def _drawn_tokens(hole, indices: np.ndarray):
-    """The token every candidate drew for categorical `hole`, given one index per candidate or one index for
-    all; else `(indices, counts)`, the indices and how many candidates drew each token.  A SketchError names
-    the hole if an index is not an integer in 0..arity-1."""
-    arity = len(hole.tokens)
-    integral = indices.dtype.kind in "iu"
-    try:
-        counts = np.bincount(indices, minlength=arity).tolist() if integral else None
-    except (TypeError, ValueError):  # a negative index, or an unsigned type past int64
-        counts = None
-    if counts is None or len(counts) > arity:
-        bad = indices[(indices < 0) | (indices >= arity)] if integral and indices.ndim == 1 else ()
+def _misfit(plan: Plan, hole_values: list) -> SketchError | None:
+    """The error that names the first hole, in hole order, whose array does not fit it, if one does not: a real
+    hole takes a 1-D array of integers or floats, a categorical one a 1-D array of integers that `np.bincount`
+    takes, each in 0..arity-1."""
+    for hole, values in zip(plan.holes, hole_values):
+        if hole.tokens is None:
+            if values.ndim != 1 or values.dtype.kind not in "iuf":
+                return SketchError(f"hole {hole.index} is real but got {values.ndim}-D {values.dtype} values")
+            continue
+        integral = values.ndim == 1 and values.dtype.kind in "iu"
+        bad = values[(values < 0) | (values >= len(hole.tokens))] if integral else ()
         if len(bad):
-            raise SketchError(f"hole {hole.index}: category index {bad[0]} out of range 0..{arity - 1}")
-        raise _misfit(hole, indices)
-    if len(indices) in counts:
-        return counts.index(len(indices))
-    return indices, counts
-
-
-def _misfit(hole, values: np.ndarray) -> SketchError:
-    """The error for hole `values` that are not a 1-D array of a dtype the hole's kind takes."""
-    if hole.tokens is None:
-        return SketchError(f"hole {hole.index} is real but got {values.ndim}-D {values.dtype} values")
-    shape = "" if values.ndim == 1 else f" of shape {values.shape}"
-    return SketchError(f"hole {hole.index} is categorical but got {values.dtype} values{shape}")
+            return SketchError(f"hole {hole.index}: category index {bad[0]} out of range 0..{len(hole.tokens) - 1}")
+        if not integral or not np.can_cast(values.dtype, np.intp):
+            shape = "" if values.ndim == 1 else f" of shape {values.shape}"
+            return SketchError(f"hole {hole.index} is categorical but got {values.dtype} values{shape}")
+    return None

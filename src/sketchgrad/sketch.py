@@ -381,6 +381,8 @@ def read_number(value, what: str, error: type[Exception], kind: type = float, fi
     """`value` as a `kind`, float or int: a real number (an integral one for int) that is not a bool, and no
     real past the float range such as 10**400; if `finite`, not inf or nan either.  Anything else is an
     `error` naming `what`.  Every number the package is handed is read here."""
+    if type(value) is kind and (kind is int or not finite or math.isfinite(value)):
+        return value  # already a number of the kind asked for, which is all the checks below would find
     integral = kind is int
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
         raise error(f"{what} must be {'an integer' if integral else 'a number'}, got {show(value)}")

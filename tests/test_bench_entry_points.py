@@ -40,6 +40,30 @@ def test_bench_worker_runs_a_smoke_job(workload):
     assert json.loads(report)["errors"] == []
 
 
+def test_a_traced_training_job_records_every_layer_span():
+    # The worker wraps the names that engine calls each iteration through, and silently skips a name that is
+    # gone; a refactor that stops calling through one would leave its span empty in every traced run.
+    (job,) = WORKLOADS["plan"]("onevar-paper", 1, 1, smoke=True)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py")],
+        input=json.dumps({**job, "trace": True, "src": str(ROOT / "src")}),
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["errors"] == []
+    spans = report["trace"]["spans"]
+    names = [
+        "engine.sample_population",
+        "engine.estimate_gradients",
+        "engine.optimizer_step",
+        "dists.standardize_fitness",
+        "dists.softmax",
+        "interp.eval_population_losses",
+    ]
+    assert {name: spans.get(name, {}).get("calls", 0) > 0 for name in names} == dict.fromkeys(names, True)
+
+
 def test_traced_engine_names_exist():
     for name in ("train", "train_step", "sample_population", "estimate_gradients"):
         assert callable(getattr(engine, name, None)), name

@@ -478,9 +478,11 @@ def test_train_scores_the_argmax_with_the_next_population_as_train_step_does_alo
 ):
     # `train` scores a stepped state's argmax as candidate n + 1 of the next step's scorer call, and alone only
     # after a state that a restart could follow (`stale` at patience - 1 when its record is counted) and after
-    # the last one.  With a patience this short, restarts fall due again and again, each right after an argmax
-    # scored alone, and the run lengths 1 to 24 end at every point of that schedule.  Records, restarts,
-    # thetas and every (record, state) pair `on_step` sees are those of a hand loop over `train_step`.
+    # the last one.  Every step's call has n + 1 candidates, the last one the argmax of the state it steps from,
+    # so that the plan keeps the programs of one candidate count.  With a patience this short, restarts fall due
+    # again and again, each right after an argmax scored alone, and the run lengths 1 to 24 end at every point
+    # of that schedule.  Records, restarts, thetas and every (record, state) pair `on_step` sees are those of a
+    # hand loop over `train_step`.
     monkeypatch.setattr(engine, "RESTART_PATIENCE", patience)
     scorer = engine.eval_population_losses
     for sketch, spec, optimizer in ((onevar_sketch, onevar_spec, "sgd"), (twovar_sketch, twovar_spec, "adam")):
@@ -497,10 +499,61 @@ def test_train_scores_the_argmax_with_the_next_population_as_train_step_does_alo
             assert [_state_bits(state) for _, state in watched] == [_state_bits(state) for _, state in seen]
             assert _theta_bits(result.thetas) == _theta_bits(seen[-1][1].thetas())
             alone = 1 + sum(stale >= patience - 1 for stale in stales[:-1])
-            assert calls.count(1) == calls.count(cfg.population) == alone
-            assert calls.count(cfg.population + 1) == iterations - alone
+            assert calls.count(1) == alone
+            assert calls.count(cfg.population + 1) == iterations == len(calls) - alone
             restarted += restarts
         assert len(restarted) >= 10
+
+
+@pytest.mark.parametrize("patience", [37, 100])
+def test_train_draws_in_blocks_that_end_before_a_restart_could_draw(
+    monkeypatch, patience, onevar_sketch, onevar_spec, twovar_sketch, twovar_spec
+):
+    # `train` draws its populations a block of iterations at a time (`engine._blocks`), and a restart draws its
+    # logits from the same streams, so a block must end before the first iteration at which a restart could fall
+    # due.  In 300-iteration runs at these patiences, blocks span many iterations and restarts fall due inside
+    # what a block would otherwise cover; at a population of 500 the cap of DRAW_CELLS draws per block, not the
+    # restart distance, sets the block length (16 384 // (500 * 6) = 5 iterations).  Records, restarts, thetas
+    # and every (record, state) pair `on_step` sees are those of a hand loop over `train_step`.
+    monkeypatch.setattr(engine, "RESTART_PATIENCE", patience)
+    draw = engine._draw
+    restarted = 0
+    cases = ((onevar_sketch, onevar_spec, "sgd", 20), (twovar_sketch, twovar_spec, "adam", 20))
+    for sketch, spec, optimizer, population in (*cases, (onevar_sketch, onevar_spec, "sgd", 500)):
+        cfg = _config(iterations=300, seed=1, population=population, optimizer=optimizer, learning_rate=0.5)
+        blocks, watched = [], []
+        monkeypatch.setattr(engine, "_draw", lambda *a: blocks.append(a[3]) or draw(*a))
+        result = sg.train(sketch, spec, cfg, on_step=lambda record, state: watched.append((record, state)))
+        monkeypatch.setattr(engine, "_draw", draw)
+        seen, restarts, _ = _train_step_loop(sketch, spec, cfg)
+        assert result.records == [record for record, _ in seen] == [record for record, _ in watched]
+        assert result.restarts == restarts
+        assert [_state_bits(state) for _, state in watched] == [_state_bits(state) for _, state in seen]
+        assert _theta_bits(result.thetas) == _theta_bits(seen[-1][1].thetas())
+        assert sum(blocks) == cfg.iterations
+        cap = engine.DRAW_CELLS // (population * sketch.hole_count)
+        assert max(blocks) == (cap if cap < patience else patience) and len(blocks) < cfg.iterations / 4
+        restarted += len(restarts)
+    assert restarted >= 3
+
+
+def test_a_draw_block_holds_draw_cells_or_one_iteration(onevar_sketch):
+    # A block holds at most DRAW_CELLS uniforms and normals, or one iteration's if they are more, so a population of
+    # 10**5 draws one iteration per block, not as many as a restart allows: its arrays (uniforms, normals, the scaled
+    # normals and one stream's draw in flight) stay under twice one iteration's cells.
+    state = sg.init_state(onevar_sketch, _config())
+    for population, iterations in ((50, 10**4), (10**5, 8)):
+        blocks = engine._blocks(state.layout, population, sg.hole_streams(0, onevar_sketch.hole_count), iterations)
+        next(blocks)
+        tracemalloc.start()
+        try:
+            uniforms, _, _ = blocks.send(iterations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = max(engine.DRAW_CELLS, population * onevar_sketch.hole_count)
+        assert uniforms.shape == (3, population)
+        assert peak < 2 * 8 * cells, (population, peak / (8 * cells))
 
 
 def test_restart_thetas_redraws_from_the_hole_streams(onevar_sketch):

@@ -687,7 +687,7 @@ def test_workspace_stays_bounded_over_many_candidate_counts(twovar_sketch, twova
     # of one candidate only.
     rng = np.random.default_rng(4)
     plan = sg.compile_sketch(twovar_sketch, twovar_spec)
-    buffers = sum(1 + len(args) for _, _, _, args, _, _ in plan.steps) + 1
+    buffers = sum(1 + len(args) for _, _, _, args, *_ in plan.steps) + 1
     for n in [*range(1, 40), 50, 1, 50, 3]:
         values = _population_values(twovar_sketch, rng, n)
         losses = sg.eval_population_losses(plan, values)

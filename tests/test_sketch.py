@@ -311,6 +311,13 @@ def _categorical(samples):
     return sg.categorical_gradient(sg.CategoricalTheta([0.0, 0.0]), samples, score="log_softmax_grad")
 
 
+def _sample(n):
+    """A population of `n` drawn from the start of a one-input sketch with both kinds of hole."""
+    sketch = sg.parse_sketch("fn f(x: f32) -> f32 { return x [OP] [Real]; }")
+    state = sg.init_state(sketch, sg.TrainConfig(learning_rate=0.1, iterations=1))
+    return sg.sample_population(state, n, sg.hole_streams(0, sketch.hole_count))
+
+
 def _loss_log(tmp_path, log_every):
     records = [sg.TrainRecord(i, 1.0, 1.0, 1.0) for i in range(1, 7)]
     sg.write_loss_csv(records, tmp_path / "loss.csv", log_every=log_every)
@@ -372,6 +379,9 @@ _ARGUMENTS = {
         lambda _: sg.gaussian_gradient(sg.GaussianTheta(0.0, 1.0), [(0.5, 1.0), (0.5, math.inf)]),
         "sample 1: fitness must be finite, got inf",
     ),
+    "sample_population n True": (lambda _: _sample(True), "n must be an integer, got True"),
+    "sample_population n 2.0": (lambda _: _sample(2.0), "n must be an integer, got 2.0"),
+    "sample_population n -1": (lambda _: _sample(-1), "n must be non-negative, got -1"),
     "sample_categorical_many n 1.5": (
         lambda _: sg.sample_categorical_many(sg.CategoricalTheta([0.0, 0.0]), 1.5, np.random.default_rng(0)),
         "n must be an integer, got 1.5",
