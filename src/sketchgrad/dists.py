@@ -106,24 +106,25 @@ def sample_categorical_many(theta: CategoricalTheta, n: int, rng: np.random.Gene
     return _categorical_draws(theta.probs, n, rng)
 
 
-def _categorical_draws(probs: np.ndarray, n: int, rng, ceiling=None, out=None) -> np.ndarray:
-    """n int64 category indices drawn by inverse CDF from `rng.random(n)`, into `out` if given.  A uniform u
-    draws the number of cumulative probabilities at or below it, clamped to the last category for a u past them
-    all (rounding can leave the total below 1): the count over all but the last cumulative probability, which
-    needs no clamp.  That count is `searchsorted(side="right")`'s index, as the cumulative probabilities ascend.
-    For rows of probabilities (2-D `probs`), `rng` is the (rows, n) uniforms themselves, row r of them drawn for
-    row r of `probs` from that row's own stream, and row r of the (rows, n) result is drawn so from them; a
-    row's zeros past its own categories (see `softmax`) are categories too, which only a u past its total
-    reaches, unless `ceiling` (rows, k - 1) adds inf to their cumulative probabilities (and 0 to the others,
-    which it leaves as they are): then a row draws from its own categories alone, as if clamped to its last
-    one.  One comparison counts every row's draws."""
-    uniforms = rng.random(n) if probs.ndim == 1 else rng
-    cdf = np.add.accumulate(probs[..., :-1], axis=-1)
-    if ceiling is not None:
-        cdf += ceiling
-    # One comparison per cumulative probability and uniform, (..., k - 1, n), counted down the cumulative axis,
+def _categorical_draws(probs: np.ndarray, n: int, rng) -> np.ndarray:
+    """n int64 category indices drawn by inverse CDF from `rng.random(n)`.  A uniform u draws the number of
+    cumulative probabilities at or below it, clamped to the last category for a u past them all (rounding can
+    leave the total below 1): the count over all but the last cumulative probability, which needs no clamp, and
+    `searchsorted(side="right")`'s index, as they ascend."""
+    return np.add.accumulate(probs[:-1]).searchsorted(rng.random(n), side="right")
+
+
+def _categorical_row_draws(probs: np.ndarray, uniforms: np.ndarray, ceiling: np.ndarray, out: np.ndarray):
+    """`_categorical_draws` for each row of `probs` (rows, k), from the same row of `uniforms` (rows, n), into
+    `out` (rows, n).  `ceiling` (rows, k - 1) adds inf to each cumulative probability past a row's own categories
+    and 0 to the others, so a row padded with zeros (see `softmax`) draws from its own categories alone, as if
+    clamped to its last one.  One comparison counts every row's draws: for the few narrow rows of a training
+    step, that costs less than a `searchsorted` per row."""
+    cdf = np.add.accumulate(probs[:, :-1], axis=1)
+    cdf += ceiling
+    # One comparison per cumulative probability and uniform, (rows, k - 1, n), counted down the cumulative axis,
     # whose rows of n are contiguous: counting along the short last axis would cost twice as much.
-    return np.add.reduce(uniforms[..., None, :] >= cdf[..., :, None], axis=-2, dtype=np.int64, out=out)
+    return np.add.reduce(uniforms[:, None, :] >= cdf[:, :, None], axis=1, dtype=np.int64, out=out)
 
 
 def _categorical_accumulator(

@@ -55,7 +55,7 @@ from .dists import (
     CategoricalTheta,
     GaussianTheta,
     _categorical_accumulator,
-    _categorical_draws,
+    _categorical_row_draws,
     _gaussian_accumulator,
     check_thetas,
     standardize_fitness,
@@ -83,9 +83,10 @@ RESTART_MIN_GAIN = 0.01
 RESTART_LOGIT_STD = 1.0
 
 # `train` draws its populations from the hole streams in blocks of iterations (see `_blocks`), each of at most
-# this many uniforms and normals, or one iteration's if that holds more: 128 KB, 54 iterations of 50 candidates
-# of six holes.  Read at call time, so that tests can move the block boundaries.
-DRAW_CELLS = 1 << 14
+# this many uniforms and normals, or one iteration's if that holds more: 32 KB, 13 iterations of 50 candidates
+# of six holes.  Blocks four times as long ran no faster.  Read at call time, so that tests can move the block
+# boundaries.
+DRAW_CELLS = 1 << 12
 
 # loss_spikes takes the medians of this many full windows per numpy call.
 SPIKE_CHUNK = 4096
@@ -214,7 +215,7 @@ class _Layout:
     Per hole, in hole order: `slices`, its slice of the vector, and `sigmas`, its sigma (None for a
     categorical hole).  `sigma` holds the real holes' sigmas, `cells` the flat position in `blank` of each
     logit, `offsets`, as a column, the flat position of each row's first logit (a gradient's bin offsets), and
-    `ceiling` the draws' ceiling (see `dists._categorical_draws`): per row, inf for each cumulative probability
+    `ceiling` the draws' ceiling (see `dists._categorical_row_draws`): per row, inf for each cumulative probability
     past its hole's tokens, else 0.  `categorical` and `real` pick those holes' items of a sequence in hole order;
     `in_hole_order` puts their rows back in hole order."""
 
@@ -391,7 +392,7 @@ def sample_population(state: TrainState, n: int, streams, draws: tuple | None = 
     probs = dists.softmax(logits)
     tokens = np.empty((len(probs), n + 1), np.int64)
     # The ceiling keeps each row to its hole's tokens: a uniform past the row's total draws the hole's last.
-    _categorical_draws(probs, n, uniforms, layout.ceiling, tokens[:, :n])
+    _categorical_row_draws(probs, uniforms, layout.ceiling, tokens[:, :n])
     logits.argmax(axis=1, out=tokens[:, n])
     reals = np.empty((len(means), n + 1))
     np.add(means[:, None], scaled, out=reals[:, :n])
@@ -558,7 +559,7 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     the last one, the argmax is scored alone, since the restart would change what the next step draws.
     The populations are drawn in blocks of iterations (see `_blocks`) that end before any restart could
     draw from the streams, so each draws what `train_step` would; the optimizer and numpy's error state
-    (overflow ignored, as in `_step`; `on_step` runs in it too) are set once per run.
+    (overflow ignored, as in `_step`) are set once per run.  `on_step` runs under the caller's error state.
     """
     if sketch.hole_count == 0:
         raise SketchError("sketch has no holes; nothing to train")
@@ -573,6 +574,7 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
     restarts: list[int] = []
     low, stale = math.inf, 0  # argmax loss at the last gain, iterations since
     pending = None  # the last stepped state, whose argmax is not scored yet, and its mean population loss
+    outer = np.geterr()
     with np.errstate(over="ignore"):
         for i in range(iterations + 1):
             if pending is not None:
@@ -592,7 +594,8 @@ def train(sketch: Sketch, spec: SpecSet, config: TrainConfig, on_step=None) -> T
                     best = state
                 records.append(record)
                 if on_step is not None:
-                    on_step(record, state)
+                    with np.errstate(**outer):
+                        on_step(record, state)
                 if argmax_loss < low * floor:
                     low, stale = argmax_loss, 0
                 else:

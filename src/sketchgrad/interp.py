@@ -12,16 +12,16 @@ its `SpecError` before they score a row, and their callers pass it on.
 The scalar interpreter (`eval_program`, `eval_spec_loss`) runs one program on
 one input; it is the reference.  `compile_sketch` resolves a sketch and spec
 once into a `Plan`, a flat step list that only this module reads, and settles
-there what no drawn token changes: each step's operands, which of them can
-differ between candidates, which values read an input, and where each real
-hole's values go.  The product walk (`eval_product_losses`) scores every token
-combination and reads the guard's select step without running it; the
-population scorer runs every step for sampled candidates, holding each value
-as stored rows plus a map from candidate to stored row.  How each step runs
-depends on a call's pattern alone: n, the arrays' shapes and kinds, and which
-token, if one, every candidate drew at each categorical hole.  `_resolve`
-settles that once per pattern into a program kept on the plan; a call does
-what its tokens say (their counts, sorts and maps) and the arithmetic:
+there what no drawn token changes: each step's operands and functions, which
+values read an input, and where each real hole's values go.  The product walk
+(`eval_product_losses`) scores every token combination and reads the guard's
+select step without running it; the population scorer runs every step for
+sampled candidates, holding each value as stored rows plus a map from
+candidate to stored row.  How each step runs depends on a call's pattern alone:
+n, the arrays' shapes and kinds, and which token, if one, every candidate drew
+at each categorical hole.  `_resolve` settles that once per pattern into a
+program kept on the plan; a call does what its tokens say (their counts, sorts
+and maps) and the arithmetic:
 
 - a value that no candidate varies is one row (an input column, a literal, a
   real hole given one value, and what one token computes from these);
@@ -41,21 +41,16 @@ The loss is computed once per stored row of the prediction and then mapped to
 the candidates.  Rows are scored in chunks of `CHUNK_CELLS // n`, and a call
 allocates no array per chunk: a program's step results, gathers and sums are
 cut from flat buffers kept on the plan, shared by every candidate count and
-pattern (`_scratch`).  While a call scores chunks of more cells than
-`BUFSIZE`, numpy's ufunc buffer size is set to it, so a ufunc that broadcasts
-or casts an operand goes through a small iterator buffer, not one of 8192
-elements.  The guard picks its branch by a bitwise select on the int64 views
-of the two branches, which gives `np.where`'s bits (NaN payloads and -0.0 too)
-without a mispredicted branch per cell; real holes are scored as float64, so
-both branches are float64, and the comparison writes its 0/1 results as int64,
-the mask the select multiplies by.  The squared errors are written transposed,
-one row per spec row under a row holding the running total, and summed by
-`np.add.reduce` down the rows: for two or more stored rows numpy adds them row
-by row, which is the scalar loop's left-to-right sum, so each loss is that
-sequential sum at any chunk size, bit for bit.  For one stored row (the argmax
-program, or any population whose prediction no candidate varies) the same
-reduction runs down one column, where numpy sums pairwise and rounds
-differently, so it is summed by `np.add.accumulate`, a `cumsum`, instead.
+pattern (`_scratch`), and numpy's ufunc buffer is cut to `BUFSIZE` cells.  The
+guard picks its branch by `_select`, without a branch per cell.  The squared
+errors are written transposed, one row per spec row under a row holding the
+running total, and summed by `np.add.reduce` down the rows: for two or more
+stored rows numpy adds them row by row, which is the scalar loop's
+left-to-right sum, so each loss is that sequential sum at any chunk size, bit
+for bit.  For one stored row (the argmax program, or any population whose
+prediction no candidate varies) the same reduction runs down one column, where
+numpy sums pairwise and rounds differently, so it is summed by
+`np.add.accumulate`, a `cumsum`, instead.
 """
 
 from __future__ import annotations
@@ -251,10 +246,18 @@ CHUNK_CELLS = 1 << 15
 BUFSIZE = 256
 
 # A plan keeps the programs of at most this many call patterns (see `_resolve`), and drops them all when it needs
-# one more: a 10 000-iteration one-input training run draws 10-16 patterns in 10 003 calls, a two-input one 3.
+# one more: a 10 000-iteration one-input training run draws 10-21 patterns in 10 003 calls, a two-input one 3.
 PROGRAMS = 32
 
-_UFUNCS = {"==": np.equal, ">": np.greater, "<": np.less, "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_UFUNCS = {
+    "==": np.equal,
+    ">": np.greater,
+    "<": np.less,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+}
 
 
 def _select(mask, x, y, out):
@@ -280,11 +283,11 @@ class Plan:
     (the spec's inputs, one contiguous row per input; `slots` holds them whole, for a call scored in one
     chunk); then come the values of the real holes `reals`, in hole order; the rest are, in `slots` order,
     the literals (held there) and the step results (None there).  A step `(out, hole, fns, args, dtype,
-    operands, varying)` sets value `out` to a function of `fns` applied to the values at `args` (two or
-    three, which `operands` picks): `fns[0]` when `hole` is None, else, per candidate, the function of the
-    token it drew for that categorical hole, into an array of `dtype`.  `varying` holds the args that can
-    differ between candidates, and `wide` says, per value, whether it reads an input (a column per spec row)
-    or not (one column).  `categorical` pairs each categorical hole with its token count, in hole order.
+    operands)` sets value `out` to a function of `fns` applied to the values at `args` (two or three, which
+    `operands` picks): `fns[0]` when `hole` is None, else, per candidate, the function of the token it drew
+    for that categorical hole, into an array of `dtype`.  `wide` says, per value, whether it reads an input
+    (a column per spec row) or not (one column).  `categorical` pairs each categorical hole with its token
+    count, in hole order.
     Value `out` is the prediction: in a guarded sketch, the guard's `_select` step, which the product walk
     reads.  A plan keeps its calls' scratch `buffers` and programs (`workspaces`, see `_resolve`), so one plan
     must not be scored from two threads at once; compile one per thread."""
@@ -305,19 +308,12 @@ class Plan:
 def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
     """The plan that scores populations of `sketch`'s hole assignments on `spec`; a SpecError if the spec
     does not fit the sketch (see `_check_fit`).  It settles what no drawn token changes: each step's
-    operands, which of them can vary by candidate, which values read an input and where the reals go."""
+    operands and functions, which values read an input and where the reals go."""
     _check_fit(sketch, spec)
     real_holes = tuple(h.index for h in sketch.holes if not h.tokens)
     slots: list = [None] * (sketch.arity + len(real_holes))
-    varies = [False] * sketch.arity + [True] * len(real_holes)  # per value: can it differ between candidates
     wide = [True] * sketch.arity + [False] * len(real_holes)  # per value: does it read an input
     steps = []
-
-    def value(data, varying: bool, reads_input: bool) -> int:
-        slots.append(data)
-        varies.append(varying)
-        wide.append(reads_input)
-        return len(slots) - 1
 
     def operand(node) -> int:
         if isinstance(node, Var):
@@ -325,14 +321,16 @@ def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
         if isinstance(node, RealHole):
             return sketch.arity + real_holes.index(node.index)
         if isinstance(node, Lit):
-            return value(_read_only(np.full((1, 1), node.value)), False, False)
+            slots.append(_read_only(np.full((1, 1), node.value)))
+            wide.append(False)
+            return len(slots) - 1
         raise SketchError(f"not an operand: {node!r}")
 
     def step(hole, fns: tuple, dtype, *args: int) -> int:
-        varying = tuple(filter(varies.__getitem__, args))
-        out = value(None, hole is not None or bool(varying), any(map(wide.__getitem__, args)))
-        steps.append((out, hole, fns, args, dtype, itemgetter(*args), varying))
-        return out
+        slots.append(None)
+        wide.append(any(map(wide.__getitem__, args)))
+        steps.append((len(slots) - 1, hole, fns, args, dtype, itemgetter(*args)))
+        return len(slots) - 1
 
     def apply(slot, a: int, b: int) -> int:
         """A comparison or operator slot: a token, or a hole that applies the token each candidate drew.  A
@@ -355,7 +353,9 @@ def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
     columns = _read_only(np.ascontiguousarray(spec.inputs.T))
     slots[: sketch.arity] = columns[:, None, :]  # whole rows, which a call scored in one chunk reads
     categorical = tuple((h.index, len(h.tokens)) for h in sketch.holes if h.tokens)
-    return Plan(sketch.holes, columns, spec.outputs, tuple(slots), tuple(steps), out, real_holes, tuple(wide), categorical)
+    return Plan(
+        sketch.holes, columns, spec.outputs, tuple(slots), tuple(steps), out, real_holes, tuple(wide), categorical
+    )
 
 
 def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFINITE_PENALTY) -> np.ndarray:
@@ -461,7 +461,7 @@ def eval_product_losses(plan: Plan, reals, penalty: float) -> np.ndarray:
         for lo in range(0, rows, chunk):
             y = plan.outputs[lo : lo + chunk].reshape(-1, *ones[1:])
             values[:arity] = plan.columns[:, lo : lo + chunk].reshape(arity, *y.shape)
-            for out, hole, fns, _, _, operands, _ in steps:
+            for out, hole, fns, _, _, operands in steps:
                 a, b = operands(values)
                 values[out] = fns[0](a, b) if hole is None else np.concatenate([f(a, b) for f in fns], 1 + hole)
             squares = [(d := values[b] - y) * d for b in branches]
@@ -486,8 +486,10 @@ def _penalize(losses: np.ndarray, penalty) -> None:
 
 
 _ONE_ROW = (1, None)  # the layout of a value that is the same for every candidate: one stored row, read by each
-_FORM, _COLUMN = attrgetter("shape", "dtype.kind"), itemgetter((slice(None), None))
-_FLOAT64, _TAKE = methodcaller("astype", np.float64, copy=False), partial(np.ndarray.take, axis=0, mode="clip")
+_FORM = attrgetter("shape", "dtype.kind")  # an array's part of a call's pattern, mapped over its arrays in C
+_FLOAT64 = methodcaller("astype", np.float64, copy=False)  # with _COLUMN, mapped over a call's reals in C
+_COLUMN = itemgetter((slice(None), None))  # one stored row per candidate
+_TAKE = partial(np.ndarray.take, axis=0, mode="clip")  # a gather step: its operand's rows at a map, into `out`
 
 
 def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
@@ -509,24 +511,22 @@ def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
     layouts = [_ONE_ROW] * len(slots)
     for slot, hole in enumerate(plan.reals, len(plan.columns)):
         layouts[slot] = _ONE_ROW if forms[hole][0] == (1,) else every
-    wide, dtypes = [*plan.wide, *[False] * len(plan.categorical)], [np.float64] * len(slots)
+    kinds = [(reads_input, np.float64) for reads_input in plan.wide]  # per plan value: its buffers' width and dtype
     drawn = {hole: (position, t) for position, ((hole, _), t) in enumerate(zip(plan.categorical, drawn))}
     ops, program = [], []
 
-    def value(data=None, like: int = 0, gather=None) -> int:  # a new slot, shaped like value `like`'s
+    def value(data=None, like=None, gather=None) -> int:  # a new slot
         slots.append(data)
-        wide.append(wide[like])
-        dtypes.append(dtypes[like])
-        if gather is not None:  # value `like` gathered by the map at `gather[0]`, in a buffer kept as `gather[1]`
-            program.append((len(slots) - 1, _TAKE, (like, gather[0]), n, gather[1]))
+        if gather is not None:  # plan value `like` gathered by the map at `gather[0]`, into buffer `gather[1]`
+            program.append((len(slots) - 1, _TAKE, (like, gather[0]), n, gather[1], kinds[like]))
         return len(slots) - 1
 
-    for out, hole, fns, args, dtype, _, varying in plan.steps:
+    for out, hole, fns, args, dtype, _ in plan.steps:
         position, t = drawn.get(hole, (None, 0))
-        dtypes[out] = dtype
+        kinds[out] = plan.wide[out], dtype
         if t >= 0:
             f = fns[t]
-            shared = {layouts[a] for a in varying} - {_ONE_ROW}  # the layout of the operands that vary, if one
+            shared = {layouts[a] for a in args} - {_ONE_ROW}  # the layout of the operands that vary, if one
             if len(shared) > 1:  # gathered into candidate order
                 maps = enumerate(layouts[a][1] for a in args)  # a value with no map is read as it is
                 args = tuple(a if m is None else value(like=a, gather=(m, (out, j))) for a, (j, m) in zip(args, maps))
@@ -550,26 +550,27 @@ def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
                         picks = order if s == every else len(slots) - 1
                         args = (*args[:j], value(like=args[j], gather=(picks, (out, j))), *args[j + 1 :])
                 f, args = partial(_runs, fns, a != _ONE_ROW, b != _ONE_ROW), (*args, len(plan.slots) + position)
-        program.append((out, f, args, layouts[out][0], out))
+        program.append((out, f, args, layouts[out][0], out, kinds[out]))
     rows, chunk, count = len(plan.outputs), max(1, cells // n), layouts[plan.out][0]
     chunks = []
     for lo in range(0, rows, chunk):
         width = min(chunk, rows - lo)
         steps = [
-            (out, f, itemgetter(*args), _scratch(plan, buf, (n, width if wide[out] else 1), dtypes[out])[:stored])
-            for out, f, args, stored, buf in program
+            (out, f, itemgetter(*args), _scratch(plan, buf, (n, width if wide else 1), dtype)[:stored])
+            for out, f, args, stored, buf, (wide, dtype) in program
         ]
         squares = _scratch(plan, "squares", (width + 1, n))[:, :count]
         columns = list(plan.columns[:, None, lo : lo + width]) if chunk < rows else []
         y = plan.outputs[lo : lo + width, None]
         chunks.append((columns, steps, y, squares, squares[1:], squares if lo else squares[1:]))
-    # Every program goes when there are PROGRAMS, and those of another count than n (1 aside), whose buffers this
+    # Every program goes when there are PROGRAMS, or one of another count than n (1 aside), whose buffers this
     # count may outgrow.
-    for old in [k for k in plan.workspaces if len(plan.workspaces) >= PROGRAMS or k[0] != n and (k[0] == 1) == (n == 1)]:
-        del plan.workspaces[old]
+    if len(plan.workspaces) >= PROGRAMS or n > 1 and any(k[0] not in (1, n) for k in plan.workspaces):
+        plan.workspaces.clear()
     reals = slice(len(plan.columns), len(plan.columns) + len(plan.reals))
     counted = slice(len(plan.slots), len(plan.slots) + len(plan.categorical))
-    program = tuple(slots), reals, counted, ops, chunks, plan.out, *layouts[plan.out], n * min(chunk, rows) > BUFSIZE
+    big = n * min(chunk, rows) > BUFSIZE
+    program = tuple(slots), reals, counted, ops, chunks, plan.out, *layouts[plan.out], big
     plan.workspaces[key] = program
     return program
 

@@ -103,14 +103,14 @@ def test_categorical_draws_are_the_clamped_inverse_cdf():
             assert draws.tolist() == expected.tolist()
 
 
-def test_categorical_draws_count_as_searchsorted_right_bit_for_bit():
-    # `_categorical_draws` counts the cumulative probabilities at or below each uniform, for every row in one
-    # comparison; that count is `searchsorted(side="right")`'s index over all but the last cumulative probability.
-    # Rows padded with zeros past a hole's own tokens (as the training step's softmax rows are) are drawn from a
-    # uniform equal to each cumulative probability, at and just past the row's total, and at random; with the
-    # training step's ceiling (inf past a row's own k - 1 cumulative probabilities), the count is searchsorted's
-    # over those k - 1 alone, into the given `out`.  The 1-D path that `sample_categorical_many` takes is checked
-    # the same way.
+def test_categorical_row_draws_count_as_searchsorted_right_bit_for_bit():
+    # `_categorical_row_draws` counts, for every row in one comparison, the cumulative probabilities at or below
+    # each uniform; that count is `searchsorted(side="right")`'s index over all but the last cumulative
+    # probability.  Rows padded with zeros past a hole's own tokens (as the training step's softmax rows are) are
+    # drawn from a uniform equal to each cumulative probability, at and just past the row's total, and at random.
+    # With a zero ceiling the padding counts as categories; with the training step's ceiling (inf past a row's
+    # own k - 1 cumulative probabilities) the count is searchsorted's over those k - 1 alone.  Each row drawn alone
+    # by `_categorical_draws`, the 1-D path, is searchsorted's too.
     rng = np.random.default_rng(30)
     for width in (2, 3, 4, 9):
         for _ in range(30):
@@ -123,18 +123,20 @@ def test_categorical_draws_count_as_searchsorted_right_bit_for_bit():
             cdf = np.add.accumulate(probs, axis=1)
             top = np.full((rows, 1), np.nextafter(1.0, 0.0))
             u = np.concatenate([rng.random((rows, 20)), cdf, np.nextafter(cdf[:, -1:], 1.0), top], 1)
-            draws = dists._categorical_draws(probs, u.shape[1], u)
-            expected = [np.searchsorted(c[:-1], row, side="right") for c, row in zip(cdf, u)]
-            assert draws.dtype == np.int64 and draws.tobytes() == np.array(expected, np.int64).tobytes()
-            ceiling = np.where(np.arange(width - 1) < ks[:, None] - 1, 0.0, np.inf)
             out = np.empty((rows, u.shape[1] + 1), np.int64)
-            assert dists._categorical_draws(probs, u.shape[1], u, ceiling, out[:, :-1]) is not None
+            assert dists._categorical_row_draws(probs, u, np.zeros((rows, width - 1)), out[:, :-1]) is not None
+            expected = [np.searchsorted(c[:-1], row, side="right") for c, row in zip(cdf, u)]
+            assert out[:, :-1].tobytes() == np.array(expected, np.int64).tobytes()
+            ceiling = np.where(np.arange(width - 1) < ks[:, None] - 1, 0.0, np.inf)
+            draws = dists._categorical_row_draws(probs, u, ceiling, out[:, :-1])
             own = [np.searchsorted(c[: k - 1], row, side="right") for c, k, row in zip(cdf, ks, u)]
-            assert out[:, :-1].tobytes() == np.array(own, np.int64).tobytes()
-            assert (out[:, :-1] == np.minimum(draws, ks[:, None] - 1)).all()
-            for p, row in zip(probs, u):
+            assert draws.dtype == np.int64 and draws.tobytes() == np.array(own, np.int64).tobytes()
+            assert (draws == np.minimum(expected, ks[:, None] - 1)).all()
+            for p, k, row, drawn in zip(probs, ks, u, draws):
                 one = dists._categorical_draws(p, row.size, _Uniforms(row))
                 assert one.tobytes() == np.searchsorted(np.add.accumulate(p)[:-1], row, side="right").tobytes()
+                mine = dists._categorical_draws(p[:k], row.size, _Uniforms(row))
+                assert mine.dtype == np.int64 and mine.tobytes() == drawn.tobytes()
     theta = sg.CategoricalTheta([0.3, -1.2, 2.0, 0.1])
     drawn = sg.sample_categorical_many(theta, 500, np.random.default_rng(5))
     u = np.random.default_rng(5).random(500)

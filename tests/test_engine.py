@@ -444,6 +444,25 @@ def test_train_on_step_sees_every_step_and_changes_nothing(onevar_sketch, onevar
     assert sg.print_program(watched.best_program) == sg.print_program(plain.best_program)
 
 
+def test_train_runs_on_step_under_the_callers_numpy_error_state(onevar_sketch, onevar_spec):
+    # `train` ignores overflow in its steps, as `train_step` does, but sets that error state once per run; a
+    # callback still sees the error state `train` was called under, and an overflow in it raises there.
+    seen = []
+
+    def watch(record, state):
+        seen.append(np.geterr())
+        np.exp(np.array([1000.0]))
+
+    with np.errstate(over="warn", under="raise"):
+        outer = np.geterr()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            sg.train(onevar_sketch, onevar_spec, _config(iterations=3), on_step=watch)
+        assert np.geterr() == outer
+    assert seen == [outer] * 3
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        sg.train(onevar_sketch, onevar_spec, _config(iterations=3), on_step=watch)
+
+
 def _state_bits(state) -> tuple:
     moments = b"".join(m.tobytes() for m in state.moment_vectors)
     return state.vector.tobytes(), moments, state.step_count, state.iteration, struct.pack("<d", state.best_loss)
@@ -512,14 +531,14 @@ def test_train_draws_in_blocks_that_end_before_a_restart_could_draw(
     # `train` draws its populations a block of iterations at a time (`engine._blocks`), and a restart draws its
     # logits from the same streams, so a block must end before the first iteration at which a restart could fall
     # due.  In 300-iteration runs at these patiences, blocks span many iterations and restarts fall due inside
-    # what a block would otherwise cover; at a population of 500 the cap of DRAW_CELLS draws per block, not the
-    # restart distance, sets the block length (16 384 // (500 * 6) = 5 iterations).  Records, restarts, thetas
+    # what a block would otherwise cover; at a population of 100 the cap of DRAW_CELLS draws per block, not the
+    # restart distance, sets the block length (4 096 // (100 * 6) = 6 iterations).  Records, restarts, thetas
     # and every (record, state) pair `on_step` sees are those of a hand loop over `train_step`.
     monkeypatch.setattr(engine, "RESTART_PATIENCE", patience)
     draw = engine._draw
     restarted = 0
-    cases = ((onevar_sketch, onevar_spec, "sgd", 20), (twovar_sketch, twovar_spec, "adam", 20))
-    for sketch, spec, optimizer, population in (*cases, (onevar_sketch, onevar_spec, "sgd", 500)):
+    cases = ((onevar_sketch, onevar_spec, "sgd", 10), (twovar_sketch, twovar_spec, "adam", 10))
+    for sketch, spec, optimizer, population in (*cases, (onevar_sketch, onevar_spec, "sgd", 100)):
         cfg = _config(iterations=300, seed=1, population=population, optimizer=optimizer, learning_rate=0.5)
         blocks, watched = [], []
         monkeypatch.setattr(engine, "_draw", lambda *a: blocks.append(a[3]) or draw(*a))

@@ -696,3 +696,30 @@ def test_workspace_stays_bounded_over_many_candidate_counts(twovar_sketch, twova
         assert len(plan.buffers) <= buffers and n in counts and len(counts - {1}) <= 1
         fresh = sg.eval_population_losses(sg.compile_sketch(twovar_sketch, twovar_spec), values)
         assert losses.tobytes() == fresh.tobytes(), n
+
+
+def test_a_plan_keeps_at_most_programs_and_scores_past_them_as_a_fresh_plan(onevar_sketch, onevar_spec):
+    # A plan keeps the programs of at most `interp.PROGRAMS` call patterns and drops them all when it needs one
+    # more.  Each of the 48 one-token-per-hole patterns of the one-input sketch, and the mixed patterns of each
+    # categorical hole drawing every token, scored twice over on one plan, give the losses of a fresh plan bit for
+    # bit, and the plan never holds more than PROGRAMS programs.
+    rng = np.random.default_rng(32)
+    n = 24
+    holes = onevar_sketch.holes
+    calls = [
+        [np.full(n, t) if h.tokens else rng.normal(1.0, 2.0, n) for h, t in zip(holes, tokens)]
+        for tokens in itertools.product(*[range(h.arity) if h.tokens else [None] for h in holes])
+    ]
+    for mixed in (h for h in holes if h.tokens):
+        drawn = [np.arange(n) % h.arity if h is mixed else np.zeros(n, int) for h in holes]
+        calls.append([v if h.tokens else rng.random(n) for h, v in zip(holes, drawn)])
+    plan = sg.compile_sketch(onevar_sketch, onevar_spec)
+    keys, sizes = set(), []
+    for values in calls + calls[::-1]:
+        losses = sg.eval_population_losses(plan, values)
+        fresh = sg.eval_population_losses(sg.compile_sketch(onevar_sketch, onevar_spec), values)
+        assert losses.tobytes() == fresh.tobytes()
+        keys |= set(plan.workspaces)
+        sizes.append(len(plan.workspaces))
+    assert len(keys) == len(calls) > interp.PROGRAMS
+    assert max(sizes) == interp.PROGRAMS and sizes.count(1) >= 3

@@ -443,7 +443,7 @@ def test_no_module_imports_a_private_name_from_another():
         ("cli.py", "interp", "_spec_predictions"),
         ("engine.py", "interp", "_read_only"),
         ("engine.py", "dists", "_categorical_accumulator"),
-        ("engine.py", "dists", "_categorical_draws"),
+        ("engine.py", "dists", "_categorical_row_draws"),
         ("engine.py", "dists", "_gaussian_accumulator"),
     }
     imported = set()
