@@ -7,7 +7,8 @@ accumulator weights each sample by the gradient of the drawn category's
 log-probability (the score function, so its expectation is the gradient of
 expected fitness), or by the gradient of its softmax probability as in the
 printed update rule; the Gaussian mean uses the fixed-sigma closed form
-(1 / n*sigma) * sum(F_i * eps_i).
+(1 / n*sigma) * sum(F_i * eps_i), for every real hole in one `np.vecdot`
+(numpy 2).
 
 The fitness a training step ascends, from a vector of scorer losses, is
 here too (`standardize_fitness`).
@@ -157,20 +158,17 @@ def _categorical_accumulator(
     else:
         raise ValueError(f"unknown categorical score {score!r}")
     diag = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=probs.size).reshape(probs.shape)
-    diag -= sums * probs
+    # A difference, not a subtraction in place: with no rows there are no bins, and a bincount of no bins is int64.
+    diag = diag - sums * probs
     diag /= n
     return diag
 
 
-# Each row of `a` dotted with `b` by the BLAS dot that `b.dot(row)` calls (a matrix product would sum in
-# another order); numpy 1 has no `vecdot`, so there each row is dotted on its own.
-_row_dot = getattr(np, "vecdot", None) or (lambda a, b: np.array([b.dot(row) for row in a]) if a.ndim > 1 else b.dot(a))
-
-
 def _gaussian_accumulator(eps: np.ndarray, fitness: np.ndarray, sigma) -> np.ndarray:
     """The fixed-sigma mean gradient (1 / (n * sigma)) * sum(F_i * eps_i), for one hole's `eps` (n), or for
-    each row of 2-D `eps` (rows, n) with that row's entry of `sigma` (rows)."""
-    return _row_dot(eps, fitness) / (fitness.size * sigma)
+    each row of 2-D `eps` (rows, n) with that row's entry of `sigma` (rows).  `np.vecdot` dots each row by the BLAS
+    dot that `fitness.dot(row)` calls: a matrix product would sum in another order."""
+    return np.vecdot(eps, fitness) / (fitness.size * sigma)
 
 
 def categorical_gradient(theta: CategoricalTheta, samples, *, score: str) -> np.ndarray:

@@ -8,7 +8,8 @@ standardizes the negated losses into fitness, estimates a gradient per hole
 and takes an ascent step: `train_step` maps one `TrainState` value of plain
 arrays to the next, and theta objects exist only at the edges.  A step runs
 each of these once over one vector of every hole's parameters (see
-`_Layout`), not once per hole.  `train_step` draws one population from the
+`_Layout`), not once per hole, and the optimizer steps that vector as one
+array, with its moments.  `train_step` draws one population from the
 streams it is given; `train` draws a block of iterations from each stream in
 one call (see `_blocks`), and sets the optimizer and numpy's error state
 once per run, not once per step.  The argmax program (most probable token per
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -270,22 +270,17 @@ class Population:
     layout: _Layout
 
     def columns(self, count: int) -> tuple:
-        """Each hole's first `count` candidate values, in hole order, as the scorer takes them."""
+        """Each hole's first `count` candidate values, in hole order, as the scorer takes them: token indices, or
+        mu + sigma * eps (the argmax program's mean, in column n)."""
         return self.layout.in_hole_order((*self.tokens[:, :count], *self.reals[:, :count]))
-
-    @property
-    def values(self) -> tuple:
-        """Each hole's n candidate values, in hole order: token indices, or mu + sigma * eps."""
-        return self.columns(self.eps.shape[1])
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value, so states compare by identity
 class TrainState:
     """What one training step reads and writes, as a value of read-only arrays: `vector`, every hole's
     parameter, where `layout` says, and `moment_vectors`, Adam's (m, v), each shaped like it.  Per hole, in
-    hole order, `params` and `moments` are views into them: a categorical hole's logit vector or a real
-    hole's mean as a 1-vector, and its (m, v); `sigmas` holds a real hole's fixed sigma, None for a
-    categorical one."""
+    hole order, `sigmas` holds a real hole's fixed sigma, None for a categorical one; `thetas()` reads the
+    holes' parameters as theta values."""
 
     vector: np.ndarray
     moment_vectors: tuple
@@ -298,15 +293,6 @@ class TrainState:
     def sigmas(self) -> tuple:
         return self.layout.sigmas
 
-    @cached_property
-    def params(self) -> tuple:
-        return tuple(self.vector[s] for s in self.layout.slices)
-
-    @cached_property
-    def moments(self) -> tuple:
-        m, v = self.moment_vectors
-        return tuple((m[s], v[s]) for s in self.layout.slices)
-
     @classmethod
     def from_thetas(cls, sketch: Sketch, thetas) -> TrainState:
         """A state at step 0 holding `thetas`, which must fit the sketch's holes (ThetaError)."""
@@ -315,10 +301,12 @@ class TrainState:
         return _fresh_state(params, [None if isinstance(t, CategoricalTheta) else t.sigma for t in thetas])
 
     def thetas(self) -> tuple:
-        """The distributions as theta values, in hole order."""
+        """The distributions as theta values, in hole order: a categorical hole's slice of `vector` is its logits,
+        a real hole's its mean."""
+        params = map(self.vector.__getitem__, self.layout.slices)
         return tuple(
             CategoricalTheta(p) if sigma is None else GaussianTheta(p.item(), sigma)
-            for p, sigma in zip(self.params, self.sigmas)
+            for p, sigma in zip(params, self.sigmas)
         )
 
 
@@ -443,33 +431,32 @@ def estimate_gradients(state: TrainState, population: Population, fitness: np.nd
 
 @dataclass(frozen=True)
 class SgdOptimizer:
-    """Gradient ascent, `param + learning_rate * grad`; a rule that keeps no state."""
+    """Gradient ascent, `vector + learning_rate * grad`; a rule that keeps no state.  Like Adam's, its `step` maps a
+    parameter vector, its gradient, the moments (m, v) shaped like it and the 1-based step count to the stepped
+    vector and moments."""
 
     learning_rate: float
 
-    def step(self, params: tuple, grads: tuple, moments: tuple, step_count: int) -> tuple[tuple, tuple]:
-        return tuple(p + self.learning_rate * g for p, g in zip(params, grads)), moments
+    def step(self, vector: np.ndarray, grad: np.ndarray, moments: tuple, step_count: int) -> tuple[np.ndarray, tuple]:
+        return vector + self.learning_rate * grad, moments
 
 
 @dataclass(frozen=True)
 class AdamOptimizer:
-    """Adam as ascent; the moments and the 1-based step count come in and go out with the parameters."""
+    """Adam as ascent; the moments and the 1-based step count come in and go out with the parameter vector."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def step(self, params: tuple, grads: tuple, moments: tuple, step_count: int) -> tuple[tuple, tuple]:
-        out, new_moments = [], []
-        for p, g, (m, v) in zip(params, grads, moments):
-            m = self.beta1 * m + (1 - self.beta1) * g
-            v = self.beta2 * v + (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1**step_count)
-            vhat = v / (1 - self.beta2**step_count)
-            out.append(p + self.learning_rate * mhat / (np.sqrt(vhat) + self.eps))
-            new_moments.append((_read_only(m), _read_only(v)))
-        return tuple(out), tuple(new_moments)
+    def step(self, vector: np.ndarray, grad: np.ndarray, moments: tuple, step_count: int) -> tuple[np.ndarray, tuple]:
+        m, v = moments
+        m = self.beta1 * m + (1 - self.beta1) * grad
+        v = self.beta2 * v + (1 - self.beta2) * grad * grad
+        mhat = m / (1 - self.beta1**step_count)
+        vhat = v / (1 - self.beta2**step_count)
+        return vector + self.learning_rate * mhat / (np.sqrt(vhat) + self.eps), (_read_only(m), _read_only(v))
 
 
 def make_optimizer(config: TrainConfig):
@@ -512,7 +499,7 @@ def _step(plan: interp.Plan, state: TrainState, config: TrainConfig, streams, dr
     drawn = losses[:n]
     fitness = standardize_fitness(drawn)
     grad = estimate_gradients(state, population, fitness, config.categorical_score)
-    (vector,), (moments,) = step((state.vector,), (grad,), (state.moment_vectors,), state.step_count + 1)
+    vector, moments = step(state.vector, grad, state.moment_vectors, state.step_count + 1)
     # The reductions are ufunc methods, called directly: numpy's wrapper for `np.mean` costs more than the
     # few cells it reduces.
     return losses, float(np.add.reduce(drawn) / n), vector, moments

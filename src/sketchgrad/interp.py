@@ -404,29 +404,26 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
         values[at] = f(hole_values, values)
     with np.errstate(all="ignore"):
         # No array has more cells than a chunk, so BUFSIZE is smaller than numpy's size only for a larger chunk.
-        # numpy 2 restores the size with the error state, 1 does not.
-        bufsize = np.setbufsize(BUFSIZE) if big else None
-        try:
-            total = np.empty(count)  # the loss of each stored row of the prediction
-            for columns, steps, y, squares, body, terms in chunks:
-                if columns:
-                    values[: len(columns)] = columns
-                for out, f, operands, buf in steps:
-                    values[out] = f(*operands(values), out=buf)
-                # A sequential sum, whatever the chunks (see the module docstring): rows 1.. of `squares` are the
-                # chunk's squared errors, a row per spec row and a column per stored prediction row, and from the
-                # second chunk on its row 0 is the running total.  A non-finite prediction makes its loss non-finite.
-                np.subtract(values[pred].T, y, body)
-                np.multiply(body, body, body)
-                if terms is squares:
-                    squares[0] = total
-                if count != 1:
-                    np.add.reduce(terms, axis=0, out=total)
-                else:  # one stored row, where the reduction would be pairwise: a cumsum, in place
-                    total[:] = np.add.accumulate(terms, axis=0, out=terms)[-1]
-        finally:
-            if bufsize is not None:
-                np.setbufsize(bufsize)
+        # Leaving the error state puts numpy's size back.
+        if big:
+            np.setbufsize(BUFSIZE)
+        total = np.empty(count)  # the loss of each stored row of the prediction
+        for columns, steps, y, squares, body, terms in chunks:
+            if columns:
+                values[: len(columns)] = columns
+            for out, f, operands, buf in steps:
+                values[out] = f(*operands(values), out=buf)
+            # A sequential sum, whatever the chunks (see the module docstring): rows 1.. of `squares` are the
+            # chunk's squared errors, a row per spec row and a column per stored prediction row, and from the
+            # second chunk on its row 0 is the running total.  A non-finite prediction makes its loss non-finite.
+            np.subtract(values[pred].T, y, body)
+            np.multiply(body, body, body)
+            if terms is squares:
+                squares[0] = total
+            if count != 1:
+                np.add.reduce(terms, axis=0, out=total)
+            else:  # one stored row, where the reduction would be pairwise: a cumsum, in place
+                total[:] = np.add.accumulate(terms, axis=0, out=terms)[-1]
         total /= len(plan.outputs)
         _penalize(total, penalty)
     if index is not None:

@@ -59,6 +59,26 @@ def test_train_writes_outputs(workdir):
     assert lines[-1].split(",")[0] == "120"
 
 
+def test_train_on_a_sketch_with_no_categorical_hole_writes_outputs(workdir):
+    # With no categorical hole the step's categorical rows are empty; the run still trains the real hole.
+    (workdir / "real.txt").write_text("fn f(x: f32) -> f32 { return x * [Real]; }\n")
+    sg.save_spec(sg.SpecSet.from_pairs([((1.0,), 2.0), ((2.0,), 4.0), ((3.0,), 6.0)]), workdir / "double.csv")
+    out = workdir / "run"
+    code, stdout, stderr = run_cli(
+        "train",
+        "--sketch", str(workdir / "real.txt"),
+        "--spec", str(workdir / "double.csv"),
+        "--config", str(workdir / "config.json"),
+        "--out", str(out),
+    )
+    assert code == 0, stderr
+    assert "best spec-MSE:" in stdout
+    for name in ("loss.csv", "theta_final.json", "theta_best.json", "program_final.txt", "program_best.txt"):
+        assert (out / name).exists()
+    assert sg.parse_sketch((out / "program_best.txt").read_text()).is_concrete
+    assert (out / "loss.csv").read_text().splitlines()[-1].split(",")[0] == "120"
+
+
 def test_train_is_byte_deterministic(workdir):
     args = lambda out: (
         "train",

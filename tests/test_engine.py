@@ -132,18 +132,19 @@ def test_init_thetas_match_hole_table(onevar_sketch):
 def test_sample_population_shapes(onevar_sketch):
     state = sg.init_state(onevar_sketch, _config())
     pop = sg.sample_population(state, 50, sg.hole_streams(0, onevar_sketch.hole_count))
-    assert len(pop.values) == 6
-    assert all(col.shape == (50,) for col in pop.values)
+    columns = pop.columns(50)
+    assert len(columns) == 6
+    assert all(col.shape == (50,) for col in columns)
     # Categorical values are ints in range; real values floats.
-    assert pop.values[0].dtype.kind == "i" and set(pop.values[0].tolist()) <= {0, 1, 2}
-    assert pop.values[1].dtype == np.float64
+    assert columns[0].dtype.kind == "i" and set(columns[0].tolist()) <= {0, 1, 2}
+    assert columns[1].dtype == np.float64
 
 
 def test_sample_population_seed_determinism(onevar_sketch):
     state = sg.init_state(onevar_sketch, _config())
     p1 = sg.sample_population(state, 20, sg.hole_streams(9, onevar_sketch.hole_count))
     p2 = sg.sample_population(state, 20, sg.hole_streams(9, onevar_sketch.hole_count))
-    for a, b in zip(p1.values, p2.values):
+    for a, b in zip(p1.columns(20), p2.columns(20)):
         assert (a == b).all()
 
 
@@ -152,7 +153,7 @@ def test_sample_population_degenerate_distributions():
     thetas = [sg.CategoricalTheta([40.0, 0.0, 0.0]), sg.GaussianTheta(2.5, 1e-9)]
     state = sg.TrainState.from_thetas(sketch, thetas)
     pop = sg.sample_population(state, 2, sg.hole_streams(4, sketch.hole_count))
-    cats, reals = pop.values
+    cats, reals = pop.columns(2)
     assert cats.tolist() == [0, 0]
     assert abs(reals[0] - 2.5) < 1e-7
     assert abs(reals[1] - 2.5) < 1e-7
@@ -223,8 +224,9 @@ def test_sample_population_clamps_a_uniform_past_a_narrow_holes_total(onevar_ske
     thetas[0] = sg.CategoricalTheta(logits)
     state = sg.TrainState.from_thetas(onevar_sketch, thetas)
     population = sg.sample_population(state, 3, [_Stream(u)] + [_Stream([0.5] * 3)] * 5)
-    assert population.values[0].tolist() == dists._categorical_draws(sg.softmax(logits), 3, _Stream(u)).tolist()
-    assert population.values[0].tolist() == [0, 2, 2]
+    drawn = population.columns(3)[0]
+    assert drawn.tolist() == dists._categorical_draws(sg.softmax(logits), 3, _Stream(u)).tolist()
+    assert drawn.tolist() == [0, 2, 2]
 
 
 def test_train_step_equal_losses_leave_thetas_unchanged():
@@ -234,7 +236,7 @@ def test_train_step_equal_losses_leave_thetas_unchanged():
     cfg = _config()
     state = sg.init_state(sketch, cfg)
     new, record = sg.train_step(sg.compile_sketch(sketch, spec), state, cfg, sg.hole_streams(0, sketch.hole_count))
-    assert (new.params[0] == state.params[0]).all()
+    assert (new.thetas()[0].logits == state.thetas()[0].logits).all()
     assert record.argmax_loss == record.best_so_far_loss
 
 
@@ -246,7 +248,7 @@ def test_train_step_rewards_perfect_token():
     cfg = _config()
     state = sg.init_state(sketch, cfg)
     new, _ = sg.train_step(sg.compile_sketch(sketch, spec), state, cfg, sg.hole_streams(1, sketch.hole_count))
-    logits = new.params[0]
+    logits = new.thetas()[0].logits
     assert logits[0] > 0
     assert logits[0] > logits[1] and logits[0] > logits[2] and logits[0] > logits[3]
 
@@ -276,7 +278,7 @@ def test_train_step_invariant_to_constant_loss_shift(onevar_sketch, onevar_spec)
     cfg = _config()
     state = sg.init_state(sketch, cfg)
     pop = sg.sample_population(state, cfg.population, sg.hole_streams(5, sketch.hole_count))
-    losses = sg.eval_population_losses(sg.compile_sketch(sketch, spec_a), pop.values)
+    losses = sg.eval_population_losses(sg.compile_sketch(sketch, spec_a), pop.columns(cfg.population))
     fit_a = sg.standardize_fitness(losses)
     fit_b = sg.standardize_fitness(losses + 123.456)
     np.testing.assert_allclose(fit_a, fit_b, atol=1e-9)
@@ -353,23 +355,20 @@ def test_train_step_computes_softmax_once_per_step(monkeypatch, onevar_sketch, o
     plan = sg.compile_sketch(onevar_sketch, onevar_spec)
     for it in range(1, 6):
         calls.clear()
-        logits = state.params
+        thetas = state.thetas()
         state, _ = sg.train_step(plan, state, cfg, streams)
         assert len(calls) == 1 and calls[0].shape == (len(categorical), 4) == (3, 4)
         for row, hole in zip(calls[0], categorical):
-            k = onevar_sketch.holes[hole].arity
-            assert row[:k].tobytes() == logits[hole].tobytes() and (row[k:] == -np.inf).all()
-            assert softmax(row)[:k].tobytes() == softmax(logits[hole]).tobytes()
+            k, logits = onevar_sketch.holes[hole].arity, thetas[hole].logits
+            assert row[:k].tobytes() == logits.tobytes() and (row[k:] == -np.inf).all()
+            assert softmax(row)[:k].tobytes() == softmax(logits).tobytes()
 
 
 def test_train_step_reaches_no_numpy_python_wrapper(onevar_sketch, onevar_spec):
     # At 50 candidates x 4 rows a training step is call overhead, so its reductions call the ufuncs and
     # array methods directly: `np.mean`, `x.std()`, `.all()` and the like run Python code in these two
     # numpy modules first, which costs more than the arithmetic at these sizes.
-    try:
-        from numpy._core import _methods, fromnumeric
-    except ImportError:  # numpy 1.x
-        from numpy.core import _methods, fromnumeric
+    from numpy._core import _methods, fromnumeric
     wrappers = {os.path.realpath(_methods.__file__), os.path.realpath(fromnumeric.__file__)}
     cfg = _config()
     plan = sg.compile_sketch(onevar_sketch, onevar_spec)
@@ -575,6 +574,58 @@ def test_a_draw_block_holds_draw_cells_or_one_iteration(onevar_sketch):
         assert peak < 2 * 8 * cells, (population, peak / (8 * cells))
 
 
+# Differential check of `train` over generated sketches: a generated sketch as drawn, with its categorical holes
+# made fixed tokens (only [Real] holes left), or with its [Real] holes made literals (only categorical holes left).
+_HOLE_KINDS = {
+    "mixed": lambda text: text,
+    "real-only": lambda text: text.replace("[OP]", "*").replace("[COND]", "<"),
+    "categorical-only": lambda text: text.replace("[Real]", "2.0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HOLE_KINDS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_train_matches_a_train_step_loop_on_generated_sketches(kind, data):
+    # On a 1-8-row spec, with either optimizer and score, and a restart patience and draw block short enough that
+    # restarts and block ends fall inside the run, `train` ends in a result or a DivergenceError (as the hand loop
+    # over `train_step` does); its records, restarts and every state `on_step` sees are the hand loop's, and each
+    # record's argmax loss is the scalar reference's loss of that state's argmax program, bit for bit.
+    sketch = sg.parse_sketch(_HOLE_KINDS[kind](data.draw(sketch_texts())))
+    assume(sketch.hole_count)
+    literals = st.sampled_from(_literals(sketch) or [0.0])
+    inputs = st.one_of(_moderate, _moderate, _small, literals)
+    rows = data.draw(st.integers(1, 8))
+    spec = sg.SpecSet.from_pairs(
+        (tuple(data.draw(inputs) for _ in sketch.params), data.draw(_moderate)) for _ in range(rows)
+    )
+    cfg = _config(
+        learning_rate=data.draw(st.sampled_from([0.1, 1.0])),
+        iterations=data.draw(st.integers(1, 40)),
+        population=data.draw(st.integers(2, 10)),
+        seed=data.draw(st.integers(0, 2**32)),
+        optimizer=data.draw(st.sampled_from(["sgd", "adam"])),
+        categorical_score=data.draw(st.sampled_from(dists.SCORE_KINDS)),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "RESTART_PATIENCE", data.draw(st.integers(1, 6)))
+        patch.setattr(engine, "DRAW_CELLS", data.draw(st.integers(1, 64)))
+        watched = []
+        try:
+            result = sg.train(sketch, spec, cfg, on_step=lambda record, state: watched.append((record, state)))
+        except sg.DivergenceError:
+            with pytest.raises(sg.DivergenceError):
+                _train_step_loop(sketch, spec, cfg)
+            return
+        seen, restarts, _ = _train_step_loop(sketch, spec, cfg)
+    assert result.records == [record for record, _ in seen] == [record for record, _ in watched]
+    assert result.restarts == restarts
+    assert [_state_bits(state) for _, state in watched] == [_state_bits(state) for _, state in seen]
+    for record, state in watched:
+        expected = sg.eval_spec_loss(sg.argmax_program(sketch, state.thetas()), spec, cfg.penalty)
+        assert struct.pack("<d", record.argmax_loss) == struct.pack("<d", expected), (record, expected)
+
+
 def test_restart_thetas_redraws_from_the_hole_streams(onevar_sketch):
     cfg = _config(mu_init=1.5)
     thetas = list(sg.init_state(onevar_sketch, cfg).thetas())
@@ -638,11 +689,10 @@ def test_train_with_adam_runs(onevar_sketch, onevar_spec):
 
 def test_adam_step_direction_is_ascent():
     opt = make_optimizer(sg.TrainConfig(learning_rate=0.1, iterations=1, optimizer="adam"))
-    params = (np.zeros(1), np.zeros(2))  # a vector of means, then a logit vector
-    moments = tuple((np.zeros_like(p), np.zeros_like(p)) for p in params)
-    out, _ = opt.step(params, (np.array([1.0]), np.array([0.5, -0.5])), moments, 1)
-    assert out[0][0] > 0
-    assert out[1][0] > 0 > out[1][1]
+    vector = np.zeros(3)  # a mean, then a logit vector
+    out, _ = opt.step(vector, np.array([1.0, 0.5, -0.5]), (np.zeros(3), np.zeros(3)), 1)
+    assert out[0] > 0
+    assert out[1] > 0 > out[2]
 
 
 def test_hand_written_adam_loop_equals_train(onevar_sketch, onevar_spec):
@@ -670,11 +720,13 @@ def test_restart_resets_adam_moments_and_step_count(onevar_sketch, onevar_spec):
     plan = sg.compile_sketch(onevar_sketch, onevar_spec)
     for _ in range(3):
         state, _ = sg.train_step(plan, state, cfg, streams)
-    assert state.step_count == 3 and all(m.any() for pair in state.moments for m in pair)
+    # Each hole's (m, v), where the layout puts that hole's parameters.
+    holes = lambda state: [m[s] for s in state.layout.slices for m in state.moment_vectors]
+    assert state.step_count == 3 and all(m.any() for m in holes(state))
     fresh = restart_state(onevar_sketch, state, cfg, streams)
     assert fresh.step_count == 0
-    assert [m.shape for pair in fresh.moments for m in pair] == [m.shape for pair in state.moments for m in pair]
-    assert not any(m.any() for pair in fresh.moments for m in pair)
+    assert [m.shape for m in holes(fresh)] == [m.shape for m in holes(state)]
+    assert not any(m.any() for m in holes(fresh))
     assert (fresh.iteration, fresh.best_loss) == (state.iteration, state.best_loss)
     # In train, the first step after a restart is Adam's first step again.
     sketch = sg.parse_sketch("fn f(x: f32) -> f32 { if x [COND] 100.0 { return 1.0; } return 1.0; }")
