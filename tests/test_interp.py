@@ -395,19 +395,21 @@ def _check_population_losses_match_scalar_path(data, texts):
         if values not in expected:
             expected[values] = sg.eval_spec_loss(sg.instantiate(sketch, sg.Assignment(values)), spec)
         assert struct.pack("<d", loss) == struct.pack("<d", expected[values]), (i, loss, expected[values])
-    # The same population scored in row chunks, of one row (CHUNK_CELLS 1) and of 7 // n rows (7).
-    for chunk_cells in (1, 7):
+    # The same population scored in row chunks, of one row (CHUNK_CELLS 1) and of 7 // n rows (7), and candidate by
+    # candidate (WIDE_ROWS 1) in one chunk, in chunks of one row and blocks of 8 candidates, and in chunks of 7 rows.
+    for chunk_cells, wide_rows in [(1, None), (7, None), (None, 1), (1, 1), (7, 1)]:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(interp, "CHUNK_CELLS", chunk_cells)
-            assert sg.eval_population_losses(plan, arrays).tobytes() == batch.tobytes(), chunk_cells
+            patch.setattr(interp, "CHUNK_CELLS", chunk_cells or interp.CHUNK_CELLS)
+            patch.setattr(interp, "WIDE_ROWS", wide_rows or interp.WIDE_ROWS)
+            assert sg.eval_population_losses(plan, arrays).tobytes() == batch.tobytes(), (chunk_cells, wide_rows)
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_a_candidate_scores_the_same_alone_and_after_a_population(data):
     # Training scores a state's argmax program as candidate n + 1 of the next step's population: its loss there
-    # is the loss it has scored alone, bit for bit, after 1, 2 or 50 other candidates, and also when row chunks
-    # of 7 cells cut the spec (CHUNK_CELLS 7: 3, 2 and 1 rows a chunk).
+    # is the loss it has scored alone, bit for bit, after 1, 2 or 50 other candidates, also when row chunks of 7
+    # cells cut the spec (CHUNK_CELLS 7: 3, 2 and 1 rows a chunk), and candidate by candidate (WIDE_ROWS 1).
     sketch = sg.parse_sketch(data.draw(sketch_texts()))
     assume(sketch.holes)  # a sketch with no holes is one program, which no population repeats
     literals = st.sampled_from(_literals(sketch) or [0.0])
@@ -429,11 +431,36 @@ def test_a_candidate_scores_the_same_alone_and_after_a_population(data):
             np.concatenate((rng.normal(0.0, 3.0, n) if h.kind == "real" else rng.integers(0, h.arity, n), c))
             for h, c in zip(sketch.holes, candidate)
         ]
-        assert sg.eval_population_losses(plan, population)[n:].tobytes() == alone.tobytes(), n
+        for wide_rows in (interp.WIDE_ROWS, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(interp, "WIDE_ROWS", wide_rows)
+                assert sg.eval_population_losses(plan, population)[n:].tobytes() == alone.tobytes(), n
+                patch.setattr(interp, "CHUNK_CELLS", 7)
+                assert sg.eval_population_losses(plan, population)[n:].tobytes() == alone.tobytes(), n
+                assert sg.eval_population_losses(plan, candidate).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("committed", [False, True])
+@pytest.mark.parametrize("sketch_name", ["onevar_sketch", "twovar_sketch"])
+def test_both_traversals_score_a_wide_population_alike(sketch_name, committed, request):
+    # 51 candidates on 10 000 rows, the two-input benchmark's call, scored by pattern (WIDE_ROWS past the spec)
+    # and candidate by candidate (WIDE_ROWS 1), with mixed tokens or with each categorical hole committed to one
+    # token for every candidate, as a converged search draws them.
+    sketch = request.getfixturevalue(sketch_name)
+    rng = np.random.default_rng(51)
+    spec = sg.SpecSet(rng.uniform(1.0, 10.0, (10_000, sketch.arity)), rng.uniform(-10.0, 30.0, 10_000))
+    values = _population_values(sketch, rng, 51)
+    if committed:
+        values = [np.full(51, v[0]) if h.tokens else v for h, v in zip(sketch.holes, values)]
+    losses = []
+    for wide_rows in (len(spec) + 1, 1):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(interp, "CHUNK_CELLS", 7)
-            assert sg.eval_population_losses(plan, population)[n:].tobytes() == alone.tobytes(), n
-            assert sg.eval_population_losses(plan, candidate).tobytes() == alone.tobytes()
+            patch.setattr(interp, "WIDE_ROWS", wide_rows)
+            losses.append(sg.eval_population_losses(sg.compile_sketch(sketch, spec), values))
+    assert losses[0].tobytes() == losses[1].tobytes()
+    for i in rng.choice(51, 3, replace=False).tolist():
+        program = sg.instantiate(sketch, sg.Assignment(tuple(col[i].item() for col in values)))
+        assert struct.pack("<d", sg.eval_spec_loss(program, spec)) == struct.pack("<d", losses[1][i])
 
 
 def test_spec_holds_two_read_only_float64_arrays(tmp_path):
@@ -517,7 +544,8 @@ def test_guard_select_is_np_where_bit_for_bit(rows, mask_shape, x_shape, y_shape
     assert np.isnan(out).any() and np.isinf(out).any() and np.signbit(out[out == 0.0]).any()
 
 
-@pytest.mark.parametrize("rows", [4, 2_000])  # 50 x 4 cells per chunk; 50 x 1 310, and several chunks
+# 50 x 4 cells per chunk; 50 x 1 310, and several chunks; and candidate by candidate, in rows of 5 000.
+@pytest.mark.parametrize("rows", [4, 2_000, 5_000])
 @pytest.mark.parametrize(
     "text",
     [
@@ -546,11 +574,13 @@ def _sequential_sum(terms) -> float:
     return total
 
 
+@pytest.mark.parametrize("wide_rows", [None, 1])
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
 @pytest.mark.parametrize("chunk_cells", [None, 1, 7, 64])
-def test_population_losses_are_the_sequential_sum(monkeypatch, n, chunk_cells):
+def test_population_losses_are_the_sequential_sum(monkeypatch, n, chunk_cells, wide_rows):
     # Squared errors of 1e16 and about 1: added one by one, each 1 after a 1e16 is lost to rounding,
-    # which a pairwise sum would keep, so only the left-to-right sum gives these losses.
+    # which a pairwise sum would keep, so only the left-to-right sum gives these losses, by pattern and
+    # candidate by candidate (WIDE_ROWS 1).
     rng = np.random.default_rng(n)
     xs = rng.choice([1e8, 1.0, 3.0, 0.5], 301)
     spec = sg.SpecSet(xs[:, None], np.zeros(301))
@@ -559,6 +589,8 @@ def test_population_losses_are_the_sequential_sum(monkeypatch, n, chunk_cells):
     values = [np.zeros(n, dtype=np.int64), reals]  # token 0 is '+'
     if chunk_cells is not None:
         monkeypatch.setattr(interp, "CHUNK_CELLS", chunk_cells)
+    if wide_rows is not None:
+        monkeypatch.setattr(interp, "WIDE_ROWS", wide_rows)
     losses = sg.eval_population_losses(sg.compile_sketch(sketch, spec), values)
     differs = []  # the reals whose sequential sum is not the pairwise one
     for loss, r in zip(losses.tolist(), reals.tolist()):
@@ -663,7 +695,10 @@ def test_the_guard_select_allocates_nothing_on_a_repeat_call(monkeypatch, twovar
     finally:
         tracemalloc.stop()
     assert losses.tobytes() == expected.tobytes()
-    assert len(peaks) == -(-len(spec) // (interp.CHUNK_CELLS // 50)) and set(masks) == {np.dtype(np.int64)}
+    # 10 000 rows are scored candidate by candidate, in chunks of up to CHUNK_CELLS rows: a select per candidate
+    # and chunk.
+    assert len(spec) >= interp.WIDE_ROWS
+    assert len(peaks) == 50 * -(-len(spec) // interp.CHUNK_CELLS) and set(masks) == {np.dtype(np.int64)}
     assert max(peaks) < 1024, peaks  # the three int64 views' array objects, and no buffer
 
 
