@@ -487,12 +487,17 @@ def _penalize(losses: np.ndarray, penalty) -> None:
 
 
 def _add_squares(pred, y, errors, squares, total) -> None:
-    """Add to `total` the squared errors of `pred` (a row per loss, a column per spec row) against the row `y`, one
-    spec row after another as the scalar loop adds them (see the module docstring): squared into `errors` (which
-    may be `pred`) and copied transposed into rows 1.. of `squares`, under `total` in row 0."""
-    np.subtract(pred, y, errors)
-    np.multiply(errors, errors, errors)
-    squares[1:] = errors.T
+    """Add to `total` the squared errors of `pred` (a row per loss, a column per spec row) against the column `y`,
+    one spec row after another as the scalar loop adds them (see the module docstring): squared in rows 1.. of
+    `squares`, transposed, under `total` in row 0.  With more losses than rows they are subtracted there straight
+    from `pred`; else into `errors` (which may be `pred`) and copied, which runs faster on long rows."""
+    body = squares[1:]
+    if len(pred) > pred.shape[1]:
+        np.subtract(pred.T, y, body)
+    else:
+        np.subtract(pred, y.T, errors)
+        body[...] = errors.T
+    np.multiply(body, body, body)
     squares[0] = total
     if len(total) != 1:
         np.add.reduce(squares, axis=0, out=total)
@@ -584,7 +589,7 @@ def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
         squares = _scratch(plan, "squares", (width + 1, n))[:, :count]
         columns = list(plan.columns[:, None, lo : lo + width]) if chunk < rows else []
         errors = _scratch(plan, "errors", (count, width))
-        chunks.append((columns, steps, plan.outputs[lo : lo + width], errors, squares))
+        chunks.append((columns, steps, plan.outputs[lo : lo + width, None], errors, squares))
     # Every program goes when there are PROGRAMS, or one of another count than n (1 aside), whose buffers this
     # count may outgrow.
     if len(plan.workspaces) >= PROGRAMS or n > 1 and any(k[0] not in (1, n) for k in plan.workspaces):
@@ -618,7 +623,7 @@ def _by_candidate(plan: Plan, hole_values: list, n: int, penalty: float) -> np.n
         np.setbufsize(BUFSIZE)
         fixed = _fixed(plan)
         for lo in range(0, rows, width):
-            y = plan.outputs[lo : lo + width]
+            y = plan.outputs[lo : lo + width, None]
             values[:arity] = plan.columns[:, lo : lo + width]
             run = []  # per step: where its value goes, its operands, its buffer, its functions and tokens
             for out, hole, fns, _, dtype, operands in plan.steps or [bare]:
