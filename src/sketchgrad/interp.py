@@ -13,20 +13,15 @@ The scalar interpreter (`eval_program`, `eval_spec_loss`) runs one program on
 one input; it is the reference.  `compile_sketch` resolves a sketch and spec
 once into a `Plan`, a flat step list that only this module reads, and settles
 there what no drawn token changes: each step's operands and functions, which
-values read an input, and where each real hole's values go.  A step that reads
-only inputs and literals, such as the guard `x1 [COND] x2`, is computed for
-each token once per plan, on its first scoring call (`_fixed`).  The product
-walk (`eval_product_losses`) scores every token combination and reads the
-guard's select step without running it.  The population scorer runs every step
-for sampled candidates: by pattern on a spec of fewer than `WIDE_ROWS` rows,
-else candidate by candidate.
-
-By pattern, a call holds each value as stored rows plus a map from candidate to
-stored row, and how each step runs depends on the call's pattern alone: n, the
-arrays' shapes and kinds, and which token, if one, every candidate drew at each
-categorical hole.  `_resolve` settles that once per pattern into a program kept
-on the plan; a call does what its tokens say (counts, sorts and maps) and the
-arithmetic, and computes the loss once per stored row of the prediction:
+values read an input, and where each real hole's values go.  The product walk
+(`eval_product_losses`) scores every token combination and reads the guard's
+select step without running it; the population scorer runs every step for
+sampled candidates, holding each value as stored rows plus a map from
+candidate to stored row.  How each step runs depends on a call's pattern alone:
+n, the arrays' shapes and kinds, and which token, if one, every candidate drew
+at each categorical hole.  `_resolve` settles that once per pattern into a
+program kept on the plan; a call does what its tokens say (their counts, sorts
+and maps) and the arithmetic:
 
 - a value that no candidate varies is one row (an input column, a literal, a
   real hole given one value, and what one token computes from these);
@@ -42,26 +37,28 @@ arithmetic, and computes the loss once per stored row of the prediction:
 - any other step of one token (the guard's select) gathers its operands into
   candidate order.
 
-Candidate by candidate (`_by_candidate`), each candidate runs the steps over
-1-D spec rows with the ufunc of its own token, with no count, sort, gather or
-map, and its prediction fills a row of a block of candidates.  That costs a few
-calls per candidate: on a wide spec, less than the counts, sorts and gathers of
-mixed tokens (see `WIDE_ROWS`).
-
-Rows are scored in chunks, of `CHUNK_CELLS // n` rows by pattern and of
-`CHUNK_CELLS` rows candidate by candidate, and a call allocates no array per
-chunk: step results, gathers, blocks and sums are cut from flat buffers kept on
-the plan, shared by every candidate count and pattern (`_scratch`), and numpy's
-ufunc buffer is cut to `BUFSIZE` cells.  The guard picks its branch by
-`_select`, without a branch per cell.  Both traversals sum by `_add_squares`:
-the squared errors are written transposed, a row per spec row under a row
-holding the running total, and summed by `np.add.reduce` down the rows.  For
-two or more losses numpy adds them row by row, which is the scalar loop's
+The loss is computed once per stored row of the prediction and then mapped to
+the candidates.  Rows are scored in chunks of `CHUNK_CELLS // n`, and a call
+allocates no array per chunk: a program's step results, gathers and sums are
+cut from flat buffers kept on the plan, shared by every candidate count and
+pattern (`_scratch`), and numpy's ufunc buffer is cut to `BUFSIZE` cells.  The
+guard picks its branch by `_select`, without a branch per cell.  The squared
+errors are written transposed, one row per spec row under a row holding the
+running total, and summed by `np.add.reduce` down the rows: for two or more
+stored rows numpy adds them row by row, which is the scalar loop's
 left-to-right sum, so each loss is that sequential sum at any chunk size, bit
-for bit.  For one (the argmax program alone, a prediction no candidate varies,
-or a block of one candidate) the same reduction runs down one column, where
+for bit.  For one stored row (the argmax program, or any population whose
+prediction no candidate varies) the same reduction runs down one column, where
 numpy sums pairwise and rounds differently, so it is summed by
 `np.add.accumulate`, a `cumsum`, instead.
+
+On a spec of `WIDE_ROWS` rows or more, a call whose candidates drew more than
+one token at some categorical hole goes candidate by candidate instead
+(`_by_candidate`): each candidate runs the steps over 1-D spec rows with its
+own token's ufunc, with no count, sort, gather or map, into its row of a block
+of predictions, whose squares are summed as above.  A step that reads only
+inputs and literals, such as the guard `x1 [COND] x2`, is computed there once
+per token and chunk, and copied for each candidate.
 """
 
 from __future__ import annotations
@@ -260,10 +257,9 @@ BUFSIZE = 256
 # one more: a 10 000-iteration one-input training run draws 10-21 patterns in 10 003 calls, a two-input one 3.
 PROGRAMS = 32
 
-# A spec of at least this many rows is scored candidate by candidate (`_by_candidate`), a smaller one by pattern.
-# In the sweep in CHANGES.md, on both benchmark sketches with mixed tokens, candidate by candidate was faster from
-# 4 000 rows on and slower at 1 000 rows and below; at 51 candidates whose every hole drew one token it stays
-# slower.  Read at call time, so that tests can send a spec either way.
+# A call whose tokens are mixed is scored candidate by candidate on a spec of at least this many rows (see the sweep
+# in CHANGES.md: from 4 000 rows on it ran faster than by pattern, and at 2 000 rows and below slower).  Read at call
+# time, so that tests can send a spec either way.
 WIDE_ROWS = CHUNK_CELLS // 8
 
 _UFUNCS = {
@@ -293,17 +289,20 @@ def _select(mask, x, y, out):
 class Plan:
     """A sketch compiled against a spec, for `eval_population_losses` and `eval_product_losses`.
 
-    Values 0 .. arity-1 are the input columns of the current chunk of rows, cut from `columns` (the spec's
-    inputs, one contiguous row per input; `slots` holds them whole, as `(1, rows)` arrays); then come the values
-    of the real holes `reals`, in hole order; the rest are, in `slots` order, the literals (held there, as `(1,
-    1)` arrays) and the step results (None there).  A step `(out, hole, fns, args, dtype, operands)` sets value
-    `out` to a function of `fns` applied to the values at `args` (two or three, which `operands` picks): `fns[0]`
-    when `hole` is None, else, per candidate, the function of the token it drew for that categorical hole, into
-    an array of `dtype`.  `wide` says, per value, whether it reads an input (a column per spec row) or not (one
-    column).  `categorical` pairs each categorical hole with its token count, in hole order.  Value `out` is the
-    prediction: in a guarded sketch, the guard's `_select` step, which the product walk reads.  A plan keeps its
-    calls' scratch `buffers`, programs (`workspaces`, see `_resolve`) and fixed values (`_fixed`), so one plan
-    must not be scored from two threads at once; compile one per thread."""
+    A scorer call holds a list of values, each a 2-D array of stored rows over spec rows, with a column axis
+    of length 1 where the value does not vary by row, and a layout `(rows, map)`: candidate i reads stored
+    row `map[i]`.  The map is None for one stored row, which every candidate reads, and for n rows in
+    candidate order.  Values 0 .. arity-1 are the input columns of the current row chunk, cut from `columns`
+    (the spec's inputs, one contiguous row per input; `slots` holds them whole, for a call scored in one
+    chunk); then come the values of the real holes `reals`, in hole order; the rest are, in `slots` order,
+    the literals (held there) and the step results (None there).  A step `(out, hole, fns, args, dtype,
+    operands)` sets value `out` to a function of `fns` applied to the values at `args` (two or three, which
+    `operands` picks): `fns[0]` when `hole` is None, else, per candidate, the function of the token it drew
+    for that categorical hole, into an array of `dtype`.  `wide` says, per value, whether it reads an input
+    (a column per spec row) or not (one column).  `categorical` pairs each categorical hole with its token
+    count, in hole order.  Value `out` is the prediction: in a guarded sketch, the guard's `_select` step,
+    which the product walk reads.  A plan keeps its calls' scratch `buffers` and programs (`workspaces`, see
+    `_resolve`), so one plan must not be scored from two threads at once; compile one per thread."""
 
     holes: tuple
     columns: np.ndarray
@@ -316,7 +315,6 @@ class Plan:
     categorical: tuple
     buffers: dict = field(default_factory=dict, repr=False)
     workspaces: dict = field(default_factory=dict, repr=False)
-    fixed: dict = field(default_factory=dict, repr=False)
 
 
 def compile_sketch(sketch: Sketch, spec: SpecSet) -> Plan:
@@ -398,36 +396,48 @@ def eval_population_losses(plan: Plan, hole_values: list, penalty: float = NONFI
         for hole, _ in plan.categorical:  # one token for every candidate: n of it, whose counts say so
             if hole_values[hole].shape == (1,):
                 hole_values[hole] = hole_values[hole].repeat(n)
-    if not n or len(plan.outputs) >= WIDE_ROWS:  # candidate by candidate, with no pattern to resolve
+    if not n:  # nothing to score, but the tokens are checked
         if error := _misfit(plan, hole_values):
             raise error
-        return _by_candidate(plan, hole_values, n, penalty)
+        return np.empty(0)
     try:  # per categorical hole, in hole order: how many candidates drew each token
         tallies = [np.bincount(hole_values[hole], None, k).tolist() for hole, k in plan.categorical]
     except (TypeError, ValueError):  # a negative index, an unsigned type past int64, or not 1-D
         raise _misfit(plan, hole_values) from None
+    if len(plan.outputs) >= WIDE_ROWS and any(n not in c for c in tallies):  # mixed tokens on a wide spec
+        return _by_candidate(plan, hole_values, n, penalty)
     # The call's pattern, all that its program depends on (`_resolve`): the chunk size, the arrays' shapes and kinds,
     # and per categorical hole the token every candidate drew, else -len(counts), -k for indices in range.
     key = n, (CHUNK_CELLS, tuple(map(_FORM, hole_values)), *[c.index(n) if n in c else -len(c) for c in tallies])
+    program = plan.workspaces.get(key) or _resolve(plan, key, hole_values)
+    slots, reals, counted, ops, chunks, pred, count, index, big = program
+    values = list(slots)  # the plan's slots, then the program's: the token counts, maps and gathered operands
+    values[reals] = map(_COLUMN, map(_FLOAT64, map(hole_values.__getitem__, plan.reals)))
+    values[counted] = tallies
+    for at, f in ops:  # the maps from candidates to stored rows, and the token orders that build them
+        values[at] = f(hole_values, values)
     with np.errstate(all="ignore"):
-        program = plan.workspaces.get(key) or _resolve(plan, key, hole_values)
-        slots, reals, counted, ops, chunks, pred, count, index, big = program
-        values = list(slots)  # the plan's slots, then the program's: the token counts, maps and gathered operands
-        values[reals] = map(_COLUMN, map(_FLOAT64, map(hole_values.__getitem__, plan.reals)))
-        values[counted] = tallies
-        for at, f in ops:  # the maps from candidates to stored rows, and the token orders that build them
-            values[at] = f(hole_values, values)
         # No array has more cells than a chunk, so BUFSIZE is smaller than numpy's size only for a larger chunk.
         # Leaving the error state puts numpy's size back.
         if big:
             np.setbufsize(BUFSIZE)
-        total = np.zeros(count)  # the loss of each stored row of the prediction
-        for columns, steps, y, errors, squares in chunks:
+        total = np.empty(count)  # the loss of each stored row of the prediction
+        for columns, steps, y, squares, body, terms in chunks:
             if columns:
                 values[: len(columns)] = columns
             for out, f, operands, buf in steps:
                 values[out] = f(*operands(values), out=buf)
-            _add_squares(values[pred], y, errors, squares, total)
+            # A sequential sum, whatever the chunks (see the module docstring): rows 1.. of `squares` are the
+            # chunk's squared errors, a row per spec row and a column per stored prediction row, and from the
+            # second chunk on its row 0 is the running total.  A non-finite prediction makes its loss non-finite.
+            np.subtract(values[pred].T, y, body)
+            np.multiply(body, body, body)
+            if terms is squares:
+                squares[0] = total
+            if count != 1:
+                np.add.reduce(terms, axis=0, out=total)
+            else:  # one stored row, where the reduction would be pairwise: a cumsum, in place
+                total[:] = np.add.accumulate(terms, axis=0, out=terms)[-1]
         total /= len(plan.outputs)
         _penalize(total, penalty)
     if index is not None:
@@ -486,25 +496,6 @@ def _penalize(losses: np.ndarray, penalty) -> None:
         losses[~np.isfinite(losses)] = checked_penalty(penalty, ValueError)
 
 
-def _add_squares(pred, y, errors, squares, total) -> None:
-    """Add to `total` the squared errors of `pred` (a row per loss, a column per spec row) against the column `y`,
-    one spec row after another as the scalar loop adds them (see the module docstring): squared in rows 1.. of
-    `squares`, transposed, under `total` in row 0.  With more losses than rows they are subtracted there straight
-    from `pred`; else into `errors` (which may be `pred`) and copied, which runs faster on long rows."""
-    body = squares[1:]
-    if len(pred) > pred.shape[1]:
-        np.subtract(pred.T, y, body)
-    else:
-        np.subtract(pred, y.T, errors)
-        body[...] = errors.T
-    np.multiply(body, body, body)
-    squares[0] = total
-    if len(total) != 1:
-        np.add.reduce(squares, axis=0, out=total)
-    else:  # one loss, where the reduction would be pairwise: a cumsum, in place
-        total[:] = np.add.accumulate(squares, axis=0, out=squares)[-1]
-
-
 _ONE_ROW = (1, None)  # the layout of a value that is the same for every candidate: one stored row, read by each
 _FORM = attrgetter("shape", "dtype.kind")  # an array's part of a call's pattern, mapped over its arrays in C
 _FLOAT64 = methodcaller("astype", np.float64, copy=False)  # with _COLUMN, mapped over a call's reals in C
@@ -515,16 +506,14 @@ _TAKE = partial(np.ndarray.take, axis=0, mode="clip")  # a gather step: its oper
 def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
     """The program of the calls of `key` (n and a call's pattern, see `eval_population_losses`), kept on the plan
     once `_misfit` finds that each array fits its hole: `(slots, reals, counted, ops, chunks, pred, count, index,
-    big)`.  Each value is a 2-D array of stored rows over spec rows (one column if it reads no input), with a
-    layout `(rows, map)`: candidate i reads stored row `map[i]`, and the map is None for one stored row, which
-    every candidate reads, and for n rows in candidate order.  A call's values start as `slots`: the plan's, one
-    per categorical hole for its token counts (put at `counted`, as the reals' columns are put at `reals`), then
-    the maps, gathered operands and tables' counts.  An op `(at, f)` puts `f(hole_values, values)` at `at`: a
-    table's map, a token order and its inverse, or a composed map.  Per row chunk, `chunks` holds its input
-    columns (none if one chunk holds every row), steps, outputs, and the `errors` and `squares` of its sum.  A
-    step `(out, f, operands, buf)` puts `f` of the values `operands` picks at `out`, into `buf`: a plan's step (a
-    categorical one by `_runs`), a gather (`_TAKE`) or a fixed value's `_copy`.  Value `pred` is the prediction,
-    of `count` stored rows and map `values[index]` (None: none); `big` says a chunk has more than BUFSIZE cells."""
+    big)`.  A call's values start as `slots`: the plan's, one per categorical hole for its token counts (put at
+    `counted`, as the reals' columns are put at `reals`), then the maps, gathered operands and tables' counts.
+    An op `(at, f)` puts `f(hole_values, values)` at `at`: a table's map, a token order and its inverse, or a
+    composed map.  Per row chunk, `chunks` holds its input columns (none if one chunk holds every row), steps,
+    outputs as a column, and the `squares`, `body` and `terms` of its sum.  A step `(out, f, operands, buf)` puts
+    `f` of the values `operands` picks at `out`, into `buf`: a plan's step (a categorical one by `_runs`) or a
+    gather (`_TAKE`).  Value `pred` is the prediction, of `count` stored rows and map `values[index]` (None:
+    none); `big` says a chunk has more than BUFSIZE cells."""
     if error := _misfit(plan, hole_values):
         raise error
     n, (cells, forms, *drawn) = key
@@ -543,12 +532,11 @@ def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
             program.append((len(slots) - 1, _TAKE, (like, gather[0]), n, gather[1], kinds[like]))
         return len(slots) - 1
 
-    fixed = _fixed(plan)  # a fixed value takes the place of a step's function, and is read, not computed
     for out, hole, fns, args, dtype, _ in plan.steps:
         position, t = drawn.get(hole, (None, 0))
         kinds[out] = plan.wide[out], dtype
         if t >= 0:
-            f = fns[t] if fixed[out] is None else fixed[out][t : t + 1]
+            f = fns[t]
             shared = {layouts[a] for a in args} - {_ONE_ROW}  # the layout of the operands that vary, if one
             if len(shared) > 1:  # gathered into candidate order
                 maps = enumerate(layouts[a][1] for a in args)  # a value with no map is read as it is
@@ -561,9 +549,7 @@ def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
                 # Row t * r + i of the table is token t's function of the operand's row i.
                 ops.append((value(), partial(_table, hole, r, by)))
                 layouts[out] = len(fns) * r, len(slots) - 1
-                f = fixed[out]  # the table itself, if the plan holds it
-                if f is None:
-                    f, args = partial(_runs, fns, False, False), (*args, value([r] * len(fns)))
+                f, args = partial(_runs, fns, False, False), (*args, value([r] * len(fns)))
             else:  # in token order: the operands that vary gathered by the order, composed with their own maps
                 order = value()
                 ops.append((slice(order, value() + 1), partial(_sort, hole)))
@@ -582,14 +568,12 @@ def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
         width = min(chunk, rows - lo)
         steps = [
             (out, f, itemgetter(*args), _scratch(plan, buf, (n, width if wide else 1), dtype)[:stored])
-            if callable(f)
-            else (out, partial(_copy, f[:, lo : lo + width] if wide else f), itemgetter(*args), None)
             for out, f, args, stored, buf, (wide, dtype) in program
         ]
         squares = _scratch(plan, "squares", (width + 1, n))[:, :count]
         columns = list(plan.columns[:, None, lo : lo + width]) if chunk < rows else []
-        errors = _scratch(plan, "errors", (count, width))
-        chunks.append((columns, steps, plan.outputs[lo : lo + width, None], errors, squares))
+        y = plan.outputs[lo : lo + width, None]
+        chunks.append((columns, steps, y, squares, squares[1:], squares if lo else squares[1:]))
     # Every program goes when there are PROGRAMS, or one of another count than n (1 aside), whose buffers this
     # count may outgrow.
     if len(plan.workspaces) >= PROGRAMS or n > 1 and any(k[0] not in (1, n) for k in plan.workspaces):
@@ -603,36 +587,39 @@ def _resolve(plan: Plan, key: tuple, hole_values: list) -> tuple:
 
 
 def _by_candidate(plan: Plan, hole_values: list, n: int, penalty: float) -> np.ndarray:
-    """`eval_population_losses` on a spec of WIDE_ROWS rows or more (see the module docstring): per chunk of at most
-    CHUNK_CELLS rows, each candidate's reals go to their slots, and each step runs the function of the token that
-    the candidate drew (for a fixed step, `_copy` of that token's row) into the plan's 1-D buffer for the step, the
-    last into the candidate's row of a block of at most 8 * CHUNK_CELLS cells.  `_add_squares` sums a block a span
-    of rows at a time, so that its transposed squares take a buffer of about CHUNK_CELLS cells, not a second block."""
+    """`eval_population_losses` candidate by candidate (see the module docstring).  Per chunk of at most CHUNK_CELLS
+    rows, a step that reads only inputs and literals is computed once per token; then each candidate's reals go to
+    their slots, and each other step runs its token's function into the plan's 1-D buffer for the step, the last
+    into the candidate's row of a block of at most 8 * CHUNK_CELLS cells.  A block's squares are summed a span of
+    rows at a time, so that their transposed copy takes about CHUNK_CELLS cells, not a second block."""
+    if error := _misfit(plan, hole_values):
+        raise error
     arity, rows = plan.columns.shape
     width, reals = min(rows, CHUNK_CELLS), slice(arity, arity + len(plan.reals))
     block = 8 * CHUNK_CELLS // width  # candidates per prediction block
-    span = max(1, CHUNK_CELLS // block)  # spec rows per sum, which `squares` holds transposed
+    span = max(1, CHUNK_CELLS // block)  # spec rows per sum
     values = [None if v is None else v[0] for v in plan.slots]  # 1-D, or one cell for a value that reads no input
     drawn = np.empty((n, len(plan.reals)))  # a row of reals per candidate
     for j, hole in enumerate(plan.reals):
         drawn[:, j] = hole_values[hole]
     tokens = {hole: hole_values[hole].tolist() for hole, _ in plan.categorical} | {None: [0] * n}
-    bare = (plan.out, None, (_copy,), (), np.float64, itemgetter(plan.out, plan.out))  # copies a bare prediction
     total = np.zeros(n)
     with np.errstate(all="ignore"):
         np.setbufsize(BUFSIZE)
-        fixed = _fixed(plan)
         for lo in range(0, rows, width):
-            y = plan.outputs[lo : lo + width, None]
+            y = plan.outputs[lo : lo + width]
             values[:arity] = plan.columns[:, lo : lo + width]
+            fixed = {i for i, v in enumerate(plan.slots) if v is not None}  # the values set by inputs and literals
             run = []  # per step: where its value goes, its operands, its buffer, its functions and tokens
-            for out, hole, fns, _, dtype, operands in plan.steps or [bare]:
-                if fixed.get(out) is not None:  # a row per token
-                    table = fixed[out][:, lo : lo + width] if plan.wide[out] else fixed[out]
-                    fns = [partial(_copy, v) for v in table]
-                buf = fixed.get(out) is None and out != plan.out  # a buffer, unless the step is fixed or the last
-                buf = _scratch(plan, out, (len(y) if plan.wide[out] else 1,), dtype) if buf else None
-                run.append([out, operands, buf, fns, tokens[hole]])
+            for out, hole, fns, args, dtype, operands in plan.steps:
+                known = fixed.issuperset(args)  # if so, each token's row is computed here and copied for a candidate
+                buf = _scratch(plan, out, (len(fns) if known else 1, len(y) if plan.wide[out] else 1), dtype)
+                if known:
+                    for t, f in enumerate(fns):
+                        values[out] = f(*operands(values), out=buf[t])
+                    fixed |= {out} if hole is None else set()
+                    fns = [partial(_copy, row) for row in buf]
+                run.append([out, operands, None if known else buf[0], fns, tokens[hole]])
             for start in range(0, n, block):
                 preds = _scratch(plan, "block", (block, width))[: n - start, : len(y)]
                 for i, row in enumerate(preds, start):
@@ -640,37 +627,27 @@ def _by_candidate(plan: Plan, hole_values: list, n: int, penalty: float) -> np.n
                     run[-1][2] = row  # the last step writes the prediction
                     for out, operands, buf, fns, drew in run:
                         values[out] = fns[drew[i]](*operands(values), out=buf)
-                squares = _scratch(plan, "squares", (span + 1, block))
-                for at in range(0, len(y), span):
-                    errors = preds[:, at : at + span]
-                    sums = squares[: errors.shape[1] + 1, : len(errors)]
-                    _add_squares(errors, y[at : at + span], errors, sums, total[start : start + block])
+                np.subtract(preds, y, preds)
+                np.multiply(preds, preds, preds)
+                losses, squares = total[start : start + block], _scratch(plan, "squares", (span + 1, block))
+                for at in range(0, len(y), span):  # the running total in row 0, then a row per spec row
+                    sums = squares[: len(y[at : at + span]) + 1, : len(preds)]
+                    sums[0] = losses
+                    sums[1:] = preds[:, at : at + span].T
+                    if len(losses) > 1:
+                        np.add.reduce(sums, axis=0, out=losses)
+                    else:  # one loss, where the reduction would be pairwise: a cumsum, in place
+                        losses[:] = np.add.accumulate(sums, axis=0, out=sums)[-1]
         total /= rows
         _penalize(total, penalty)
     return total
 
 
 def _copy(value, *operands, out=None):
-    """A step whose value is `value` (a fixed value, or else its first operand), copied into `out` if it has one."""
+    """A fixed step's value for one token: `value`, copied into `out` if it has one."""
     if out is not None:
         np.copyto(out, value)
     return value
-
-
-def _fixed(plan: Plan) -> dict:
-    """Per step, its value over every spec row if it reads only inputs, literals and such values, else None: a row per
-    token of its hole (one if it has none), of a column per spec row, or one if it reads no input.  Computed on a
-    plan's first scoring call and kept on the plan, for both traversals to read."""
-    if len(plan.fixed) < len(plan.steps):  # under the scorer's error state
-        values = list(plan.slots)  # None for each real, and for each step that is not fixed
-        for out, hole, fns, args, dtype, operands in plan.steps:
-            plan.fixed[out] = table = None
-            if all(values[a] is not None for a in args):
-                plan.fixed[out] = table = np.empty((len(fns), len(plan.outputs) if plan.wide[out] else 1), dtype)
-                for t, f in enumerate(fns):
-                    f(*operands(values), out=table[t : t + 1])
-            values[out] = None if hole is not None else table
-    return plan.fixed
 
 
 def _table(hole: int, r: int, by, hole_values: list, values: list) -> np.ndarray:

@@ -162,6 +162,15 @@ def _population_values(sketch, rng, n):
     return values
 
 
+def _by_candidate(plan, values, penalty=interp.NONFINITE_PENALTY):
+    # A population's losses candidate by candidate, whatever tokens it drew (eval_population_losses goes that way
+    # only when they are mixed on a wide spec), with each categorical hole's single value given to every candidate.
+    values = list(map(np.asarray, values))
+    n = max(map(len, values), default=1)
+    values = [v.repeat(n) if h.tokens and len(v) == 1 else v for h, v in zip(plan.holes, values)]
+    return interp._by_candidate(plan, values, n, penalty)
+
+
 @pytest.mark.parametrize("sketch_name", ["onevar_sketch", "twovar_sketch"])
 def test_batch_losses_match_scalar_path(sketch_name, onevar_spec, twovar_spec, request):
     sketch = request.getfixturevalue(sketch_name)
@@ -255,7 +264,12 @@ def test_population_losses_are_bit_identical_across_row_chunks(monkeypatch, twov
         (1.0, "hole 0 is categorical but got float64 values"),
     ],
 )
-def test_population_losses_reject_a_bad_category_index(onevar_sketch, onevar_spec, bad, message):
+@pytest.mark.parametrize("wide_rows", [None, 1])  # and candidate by candidate, as the mixed tokens take it
+def test_population_losses_reject_a_bad_category_index(
+    monkeypatch, onevar_sketch, onevar_spec, bad, message, wide_rows
+):
+    if wide_rows:
+        monkeypatch.setattr(interp, "WIDE_ROWS", wide_rows)
     values = _population_values(onevar_sketch, np.random.default_rng(0), 4)
     values[0] = np.array([1, bad, 0, 2])  # hole 0 is the [COND] hole, with 3 tokens
     with pytest.raises(sg.SketchError, match=re.escape(message)):
@@ -290,9 +304,12 @@ def test_a_population_of_one_rejects_a_bad_category_index(onevar_sketch, onevar_
         (np.array([True, False]), "hole 1 is real but got 1-D bool values"),
     ],
 )
-def test_population_losses_reject_a_bad_real_array(onevar_sketch, onevar_spec, bad, message):
+@pytest.mark.parametrize("wide_rows", [None, 1])  # and candidate by candidate, as the mixed tokens take it
+def test_population_losses_reject_a_bad_real_array(monkeypatch, onevar_sketch, onevar_spec, bad, message, wide_rows):
+    if wide_rows:
+        monkeypatch.setattr(interp, "WIDE_ROWS", wide_rows)
     values = _population_values(onevar_sketch, np.random.default_rng(0), 2)
-    values[1] = bad  # hole 1 is the guard's [Real] hole
+    values[0], values[1] = np.array([0, 1]), bad  # hole 0 is the [COND] hole, hole 1 the guard's [Real] hole
     with pytest.raises(sg.SketchError, match=re.escape(message)):
         sg.eval_population_losses(sg.compile_sketch(onevar_sketch, onevar_spec), values)
 
@@ -395,13 +412,16 @@ def _check_population_losses_match_scalar_path(data, texts):
         if values not in expected:
             expected[values] = sg.eval_spec_loss(sg.instantiate(sketch, sg.Assignment(values)), spec)
         assert struct.pack("<d", loss) == struct.pack("<d", expected[values]), (i, loss, expected[values])
-    # The same population scored in row chunks, of one row (CHUNK_CELLS 1) and of 7 // n rows (7), and candidate by
-    # candidate (WIDE_ROWS 1) in one chunk, in chunks of one row and blocks of 8 candidates, and in chunks of 7 rows.
-    for chunk_cells, wide_rows in [(1, None), (7, None), (None, 1), (1, 1), (7, 1)]:
+    # The same population scored in row chunks, of one row (CHUNK_CELLS 1) and of 7 // n rows (7); and, if the
+    # sketch has a categorical hole, candidate by candidate, whatever its tokens, in one chunk, in chunks of one row
+    # (blocks of 8 candidates) and of 7 rows.  With WIDE_ROWS 1 the rule picks the traversal.
+    for chunk_cells in (None, 1, 7):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(interp, "CHUNK_CELLS", chunk_cells or interp.CHUNK_CELLS)
-            patch.setattr(interp, "WIDE_ROWS", wide_rows or interp.WIDE_ROWS)
-            assert sg.eval_population_losses(plan, arrays).tobytes() == batch.tobytes(), (chunk_cells, wide_rows)
+            if plan.categorical:  # a sketch with none never goes candidate by candidate
+                assert _by_candidate(plan, arrays).tobytes() == batch.tobytes(), chunk_cells
+            patch.setattr(interp, "WIDE_ROWS", 1 if chunk_cells is None else interp.WIDE_ROWS)
+            assert sg.eval_population_losses(plan, arrays).tobytes() == batch.tobytes(), chunk_cells
 
 
 @given(st.data())
@@ -409,7 +429,7 @@ def _check_population_losses_match_scalar_path(data, texts):
 def test_a_candidate_scores_the_same_alone_and_after_a_population(data):
     # Training scores a state's argmax program as candidate n + 1 of the next step's population: its loss there
     # is the loss it has scored alone, bit for bit, after 1, 2 or 50 other candidates, also when row chunks of 7
-    # cells cut the spec (CHUNK_CELLS 7: 3, 2 and 1 rows a chunk), and candidate by candidate (WIDE_ROWS 1).
+    # cells cut the spec (CHUNK_CELLS 7: 3, 2 and 1 rows a chunk), and candidate by candidate.
     sketch = sg.parse_sketch(data.draw(sketch_texts()))
     assume(sketch.holes)  # a sketch with no holes is one program, which no population repeats
     literals = st.sampled_from(_literals(sketch) or [0.0])
@@ -431,36 +451,52 @@ def test_a_candidate_scores_the_same_alone_and_after_a_population(data):
             np.concatenate((rng.normal(0.0, 3.0, n) if h.kind == "real" else rng.integers(0, h.arity, n), c))
             for h, c in zip(sketch.holes, candidate)
         ]
-        for wide_rows in (interp.WIDE_ROWS, 1):
+        for score in [sg.eval_population_losses] + [_by_candidate] * bool(plan.categorical):
+            assert score(plan, population)[n:].tobytes() == alone.tobytes(), (n, score)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(interp, "WIDE_ROWS", wide_rows)
-                assert sg.eval_population_losses(plan, population)[n:].tobytes() == alone.tobytes(), n
                 patch.setattr(interp, "CHUNK_CELLS", 7)
-                assert sg.eval_population_losses(plan, population)[n:].tobytes() == alone.tobytes(), n
-                assert sg.eval_population_losses(plan, candidate).tobytes() == alone.tobytes()
+                assert score(plan, population)[n:].tobytes() == alone.tobytes(), (n, score)
+                assert score(plan, candidate).tobytes() == alone.tobytes(), score
 
 
 @pytest.mark.parametrize("committed", [False, True])
 @pytest.mark.parametrize("sketch_name", ["onevar_sketch", "twovar_sketch"])
 def test_both_traversals_score_a_wide_population_alike(sketch_name, committed, request):
-    # 51 candidates on 10 000 rows, the two-input benchmark's call, scored by pattern (WIDE_ROWS past the spec)
-    # and candidate by candidate (WIDE_ROWS 1), with mixed tokens or with each categorical hole committed to one
-    # token for every candidate, as a converged search draws them.
+    # 51 candidates on 10 000 rows, the two-input benchmark's call, scored by pattern (WIDE_ROWS past the spec), as
+    # the rule picks (candidate by candidate for mixed tokens, by pattern when every categorical hole is committed
+    # to one token for every candidate, as a converged search draws them) and candidate by candidate.
     sketch = request.getfixturevalue(sketch_name)
     rng = np.random.default_rng(51)
     spec = sg.SpecSet(rng.uniform(1.0, 10.0, (10_000, sketch.arity)), rng.uniform(-10.0, 30.0, 10_000))
     values = _population_values(sketch, rng, 51)
     if committed:
         values = [np.full(51, v[0]) if h.tokens else v for h, v in zip(sketch.holes, values)]
-    losses = []
-    for wide_rows in (len(spec) + 1, 1):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(interp, "WIDE_ROWS", wide_rows)
-            losses.append(sg.eval_population_losses(sg.compile_sketch(sketch, spec), values))
-    assert losses[0].tobytes() == losses[1].tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "WIDE_ROWS", len(spec) + 1)
+        losses = [sg.eval_population_losses(sg.compile_sketch(sketch, spec), values)]
+    plan = sg.compile_sketch(sketch, spec)
+    losses += [sg.eval_population_losses(plan, values), _by_candidate(plan, values)]
+    assert losses[0].tobytes() == losses[1].tobytes() == losses[2].tobytes()
     for i in rng.choice(51, 3, replace=False).tolist():
         program = sg.instantiate(sketch, sg.Assignment(tuple(col[i].item() for col in values)))
-        assert struct.pack("<d", sg.eval_spec_loss(program, spec)) == struct.pack("<d", losses[1][i])
+        assert struct.pack("<d", sg.eval_spec_loss(program, spec)) == struct.pack("<d", losses[2][i])
+
+
+@pytest.mark.parametrize("rows, committed", [(7, False), (8, True), (8, False)])
+def test_only_mixed_tokens_on_a_wide_spec_go_candidate_by_candidate(monkeypatch, twovar_sketch, rows, committed):
+    # The rule reads the spec's rows and whether every candidate drew one token at each categorical hole.
+    calls = []
+    by_candidate = interp._by_candidate
+    monkeypatch.setattr(interp, "_by_candidate", lambda *args: calls.append(args) or by_candidate(*args))
+    monkeypatch.setattr(interp, "WIDE_ROWS", 8)
+    rng = np.random.default_rng(rows)
+    spec = sg.SpecSet(rng.uniform(1.0, 10.0, (rows, 2)), rng.uniform(-10.0, 30.0, rows))
+    values = [
+        rng.normal(0.0, 3.0, 20) if h.kind == "real" else np.full(20, 1) if committed else np.arange(20) % h.arity
+        for h in twovar_sketch.holes
+    ]
+    sg.eval_population_losses(sg.compile_sketch(twovar_sketch, spec), values)
+    assert len(calls) == (rows >= 8 and not committed)
 
 
 def test_spec_holds_two_read_only_float64_arrays(tmp_path):
@@ -574,13 +610,13 @@ def _sequential_sum(terms) -> float:
     return total
 
 
-@pytest.mark.parametrize("wide_rows", [None, 1])
+@pytest.mark.parametrize("score", [sg.eval_population_losses, _by_candidate])
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
 @pytest.mark.parametrize("chunk_cells", [None, 1, 7, 64])
-def test_population_losses_are_the_sequential_sum(monkeypatch, n, chunk_cells, wide_rows):
+def test_population_losses_are_the_sequential_sum(monkeypatch, n, chunk_cells, score):
     # Squared errors of 1e16 and about 1: added one by one, each 1 after a 1e16 is lost to rounding,
     # which a pairwise sum would keep, so only the left-to-right sum gives these losses, by pattern and
-    # candidate by candidate (WIDE_ROWS 1).
+    # candidate by candidate.
     rng = np.random.default_rng(n)
     xs = rng.choice([1e8, 1.0, 3.0, 0.5], 301)
     spec = sg.SpecSet(xs[:, None], np.zeros(301))
@@ -589,9 +625,7 @@ def test_population_losses_are_the_sequential_sum(monkeypatch, n, chunk_cells, w
     values = [np.zeros(n, dtype=np.int64), reals]  # token 0 is '+'
     if chunk_cells is not None:
         monkeypatch.setattr(interp, "CHUNK_CELLS", chunk_cells)
-    if wide_rows is not None:
-        monkeypatch.setattr(interp, "WIDE_ROWS", wide_rows)
-    losses = sg.eval_population_losses(sg.compile_sketch(sketch, spec), values)
+    losses = score(sg.compile_sketch(sketch, spec), values)
     differs = []  # the reals whose sequential sum is not the pairwise one
     for loss, r in zip(losses.tolist(), reals.tolist()):
         squares = [(x + r) * (x + r) for x in xs.tolist()]
@@ -632,13 +666,18 @@ def _wide_spec_and_values(sketch, n_counts):
     return spec, {n: _population_values(sketch, rng, n) for n in n_counts}
 
 
-@pytest.mark.parametrize("n", [50, 1])
-def test_a_scoring_call_allocates_no_buffers_per_chunk(twovar_sketch, n):
-    # The second call on a plan reuses the first call's buffers: 10 000 rows x 50 candidates is 16
-    # chunks, each of which allocated several MB of temporaries before the workspace was kept, and the
+# 50 candidates by pattern (WIDE_ROWS past the spec) and candidate by candidate (as the rule picks for their mixed
+# tokens), and the argmax program, by pattern whatever WIDE_ROWS is.
+@pytest.mark.parametrize("n, wide_rows", [(50, 10_001), (50, None), (1, None)])
+def test_a_scoring_call_allocates_no_buffers_per_chunk(monkeypatch, twovar_sketch, n, wide_rows):
+    # The second call on a plan reuses the first call's buffers: by pattern, 10 000 rows x 50 candidates
+    # is 16 chunks, each of which allocated several MB of temporaries before the workspace was kept;
+    # candidate by candidate, 50 candidates each run every step on a chunk of rows, into blocks; and the
     # argmax program (n = 1) is one chunk whose every step allocated a row.  What is left is numpy's own
     # iterator buffers (see the test below) and the call's small arrays, less than one chunk's float64
-    # buffer: a single array per chunk, or a few rows per call, would cross that.
+    # buffer: a single array per chunk or candidate, or a few rows per call, would cross that.
+    if wide_rows:
+        monkeypatch.setattr(interp, "WIDE_ROWS", wide_rows)
     spec, populations = _wide_spec_and_values(twovar_sketch, (n,))
     plan = sg.compile_sketch(twovar_sketch, spec)
     assert interp.CHUNK_CELLS // 50 < len(spec) // 4
@@ -652,10 +691,13 @@ def test_a_scoring_call_allocates_no_buffers_per_chunk(twovar_sketch, n):
     assert peak < interp.CHUNK_CELLS * 8, peak
 
 
-def test_a_repeat_wide_call_holds_numpy_buffers_small(twovar_sketch):
+@pytest.mark.parametrize("wide_rows", [10_001, None])  # by pattern, and candidate by candidate
+def test_a_repeat_wide_call_holds_numpy_buffers_small(monkeypatch, twovar_sketch, wide_rows):
     # numpy allocates an iterator buffer for each operand that a ufunc call broadcasts across a chunk, of
     # up to its buffer size in elements: 8192 by default, 127 KB per call for `[Real] [OP] x2` alone.  The
     # scorer sets the size to interp.BUFSIZE while it scores chunks larger than that.
+    if wide_rows:
+        monkeypatch.setattr(interp, "WIDE_ROWS", wide_rows)
     spec, populations = _wide_spec_and_values(twovar_sketch, (50,))
     plan = sg.compile_sketch(twovar_sketch, spec)
     sg.eval_population_losses(plan, populations[50])
@@ -670,7 +712,8 @@ def test_a_repeat_wide_call_holds_numpy_buffers_small(twovar_sketch):
     assert np.getbufsize() == bufsize  # put back after the call
 
 
-def test_the_guard_select_allocates_nothing_on_a_repeat_call(monkeypatch, twovar_sketch):
+@pytest.mark.parametrize("wide_rows", [10_001, None])  # by pattern, and candidate by candidate
+def test_the_guard_select_allocates_nothing_on_a_repeat_call(monkeypatch, twovar_sketch, wide_rows):
     # The guard's mask reaches the select as 0/1 int64, so its multiply casts nothing: a multiply by a
     # bool mask casts it through a buffer of numpy's bufsize (64 KB by default) on every chunk.
     peaks, masks = [], []
@@ -685,6 +728,8 @@ def test_the_guard_select_allocates_nothing_on_a_repeat_call(monkeypatch, twovar
         return result
 
     monkeypatch.setattr(interp, "_select", traced)  # compile_sketch reads it into the plan
+    if wide_rows:
+        monkeypatch.setattr(interp, "WIDE_ROWS", wide_rows)
     spec, populations = _wide_spec_and_values(twovar_sketch, (50,))
     plan = sg.compile_sketch(twovar_sketch, spec)
     expected = sg.eval_population_losses(plan, populations[50])
@@ -695,10 +740,13 @@ def test_the_guard_select_allocates_nothing_on_a_repeat_call(monkeypatch, twovar
     finally:
         tracemalloc.stop()
     assert losses.tobytes() == expected.tobytes()
-    # 10 000 rows are scored candidate by candidate, in chunks of up to CHUNK_CELLS rows: a select per candidate
-    # and chunk.
-    assert len(spec) >= interp.WIDE_ROWS
-    assert len(peaks) == 50 * -(-len(spec) // interp.CHUNK_CELLS) and set(masks) == {np.dtype(np.int64)}
+    # By pattern a select per chunk of CHUNK_CELLS // 50 rows; candidate by candidate, in chunks of up to
+    # CHUNK_CELLS rows, a select per candidate and chunk.
+    if wide_rows is None:
+        assert len(peaks) == 50 * -(-len(spec) // interp.CHUNK_CELLS)
+    else:
+        assert len(peaks) == -(-len(spec) // (interp.CHUNK_CELLS // 50))
+    assert set(masks) == {np.dtype(np.int64)}
     assert max(peaks) < 1024, peaks  # the three int64 views' array objects, and no buffer
 
 
