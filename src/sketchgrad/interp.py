@@ -300,9 +300,10 @@ class Plan:
     `operands` picks): `fns[0]` when `hole` is None, else, per candidate, the function of the token it drew
     for that categorical hole, into an array of `dtype`.  `wide` says, per value, whether it reads an input
     (a column per spec row) or not (one column).  `categorical` pairs each categorical hole with its token
-    count, in hole order.  Value `out` is the prediction: in a guarded sketch, the guard's `_select` step,
-    which the product walk reads.  A plan keeps its calls' scratch `buffers` and programs (`workspaces`, see
-    `_resolve`), so one plan must not be scored from two threads at once; compile one per thread."""
+    count, in hole order.
+    Value `out` is the prediction: in a guarded sketch, the guard's `_select` step, which the product walk
+    reads.  A plan keeps its calls' scratch `buffers` and programs (`workspaces`, see `_resolve`), so one plan
+    must not be scored from two threads at once; compile one per thread."""
 
     holes: tuple
     columns: np.ndarray
